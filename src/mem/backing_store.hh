@@ -7,12 +7,20 @@
  * address produced by fault-corrupted pointer data is reported to the
  * caller instead of touching host memory, which is one of the two ways
  * the paper's "fatal errors" are detected (the other is loop budgets).
+ *
+ * The memory is a table of fixed-size pages, materialized on first
+ * write. A page that was never written reads as zero through one
+ * shared static zero page, so a store costs host memory only for what
+ * the simulation actually wrote, and code that compares stores can
+ * skip pages nobody touched.
  */
 
 #ifndef CLUMSY_MEM_BACKING_STORE_HH
 #define CLUMSY_MEM_BACKING_STORE_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -24,8 +32,17 @@ namespace clumsy::mem
 class BackingStore
 {
   public:
+    /** Page granularity of lazy materialization, in bytes. */
+    static constexpr SimSize kPageBytes = 4096;
+
     /** @param size memory size in bytes (must be > 0). */
     explicit BackingStore(SimSize size);
+
+    /** Deep copy: the copy owns its own pages. */
+    BackingStore(const BackingStore &other);
+    BackingStore &operator=(const BackingStore &other);
+    BackingStore(BackingStore &&) noexcept = default;
+    BackingStore &operator=(BackingStore &&) noexcept = default;
 
     /** @return true when [addr, addr+len) lies inside the memory. */
     bool contains(SimAddr addr, SimSize len) const;
@@ -52,10 +69,37 @@ class BackingStore
     void fill(SimAddr addr, std::uint8_t value, SimSize len);
 
     /** @return the memory size in bytes. */
-    SimSize size() const { return static_cast<SimSize>(data_.size()); }
+    SimSize size() const { return size_; }
+
+    // --- page view ---------------------------------------------------
+
+    /** Pages covering the memory (the last may extend past size()). */
+    std::size_t pageCount() const { return pages_.size(); }
+
+    /**
+     * The kPageBytes bytes of page @p index (addresses
+     * index*kPageBytes onward), or nullptr when the page was never
+     * written and therefore reads as zero.
+     */
+    const std::uint8_t *page(std::size_t index) const
+    {
+        return pages_[index] ? pages_[index]->data() : nullptr;
+    }
+
+    /** kPageBytes of zeros: what every unwritten page reads as. */
+    static const std::uint8_t *zeroPage();
 
   private:
-    std::vector<std::uint8_t> data_;
+    using Page = std::array<std::uint8_t, kPageBytes>;
+
+    SimSize size_;
+    std::vector<std::unique_ptr<Page>> pages_;
+
+    /** Page @p index for reading: its bytes, or the zero page. */
+    const std::uint8_t *readable(std::size_t index) const;
+
+    /** Page @p index for writing, zero-filled on first use. */
+    std::uint8_t *writable(std::size_t index);
 };
 
 } // namespace clumsy::mem

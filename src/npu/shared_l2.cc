@@ -128,6 +128,9 @@ SharedL2Cache::SharedL2Cache(const mem::CacheGeometry &geom,
     CLUMSY_ASSERT(peCount >= 1, "shared L2 needs at least one engine");
     CLUMSY_ASSERT(memBytes % geom.lineBytes == 0,
                   "DRAM size must be a multiple of the L2 line size");
+    // Divergence seeding compares lines inside store pages.
+    CLUMSY_ASSERT(mem::BackingStore::kPageBytes % geom.lineBytes == 0,
+                  "L2 lines must not straddle backing-store pages");
     // Coloring must preserve the set index: the stride has to be a
     // multiple of the L2 set span (sets * lineBytes).
     const SimSize setSpan = geom.sets() * geom.lineBytes;
@@ -161,62 +164,74 @@ SharedL2Cache::seedDivergence(const WorkStealingPool *pool)
     if (peCount_ == 1)
         return;
 
-    // Does any engine's copy of the line at @p base differ from
-    // engine 0's? Pure reads: stores are only inspected, never
-    // touched, and the divergence state is not consulted (nothing is
-    // diverged yet when seeding runs in the setup sequence).
-    auto lineDiffers = [this](SimAddr base, std::uint8_t *ref,
-                              std::uint8_t *buf) {
-        stores_[0]->readBlock(base, ref, lineBytes_);
-        for (unsigned pe = 1; pe < peCount_; ++pe) {
-            stores_[pe]->readBlock(base, buf, lineBytes_);
-            if (std::memcmp(ref, buf, lineBytes_) != 0)
-                return true;
-        }
-        return false;
-    };
-
-    const std::size_t lines =
-        static_cast<std::size_t>(memBytes_ / lineBytes_);
-    const unsigned jobs =
-        pool ? static_cast<unsigned>(std::min<std::size_t>(
-                   pool->workers(), lines))
-             : 1;
-
-    if (jobs <= 1) {
-        std::vector<std::uint8_t> ref(lineBytes_);
-        std::vector<std::uint8_t> buf(lineBytes_);
-        for (SimAddr base = 0; base < memBytes_; base += lineBytes_) {
-            if (diverged(base))
-                continue;
-            if (lineDiffers(base, ref.data(), buf.data())) {
-                markDiverged(base);
-                stats_.inc("seeded_diverged");
+    // Only pages some engine has written can differ: a page no engine
+    // wrote reads as zero in every store. Listed in ascending order.
+    static constexpr SimSize kPageBytes = mem::BackingStore::kPageBytes;
+    std::vector<std::size_t> written;
+    for (std::size_t p = 0; p < stores_[0]->pageCount(); ++p) {
+        for (unsigned pe = 0; pe < peCount_; ++pe) {
+            if (stores_[pe]->page(p) != nullptr) {
+                written.push_back(p);
+                break;
             }
         }
-        return;
     }
 
-    // Fan the diff out over contiguous, disjoint line ranges; every
-    // job only reads and records its mismatches in its own slot. The
-    // marks are applied at the barrier in ascending line order — the
-    // order the serial loop discovers them in — so bitmap, count and
-    // stats come out byte-identical.
-    std::vector<std::vector<SimAddr>> found(jobs);
-    const std::size_t chunk = (lines + jobs - 1) / jobs;
-    pool->run(jobs, [&](std::size_t job) {
-        std::vector<std::uint8_t> ref(lineBytes_);
-        std::vector<std::uint8_t> buf(lineBytes_);
-        const std::size_t lo = job * chunk;
-        const std::size_t hi = std::min(lines, lo + chunk);
-        for (std::size_t line = lo; line < hi; ++line) {
-            const SimAddr base = static_cast<SimAddr>(line) * lineBytes_;
-            if (diverged(base))
-                continue;
-            if (lineDiffers(base, ref.data(), buf.data()))
-                found[job].push_back(base);
+    // Append the lines of page @p p where any engine's bytes differ
+    // from engine 0's to @p out, in ascending order. Pure reads,
+    // compared in place through the page views: a page an engine
+    // never wrote compares as zeros, and an engine whose whole page
+    // equals engine 0's is dropped before the per-line compare.
+    auto diffPage = [this](std::size_t p, std::vector<SimAddr> &out) {
+        auto bytes = [p](const mem::BackingStore *store) {
+            const std::uint8_t *page = store->page(p);
+            return page ? page : mem::BackingStore::zeroPage();
+        };
+        const SimAddr first = static_cast<SimAddr>(p * kPageBytes);
+        const SimSize span = std::min<SimSize>(kPageBytes,
+                                               memBytes_ - first);
+        const std::uint8_t *ref = bytes(stores_[0]);
+        std::vector<const std::uint8_t *> others;
+        for (unsigned pe = 1; pe < peCount_; ++pe) {
+            const std::uint8_t *other = bytes(stores_[pe]);
+            if (other != ref && std::memcmp(ref, other, span) != 0)
+                others.push_back(other);
         }
-    });
+        if (others.empty())
+            return;
+        for (SimSize off = 0; off < span; off += lineBytes_) {
+            if (diverged(first + off))
+                continue;
+            for (const std::uint8_t *other : others) {
+                if (std::memcmp(ref + off, other + off, lineBytes_) != 0) {
+                    out.push_back(first + off);
+                    break;
+                }
+            }
+        }
+    };
+
+    // With a pool, fan the diff out over contiguous, disjoint runs of
+    // the written pages; every job only reads and records its
+    // mismatches in its own slot. Either way the marks are applied
+    // afterwards in ascending line order — the serial discovery
+    // order — so bitmap, count and stats are byte-identical at any
+    // worker count.
+    const std::size_t jobs =
+        pool ? std::clamp<std::size_t>(written.size(), 1, pool->workers())
+             : 1;
+    std::vector<std::vector<SimAddr>> found(jobs);
+    const std::size_t chunk = (written.size() + jobs - 1) / jobs;
+    auto diffRun = [&](std::size_t job) {
+        const std::size_t lo = job * chunk;
+        const std::size_t hi = std::min(written.size(), lo + chunk);
+        for (std::size_t i = lo; i < hi; ++i)
+            diffPage(written[i], found[job]);
+    };
+    if (jobs == 1)
+        diffRun(0);
+    else
+        pool->run(jobs, diffRun);
     for (const std::vector<SimAddr> &bases : found) {
         for (const SimAddr base : bases) {
             markDiverged(base);

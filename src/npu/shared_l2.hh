@@ -259,12 +259,17 @@ class SharedL2Cache
      * engine is attached: control-plane faults leave different bytes
      * in different stores, and those lines must never share a frame.
      *
+     * The diff walks store pages, not lines: a page no engine has
+     * written is zero everywhere and is skipped, and the lines of the
+     * rest are compared in place through the stores' page views (a
+     * page one engine never wrote compares as zeros).
+     *
      * With a @p pool of more than one worker the diff itself fans out
-     * over disjoint line ranges (reads only; each job records its
-     * mismatches in a per-job slot) and the divergence marks are
-     * applied at the barrier in ascending line order — the serial
-     * iteration order — so the bitmap, the count and the stats are
-     * byte-identical to the single-threaded diff.
+     * over disjoint runs of written pages (reads only; each job
+     * records its mismatches in a per-job slot) and the divergence
+     * marks are applied at the barrier in ascending line order — the
+     * serial iteration order — so the bitmap, the count and the stats
+     * are byte-identical to the single-threaded diff.
      */
     void seedDivergence(const WorkStealingPool *pool = nullptr);
 

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,6 +57,18 @@ const GoldenCase kCases[] = {
     {"nat_s1", "nat", 1, 0x5eed, false},
     {"nat_s2", "nat", 9, 0xb0a710ad, false},
 };
+
+/**
+ * Print a case by value, not by its raw bytes: the default printer
+ * dumps the `const char *` members as addresses, which makes the listed
+ * test names differ between builds.
+ */
+void
+PrintTo(const GoldenCase &gc, std::ostream *os)
+{
+    *os << gc.app << " trace=" << gc.traceSeed << " fault=0x" << std::hex
+        << gc.faultSeed << std::dec << (gc.drop ? " drop" : " backpressure");
+}
 
 /** Exact round-trip text for a double (%.17g re-reads bit-equal). */
 std::string

@@ -11,13 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "apps/app.hh"
+#include "common/pool.hh"
 #include "core/experiment.hh"
 #include "mem/backing_store.hh"
 #include "mem/cache.hh"
@@ -257,6 +260,121 @@ TEST(SharedL2Cache, SeedDivergenceColorsMismatchedLines)
     EXPECT_EQ(shared.stats().get("seeded_diverged"), 1u);
     EXPECT_FALSE(shared.sharedFrame(300));
     EXPECT_TRUE(shared.sharedFrame(0));
+}
+
+namespace
+{
+
+/**
+ * Random engine stores for the seeding equivalence test: 16 pages of
+ * 4 KiB, written so every page kind the page walk distinguishes shows
+ * up — pages nobody wrote, pages every engine wrote identically (with
+ * and without a few corrupted bytes), pages only one engine wrote,
+ * pages written back to all-zero bytes, and writes that straddle page
+ * boundaries.
+ */
+std::vector<mem::BackingStore>
+randomStores(unsigned peCount, std::uint64_t seed)
+{
+    constexpr SimSize kBytes = 16 * mem::BackingStore::kPageBytes;
+    constexpr SimSize kPage = mem::BackingStore::kPageBytes;
+    std::mt19937_64 rng(seed);
+    auto below = [&rng](std::uint64_t n) {
+        return static_cast<SimSize>(rng() % n);
+    };
+    std::vector<mem::BackingStore> stores(peCount,
+                                          mem::BackingStore(kBytes));
+    std::vector<std::uint8_t> blob(3 * kPage);
+    for (int op = 0; op < 40; ++op) {
+        const SimSize len = 1 + below(2 * kPage);
+        const SimAddr at = below(kBytes - len + 1);
+        for (SimSize i = 0; i < len; ++i)
+            blob[i] = static_cast<std::uint8_t>(rng());
+        switch (below(5)) {
+          case 0: // identical everywhere (control-plane tables)
+          case 1:
+            for (mem::BackingStore &st : stores)
+                st.writeBlock(at, blob.data(), len);
+            break;
+          case 2: // one engine only (a packet buffer, a DMA)
+            stores[below(peCount)].writeBlock(at, blob.data(), len);
+            break;
+          case 3: // written, then written back to zeros by one engine
+            {
+                mem::BackingStore &st = stores[below(peCount)];
+                st.writeBlock(at, blob.data(), len);
+                st.fill(at, 0, len);
+            }
+            break;
+          default: // a few corrupted bytes (control-plane faults)
+            for (int k = 0; k < 3; ++k)
+                stores[below(peCount)].write8(
+                    below(kBytes), static_cast<std::uint8_t>(rng()));
+            break;
+        }
+    }
+    return stores;
+}
+
+/** Dense reference: every line of every store vs engine 0's. */
+std::vector<bool>
+denseDivergence(const std::vector<mem::BackingStore> &stores)
+{
+    const SimSize bytes = stores[0].size();
+    std::vector<bool> diverged(bytes / kLineBytes, false);
+    std::uint8_t ref[kLineBytes], buf[kLineBytes];
+    for (SimAddr base = 0; base < bytes; base += kLineBytes) {
+        stores[0].readBlock(base, ref, kLineBytes);
+        for (std::size_t pe = 1; pe < stores.size(); ++pe) {
+            stores[pe].readBlock(base, buf, kLineBytes);
+            if (std::memcmp(ref, buf, kLineBytes) != 0)
+                diverged[base / kLineBytes] = true;
+        }
+    }
+    return diverged;
+}
+
+} // namespace
+
+/**
+ * The page walk in seedDivergence marks exactly the lines a dense
+ * line-by-line diff finds — pages only one engine wrote, pages
+ * written back to zeros (materialized, yet equal to an unwritten
+ * page) and page-straddling writes included — serially and through
+ * pools of several widths.
+ */
+TEST(SharedL2Cache, SeedDivergencePageWalkMatchesDenseDiff)
+{
+    const WorkStealingPool pool3(3);
+    const WorkStealingPool pool4(4);
+    const WorkStealingPool *pools[] = {nullptr, &pool3, &pool4};
+    for (unsigned peCount = 2; peCount <= 4; ++peCount) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            SCOPED_TRACE("pes " + std::to_string(peCount) + " seed " +
+                         std::to_string(seed));
+            std::vector<mem::BackingStore> stores =
+                randomStores(peCount, seed * 1000 + peCount);
+            const SimSize bytes = stores[0].size();
+            const std::vector<bool> expect = denseDivergence(stores);
+            const std::uint64_t expectCount = static_cast<std::uint64_t>(
+                std::count(expect.begin(), expect.end(), true));
+            for (const WorkStealingPool *pool : pools) {
+                SharedL2Cache shared(tinyGeometry(),
+                                     mem::CheckCodec::Parity, bytes,
+                                     peCount);
+                for (unsigned pe = 0; pe < peCount; ++pe)
+                    shared.attach(pe, &stores[pe], nullptr);
+                shared.seedDivergence(pool);
+                EXPECT_EQ(shared.divergedLines(), expectCount);
+                EXPECT_EQ(shared.stats().get("seeded_diverged"),
+                          expectCount);
+                for (SimAddr base = 0; base < bytes; base += kLineBytes)
+                    ASSERT_EQ(shared.sharedFrame(base),
+                              !expect[base / kLineBytes])
+                        << "line " << base;
+            }
+        }
+    }
 }
 
 /**
