@@ -7,17 +7,18 @@
  * step loop in its private-L2, shared-L2 and faulty flavors — and
  * reports host packets per second per cell as JSON.
  *
- * Every timed cell is self-checking: after timing the fast path it
- * re-runs the same experiment through the reference arm (the virtual
- * L2 seam via HierarchyConfig::forceGenericL2, and for chip cells the
- * per-arrival legacy dispatch via NpuConfig::dispatchBurst = 1) and
- * byte-compares every metric and recorder digest. A cell only reports
- * "identical": true when the optimized path produced bit-identical
- * modeled results; any divergence fails the whole binary, so a perf
- * number can never be committed for a path that changed the model.
+ * Every timed cell is self-checking: after timing, it runs the same
+ * experiment once more, untimed, and byte-compares every metric and
+ * recorder digest against the timed run. A cell only reports
+ * "identical": true when the two runs agree bit for bit; any
+ * divergence (state leaking between runs, uninitialized reads, host-
+ * dependent ordering) fails the whole binary, so a perf number can
+ * never be committed for a nondeterministic path. Identity against
+ * the model's pinned results is the golden corpus's job
+ * (tests/test_golden_trace.cc).
  *
- * CI regenerates this JSON (--quick) and tools/check_perf.py gates on
- * the committed copy. The embedded pre_pr table holds the same cells
+ * CI regenerates this JSON at the full protocol and tools/check_perf.py
+ * gates on the committed copy. The embedded pre_pr table holds the same cells
  * measured on the pre-rearchitecture tree (commit f4761ae) on the
  * reference container, so the committed file documents the speedup
  * the rearchitecture bought.
@@ -29,6 +30,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/app.hh"
@@ -102,14 +104,7 @@ bestOf(unsigned reps, Fn &&fn)
     return best;
 }
 
-bool
-sameU64Map(const std::map<std::string, std::uint64_t> &a,
-           const std::map<std::string, std::uint64_t> &b)
-{
-    return a == b;
-}
-
-/** Exact equality — both arms are deterministic, so == is the test. */
+/** Exact equality — the simulator is deterministic, so == is the test. */
 bool
 sameMetrics(const core::RunMetrics &a, const core::RunMetrics &b)
 {
@@ -129,13 +124,7 @@ sameMetrics(const core::RunMetrics &a, const core::RunMetrics &b)
            a.eccCorrections == b.eccCorrections &&
            a.freqSwitches == b.freqSwitches &&
            a.ctrlEventsApplied == b.ctrlEventsApplied &&
-           sameU64Map(a.errorsByType, b.errorsByType);
-}
-
-bool
-sameVec(const std::vector<double> &a, const std::vector<double> &b)
-{
-    return a == b;
+           a.errorsByType == b.errorsByType;
 }
 
 bool
@@ -155,15 +144,15 @@ sameChipMetrics(const npu::ChipMetrics &a, const npu::ChipMetrics &b)
            a.crossEngineHitFraction == b.crossEngineHitFraction &&
            a.l2EvictionsByOther == b.l2EvictionsByOther &&
            a.mshrMerges == b.mshrMerges && a.chipEdf == b.chipEdf &&
-           sameVec(a.peUtilization, b.peUtilization) &&
-           sameVec(a.pePackets, b.pePackets) &&
-           sameVec(a.peL2Hits, b.peL2Hits) &&
-           sameVec(a.peL2Misses, b.peL2Misses) &&
-           sameVec(a.peCrFinal, b.peCrFinal) &&
-           sameVec(a.peCrMean, b.peCrMean) &&
-           sameVec(a.peEpochs, b.peEpochs) &&
-           sameVec(a.peStepsUp, b.peStepsUp) &&
-           sameVec(a.peStepsDown, b.peStepsDown);
+           a.peUtilization == b.peUtilization &&
+           a.pePackets == b.pePackets &&
+           a.peL2Hits == b.peL2Hits &&
+           a.peL2Misses == b.peL2Misses &&
+           a.peCrFinal == b.peCrFinal &&
+           a.peCrMean == b.peCrMean &&
+           a.peEpochs == b.peEpochs &&
+           a.peStepsUp == b.peStepsUp &&
+           a.peStepsDown == b.peStepsDown;
 }
 
 bool
@@ -182,9 +171,22 @@ struct Cell
     std::string name;
     std::uint64_t packets = 0;
     double seconds = 0.0;
-    double refSeconds = 0.0;
     bool identical = false;
 };
+
+/**
+ * Time @p run best-of @p reps, then run it once more untimed and
+ * report whether @p same holds between the timed and untimed results.
+ */
+template <class Run, class Same>
+Cell
+timeCell(std::string name, std::uint64_t packets, unsigned reps,
+         Run &&run, Same &&same)
+{
+    decltype(run()) timed;
+    const double s = bestOf(reps, [&]() { timed = run(); });
+    return Cell{std::move(name), packets, s, same(timed, run())};
+}
 
 std::string
 renderJson(const std::vector<Cell> &cells, std::uint64_t corePackets,
@@ -208,14 +210,11 @@ renderJson(const std::vector<Cell> &cells, std::uint64_t corePackets,
         const Cell &c = cells[i];
         const double pps =
             static_cast<double>(c.packets) / c.seconds;
-        const double refPps =
-            static_cast<double>(c.packets) / c.refSeconds;
         add("    {\"name\": \"%s\", \"packets\": %llu, "
-            "\"seconds\": %.4f, \"pps\": %.0f, \"ref_pps\": %.0f, "
-            "\"identical\": %s}%s\n",
+            "\"seconds\": %.4f, \"pps\": %.0f, \"identical\": %s}%s\n",
             c.name.c_str(),
             static_cast<unsigned long long>(c.packets), c.seconds,
-            pps, refPps, c.identical ? "true" : "false",
+            pps, c.identical ? "true" : "false",
             i + 1 < cells.size() ? "," : "");
     }
     add("  ],\n");
@@ -242,7 +241,7 @@ main(int argc, char **argv)
     std::string outPath;
     cli::ArgParser parser(argv && argv[0] ? argv[0] : "sim_perf",
                           "Host-simulator throughput cells with "
-                          "fast-vs-reference byte comparison.");
+                          "run-to-run byte comparison.");
     parser.optU64("--packets", "N", "packets per single-core cell",
                   &corePackets);
     parser.optU64("--chip-packets", "N", "packets per chip cell",
@@ -264,14 +263,12 @@ main(int argc, char **argv)
     std::vector<Cell> cells;
     bool allIdentical = true;
     auto note = [&](const Cell &c) {
-        std::fprintf(stderr,
-                     "  %-18s %9.0f pps  (ref %9.0f)  %s\n",
-                     c.name.c_str(),
+        std::fprintf(stderr, "  %-18s %9.0f pps  %s\n", c.name.c_str(),
                      static_cast<double>(c.packets) / c.seconds,
-                     static_cast<double>(c.packets) / c.refSeconds,
                      c.identical ? "identical" : "DIVERGED");
         if (!c.identical)
             allIdentical = false;
+        cells.push_back(c);
     };
 
     // --- single-core golden runs, one cell per workload ------------
@@ -281,23 +278,15 @@ main(int argc, char **argv)
     for (const std::string &app : coreApps) {
         core::ExperimentConfig cfg;
         cfg.numPackets = corePackets;
-        core::GoldenRecord fast;
-        const double s = bestOf(reps, [&]() {
-            fast = core::runGolden(apps::appFactory(app), cfg);
-        });
-        core::ExperimentConfig ref = cfg;
-        ref.processor.hierarchy.forceGenericL2 = true;
-        core::GoldenRecord slow;
-        const double rs = bestOf(1, [&]() {
-            slow = core::runGolden(apps::appFactory(app), ref);
-        });
-        Cell c{"core/" + app, corePackets, s, rs,
-               sameMetrics(fast.metrics, slow.metrics) &&
-                   fast.recorder.digest() == slow.recorder.digest() &&
-                   fast.recorder.packetCount() ==
-                       slow.recorder.packetCount()};
-        note(c);
-        cells.push_back(c);
+        note(timeCell(
+            "core/" + app, corePackets, reps,
+            [&]() { return core::runGolden(apps::appFactory(app), cfg); },
+            [](const core::GoldenRecord &a, const core::GoldenRecord &b) {
+                return sameMetrics(a.metrics, b.metrics) &&
+                       a.recorder.digest() == b.recorder.digest() &&
+                       a.recorder.packetCount() ==
+                           b.recorder.packetCount();
+            }));
     }
 
     // --- faulty single-core trial (injector + recovery hot) --------
@@ -308,22 +297,13 @@ main(int argc, char **argv)
         cfg.scheme = mem::RecoveryScheme::TwoStrike;
         const core::GoldenRecord golden =
             core::runGolden(apps::appFactory("route"), cfg);
-        core::RunMetrics fast;
-        const double s = bestOf(reps, [&]() {
-            fast = core::runFaultyTrial(apps::appFactory("route"),
-                                        cfg, 0, golden);
-        });
-        core::ExperimentConfig ref = cfg;
-        ref.processor.hierarchy.forceGenericL2 = true;
-        core::RunMetrics slow;
-        const double rs = bestOf(1, [&]() {
-            slow = core::runFaultyTrial(apps::appFactory("route"),
-                                        ref, 0, golden);
-        });
-        Cell c{"core_faulty/route", corePackets, s, rs,
-               sameMetrics(fast, slow)};
-        note(c);
-        cells.push_back(c);
+        note(timeCell(
+            "core_faulty/route", corePackets, reps,
+            [&]() {
+                return core::runFaultyTrial(apps::appFactory("route"),
+                                            cfg, 0, golden);
+            },
+            sameMetrics));
     }
 
     // --- chip step loop: private L2, shared L2, faulty -------------
@@ -341,23 +321,13 @@ main(int argc, char **argv)
         npuCfg.dispatch = npu::DispatchPolicy::FlowHash;
         npuCfg.mshrs = 4;
         npuCfg.l2 = l2;
-        npu::ChipStreamResult fast;
-        const double s = bestOf(reps, [&]() {
-            fast = npu::runChipStream(apps::appFactory(app), cfg,
-                                      npuCfg, /*golden=*/!faulty, 0);
-        });
-        core::ExperimentConfig refCfg = cfg;
-        refCfg.processor.hierarchy.forceGenericL2 = true;
-        npu::NpuConfig refNpu = npuCfg;
-        refNpu.dispatchBurst = 1;
-        npu::ChipStreamResult slow;
-        const double rs = bestOf(1, [&]() {
-            slow = npu::runChipStream(apps::appFactory(app), refCfg,
-                                      refNpu, /*golden=*/!faulty, 0);
-        });
-        Cell c{name, chipPackets, s, rs, sameStream(fast, slow)};
-        note(c);
-        cells.push_back(c);
+        note(timeCell(
+            name, chipPackets, reps,
+            [&]() {
+                return npu::runChipStream(apps::appFactory(app), cfg,
+                                          npuCfg, /*golden=*/!faulty, 0);
+            },
+            sameStream));
     };
     chipCell("chip/route", "route", npu::L2Mode::Private, false);
     chipCell("chip/nat", "nat", npu::L2Mode::Private, false);
@@ -390,7 +360,7 @@ main(int argc, char **argv)
     }
     if (!allIdentical) {
         std::fprintf(stderr,
-                     "sim_perf: FAST PATH DIVERGED from reference\n");
+                     "sim_perf: a cell's repeat run DIVERGED\n");
         return 1;
     }
     return 0;

@@ -49,7 +49,7 @@ class ClumsyProcessor
     // --- timed, faulty data-memory API ------------------------------
     // Every application data access funnels through these six calls,
     // so they are defined inline: the facade adds zero call overhead
-    // on top of the hierarchy's (itself devirtualized) access path.
+    // on top of the hierarchy's access path.
 
     /** Load a 32-bit word (4-aligned) through the D-cache. */
     std::uint32_t read32(SimAddr addr)

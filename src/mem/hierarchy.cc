@@ -34,7 +34,8 @@ MemHierarchy::MemHierarchy(const HierarchyConfig &config,
     privateL2_.bind(&l2_, store_, energy_, &stats_);
     l2b_ = &privateL2_;
     l2LineScratch_.resize(config_.l2.lineBytes);
-    l1LineScratch_.resize(config_.l1d.lineBytes);
+    l1LineScratch_.resize(
+        std::max(config_.l1d.lineBytes, config_.l1i.lineBytes));
     if (config_.wayDisable.enabled())
         frameStrikes_.assign(
             std::size_t{config_.l1d.sets()} * config_.l1d.assoc, 0);
@@ -68,36 +69,33 @@ MemHierarchy::setCycleTime(double cr)
     injector_->setCycleTime(cr);
 }
 
-template <typename B>
 void
-MemHierarchy::ensureL2(B &l2b, SimAddr addr, Access &acc)
+MemHierarchy::ensureL2(SimAddr addr, Access &acc)
 {
     const SimAddr base = l2LineBase(addr);
-    if (l2b.lookup(addr)) {
+    if (l2b_->lookup(addr)) {
         acc.latency += cyclesToQuanta(config_.l2HitCycles);
         ++acc.l2Accesses;
-        acc.noteL2Line(base, false, l2b.sharedFrame(addr));
+        acc.noteL2Line(base, false, l2b_->sharedFrame(addr));
         if (energy_)
             energy_->addL2Access();
         return;
     }
     store_->readBlock(base, l2LineScratch_.data(), config_.l2.lineBytes);
-    l2b.fill(base, l2LineScratch_.data());
+    l2b_->fill(base, l2LineScratch_.data());
     acc.latency +=
         cyclesToQuanta(config_.l2HitCycles + config_.memCycles);
     ++acc.l2Accesses;
     ++acc.l2Misses;
-    acc.noteL2Line(base, true, l2b.sharedFrame(addr));
+    acc.noteL2Line(base, true, l2b_->sharedFrame(addr));
     if (energy_) {
         energy_->addL2Access();
         energy_->addMemAccess();
     }
 }
 
-template <typename B>
 void
-MemHierarchy::writebackToL2(B &l2b, const Cache::Evicted &evicted,
-                            Access &acc)
+MemHierarchy::writebackToL2(const Cache::Evicted &evicted)
 {
     if (!evicted.valid || !evicted.dirty)
         return;
@@ -106,11 +104,10 @@ MemHierarchy::writebackToL2(B &l2b, const Cache::Evicted &evicted,
     // Access is discarded, so buffered transfers also generate no
     // port-arbiter line events.
     Access wb;
-    ensureL2(l2b, evicted.base, wb);
-    l2b.writeRange(evicted.base, evicted.data.data(),
-                   static_cast<SimSize>(evicted.data.size()), true);
+    ensureL2(evicted.base, wb);
+    l2b_->writeRange(evicted.base, evicted.data.data(),
+                     static_cast<SimSize>(evicted.data.size()), true);
     ++*l1dWritebacks_;
-    (void)acc;
 }
 
 void
@@ -135,24 +132,23 @@ MemHierarchy::corruptFilledLine(SimAddr lineBase)
     }
 }
 
-template <typename B>
 void
-MemHierarchy::ensureL1D(B &l2b, SimAddr addr, Access &acc)
+MemHierarchy::ensureL1D(SimAddr addr, Access &acc)
 {
     if (l1d_.lookup(addr))
         return;
-    ensureL2(l2b, addr, acc);
+    ensureL2(addr, acc);
     const SimAddr base = l1d_.lineBase(addr);
     // The containing L2 line is now resident; copy our slice of it.
     for (SimAddr off = 0; off < config_.l1d.lineBytes; off += 4) {
-        const std::uint32_t w = l2b.readWordRaw(base + off);
+        const std::uint32_t w = l2b_->readWordRaw(base + off);
         std::memcpy(&l1LineScratch_[off], &w, 4);
     }
     const Cache::Evicted victim = l1d_.fill(base, l1LineScratch_.data());
     if (energy_)
         energy_->addL1dWrite(cr_, protection());
     corruptFilledLine(base);
-    writebackToL2(l2b, victim, acc);
+    writebackToL2(victim);
 }
 
 std::uint32_t
@@ -225,9 +221,8 @@ MemHierarchy::checkSensedWord(std::uint32_t sensed, SimAddr wordAddr,
     return false;
 }
 
-template <typename B>
 Access
-MemHierarchy::readImpl(B &l2b, SimAddr addr, unsigned bytes)
+MemHierarchy::read(SimAddr addr, unsigned bytes)
 {
     CLUMSY_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
                   "access width must be 1, 2 or 4 bytes");
@@ -255,14 +250,14 @@ MemHierarchy::readImpl(B &l2b, SimAddr addr, unsigned bytes)
         // charged as a permanent L1 miss served by the L2 (assumed
         // correct, so no sensing or recovery applies).
         stats_.inc("retired_reads");
-        ensureL2(l2b, wordAddr, acc);
-        const std::uint32_t word = l2b.readWordRaw(wordAddr);
+        ensureL2(wordAddr, acc);
+        const std::uint32_t word = l2b_->readWordRaw(wordAddr);
         const unsigned shift = (addr & 3u) * 8;
         acc.value =
             bytes == 4 ? word : bitField(word, shift, bytes * 8);
         return acc;
     }
-    ensureL1D(l2b, wordAddr, acc);
+    ensureL1D(wordAddr, acc);
 
     const unsigned attempts = readAttempts(config_.scheme);
     std::uint32_t sensed = 0;
@@ -293,9 +288,10 @@ MemHierarchy::readImpl(B &l2b, SimAddr addr, unsigned bytes)
         if (l1d_.isDirty(wordAddr)) {
             stats_.inc("strike_writebacks");
             l1d_.readLine(wordAddr, l1LineScratch_.data());
-            ensureL2(l2b, wordAddr, acc);
-            l2b.writeRange(l1d_.lineBase(wordAddr), l1LineScratch_.data(),
-                           config_.l1d.lineBytes, true);
+            ensureL2(wordAddr, acc);
+            l2b_->writeRange(l1d_.lineBase(wordAddr),
+                             l1LineScratch_.data(), config_.l1d.lineBytes,
+                             true);
         }
         RetireOutcome retired = RetireOutcome::None;
         if (retireOn())
@@ -305,25 +301,25 @@ MemHierarchy::readImpl(B &l2b, SimAddr addr, unsigned bytes)
             // word from the L2 directly, like every future access to
             // this set will be.
             stats_.inc("retired_reads");
-            ensureL2(l2b, wordAddr, acc);
-            sensed = l2b.readWordRaw(wordAddr);
+            ensureL2(wordAddr, acc);
+            sensed = l2b_->readWordRaw(wordAddr);
         } else {
             if (retired == RetireOutcome::SetAlive) {
                 // The line went down with its retired frame; refill
                 // into one of the set's surviving ways.
-                ensureL1D(l2b, wordAddr, acc);
+                ensureL1D(wordAddr, acc);
             } else if (config_.subBlockRecovery) {
                 // Refetch only the faulted word (paper footnote 2):
                 // the rest of the line — including its other dirty
                 // words — stays put.
                 stats_.inc("subblock_refetches");
-                ensureL2(l2b, wordAddr, acc);
-                const std::uint32_t fresh = l2b.readWordRaw(wordAddr);
+                ensureL2(wordAddr, acc);
+                const std::uint32_t fresh = l2b_->readWordRaw(wordAddr);
                 l1d_.writeWordRaw(wordAddr, fresh,
                                   l1d_.computeCheck(fresh));
             } else {
                 l1d_.invalidate(wordAddr);
-                ensureL1D(l2b, wordAddr, acc);
+                ensureL1D(wordAddr, acc);
             }
             sensed = senseWord(wordAddr, acc);
             if (!checkSensedWord(sensed, wordAddr, sensed)) {
@@ -333,10 +329,10 @@ MemHierarchy::readImpl(B &l2b, SimAddr addr, unsigned bytes)
                 acc.latency += cyclesToQuanta(config_.l2HitCycles);
                 ++acc.l2Accesses;
                 acc.noteL2Line(l2LineBase(wordAddr), false,
-                               l2b.sharedFrame(wordAddr));
+                               l2b_->sharedFrame(wordAddr));
                 if (energy_)
                     energy_->addL2Access();
-                sensed = l2b.readWordRaw(wordAddr);
+                sensed = l2b_->readWordRaw(wordAddr);
             }
         }
     }
@@ -347,10 +343,8 @@ MemHierarchy::readImpl(B &l2b, SimAddr addr, unsigned bytes)
     return acc;
 }
 
-template <typename B>
 Access
-MemHierarchy::writeImpl(B &l2b, SimAddr addr, unsigned bytes,
-                        std::uint32_t value)
+MemHierarchy::write(SimAddr addr, unsigned bytes, std::uint32_t value)
 {
     CLUMSY_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
                   "access width must be 1, 2 or 4 bytes");
@@ -375,10 +369,10 @@ MemHierarchy::writeImpl(B &l2b, SimAddr addr, unsigned bytes,
         // Fully retired set: write through to the L2 via the normal
         // miss path (sub-word stores merge against the L2's copy).
         stats_.inc("retired_writes");
-        ensureL2(l2b, wordAddr, acc);
+        ensureL2(wordAddr, acc);
         std::uint32_t intended = value;
         if (bytes != 4) {
-            const std::uint32_t raw = l2b.readWordRaw(wordAddr);
+            const std::uint32_t raw = l2b_->readWordRaw(wordAddr);
             const unsigned shift = (addr & 3u) * 8;
             const std::uint32_t mask =
                 ((bytes == 1 ? 0xffu : 0xffffu)) << shift;
@@ -386,10 +380,10 @@ MemHierarchy::writeImpl(B &l2b, SimAddr addr, unsigned bytes,
         }
         std::uint8_t buf[4];
         std::memcpy(buf, &intended, 4);
-        l2b.writeRange(wordAddr, buf, 4, true);
+        l2b_->writeRange(wordAddr, buf, 4, true);
         return acc;
     }
-    ensureL1D(l2b, wordAddr, acc);
+    ensureL1D(wordAddr, acc);
 
     // Sub-word stores are a masked read-modify-write of the stored
     // word; the merge path is internal and not subject to sensing
@@ -428,9 +422,8 @@ MemHierarchy::writeImpl(B &l2b, SimAddr addr, unsigned bytes,
     return acc;
 }
 
-template <typename B>
 Access
-MemHierarchy::fetchImpl(B &l2b, SimAddr pc)
+MemHierarchy::fetch(SimAddr pc)
 {
     const SimAddr lineAddr = pc & ~SimAddr{3};
     Access acc;
@@ -438,40 +431,15 @@ MemHierarchy::fetchImpl(B &l2b, SimAddr pc)
         energy_->addL1iRead();
     if (l1i_.lookup(lineAddr))
         return acc; // pipelined fetch: no visible stall
-    ensureL2(l2b, lineAddr, acc);
+    ensureL2(lineAddr, acc);
     const SimAddr base = l1i_.lineBase(lineAddr);
-    std::vector<std::uint8_t> buf(config_.l1i.lineBytes);
     for (SimAddr off = 0; off < config_.l1i.lineBytes; off += 4) {
-        const std::uint32_t w = l2b.readWordRaw(base + off);
-        std::memcpy(&buf[off], &w, 4);
+        const std::uint32_t w = l2b_->readWordRaw(base + off);
+        std::memcpy(&l1LineScratch_[off], &w, 4);
     }
     // Instruction lines are clean; evictions never write back.
-    (void)l1i_.fill(base, buf.data());
+    (void)l1i_.fill(base, l1LineScratch_.data());
     return acc;
-}
-
-Access
-MemHierarchy::read(SimAddr addr, unsigned bytes)
-{
-    if (fastPrivate())
-        return readImpl(privateL2_, addr, bytes);
-    return readImpl(*l2b_, addr, bytes);
-}
-
-Access
-MemHierarchy::write(SimAddr addr, unsigned bytes, std::uint32_t value)
-{
-    if (fastPrivate())
-        return writeImpl(privateL2_, addr, bytes, value);
-    return writeImpl(*l2b_, addr, bytes, value);
-}
-
-Access
-MemHierarchy::fetch(SimAddr pc)
-{
-    if (fastPrivate())
-        return fetchImpl(privateL2_, pc);
-    return fetchImpl(*l2b_, pc);
 }
 
 void

@@ -75,16 +75,6 @@ struct HierarchyConfig
      * fills would multiply the effective rate by the words per line.
      */
     bool injectOnFill = false;
-
-    /**
-     * Route even the private L2 through the polymorphic L2Backend
-     * path instead of the devirtualized fast path. Modeled results
-     * are identical either way — the two paths instantiate the same
-     * template over different backend types — so this exists purely
-     * as the reference arm for bench/sim_perf's self-byte-compare
-     * and the fast-vs-generic equivalence tests.
-     */
-    bool forceGenericL2 = false;
 };
 
 /** Outcome of one processor-issued memory access. */
@@ -247,11 +237,12 @@ class MemHierarchy
 
     /**
      * Reusable line buffers for the refill paths. ensureL2 owns
-     * l2LineScratch_ and the L1 fill/strike paths own l1LineScratch_;
-     * the nesting is strictly L1-path -> ensureL2, never the reverse,
-     * and each path finishes consuming its buffer before any call
-     * that could overwrite it, so one buffer per level suffices and
-     * the per-miss heap allocation disappears from the hot loop.
+     * l2LineScratch_ and the L1 fill/strike paths (L1D fills, strike
+     * writebacks, L1I fills) own l1LineScratch_, sized for the larger
+     * L1 line; the nesting is strictly L1-path -> ensureL2, never the
+     * reverse, and each path finishes consuming its buffer before any
+     * call that could overwrite it, so one buffer per level suffices
+     * and the per-miss heap allocation disappears from the hot loop.
      */
     std::vector<std::uint8_t> l2LineScratch_;
     std::vector<std::uint8_t> l1LineScratch_;
@@ -335,41 +326,18 @@ class MemHierarchy
     }
 
     /**
-     * The access paths are templates over the concrete backend type.
-     * read()/write()/fetch() instantiate each body twice: once over
-     * PrivateL2Backend — a final class, so every backend call
-     * devirtualizes and inlines into the monomorphic fast path — and
-     * once over the L2Backend base for the shared-L2 (and
-     * forceGenericL2 reference) configurations. Both instantiations
-     * are the same source text, which is what guarantees the two
-     * paths model identically.
+     * Bring the L2 line containing addr in from DRAM if absent,
+     * charging the demand latency to acc. Every L2 operation goes
+     * through the active backend (l2b_), private or shared.
      */
-    template <typename B>
-    void ensureL2(B &l2b, SimAddr addr, Access &acc);
+    void ensureL2(SimAddr addr, Access &acc);
 
     /** Bring the L1D line containing addr in via L2. */
-    template <typename B>
-    void ensureL1D(B &l2b, SimAddr addr, Access &acc);
+    void ensureL1D(SimAddr addr, Access &acc);
 
-    /** Write back an evicted dirty L1 line into the L2. */
-    template <typename B>
-    void writebackToL2(B &l2b, const Cache::Evicted &evicted,
-                       Access &acc);
-
-    template <typename B>
-    Access readImpl(B &l2b, SimAddr addr, unsigned bytes);
-
-    template <typename B>
-    Access writeImpl(B &l2b, SimAddr addr, unsigned bytes,
-                     std::uint32_t value);
-
-    template <typename B> Access fetchImpl(B &l2b, SimAddr pc);
-
-    /** @return true when the devirtualized private path applies. */
-    bool fastPrivate() const
-    {
-        return l2b_ == &privateL2_ && !config_.forceGenericL2;
-    }
+    /** Write back an evicted dirty L1 line into the L2 (buffered: no
+     *  demand latency). */
+    void writebackToL2(const Cache::Evicted &evicted);
 
     /** Fill corruption pass over a just-installed L1D line. */
     void corruptFilledLine(SimAddr lineBase);

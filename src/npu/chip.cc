@@ -305,10 +305,8 @@ runChipOnce(const core::AppFactory &factory,
     // Dispatcher inputs, maintained incrementally: depths[pe] mirrors
     // engines[pe].queue.size() and alive[pe] mirrors engines[pe].alive
     // at every choose() call, updated at the few points that mutate
-    // them (placement, dequeue, engine death). The legacy dispatch arm
-    // (dispatchBurst == 1) rebuilds both from the queues per arrival
-    // instead — the O(P)-per-arrival loop the batched arm replaces —
-    // and the batching equivalence tests pin the two arms together.
+    // them (placement, dequeue, engine death) — O(1) per event instead
+    // of an O(P) rebuild per arrival.
     std::vector<unsigned> depths(npu.peCount, 0);
     std::vector<char> alive(npu.peCount);
     for (unsigned pe = 0; pe < npu.peCount; ++pe)
@@ -410,7 +408,7 @@ runChipOnce(const core::AppFactory &factory,
             ingress.pop_front();
     };
 
-    // One successful placement, shared by both dispatch arms.
+    // One successful placement.
     auto place = [&](unsigned pe) {
         Engine &e = engines[pe];
         e.queue.push_back(pending);
@@ -424,6 +422,31 @@ runChipOnce(const core::AppFactory &factory,
         occ[pe].sample(static_cast<double>(e.queue.size()));
     };
 
+    // Line-card horizon feed: no engine's clock ever runs backwards,
+    // so the smallest alive engine data time lower-bounds the chip
+    // time of every future DRAM request (any request is issued
+    // mid-packet at or after its engine's current time). It is
+    // published before each engine step taken with no arrival due;
+    // steps that drain a queue under backpressure go unpublished.
+    // Publishing less often only delays other chips' DRAM commits
+    // (each request advances this chip's bound by itself), and it
+    // keeps the fabric's lock out of the per-arrival path.
+    auto publishHorizon = [&]() {
+        Quanta minDt = 0;
+        bool any = false;
+        for (const Engine &e : engines) {
+            if (!e.alive)
+                continue;
+            const Quanta dt = e.dataTime();
+            if (!any || dt < minDt) {
+                minDt = dt;
+                any = true;
+            }
+        }
+        if (any)
+            env.progress(minDt);
+    };
+
     while (true) {
         // The engine that runs next: smallest (data time, id) among
         // alive engines holding work — the event queue's top. Pure
@@ -432,28 +455,6 @@ runChipOnce(const core::AppFactory &factory,
         const int stepPe =
             events.empty() ? -1 : static_cast<int>(events.top());
         const Quanta stepDt = events.empty() ? 0 : events.topKey();
-
-        // Line-card horizon feed: no engine's clock ever runs
-        // backwards, so the smallest alive engine data time lower-
-        // bounds the chip time of every future DRAM request (any
-        // request is issued mid-packet at or after its engine's
-        // current time). The bound is monotone; the card's fabric
-        // dedups repeats cheaply.
-        if (env.progress) {
-            Quanta minDt = 0;
-            bool any = false;
-            for (const Engine &e : engines) {
-                if (!e.alive)
-                    continue;
-                const Quanta dt = e.dataTime();
-                if (!any || dt < minDt) {
-                    minDt = dt;
-                    any = true;
-                }
-            }
-            if (any)
-                env.progress(minDt);
-        }
 
         if (ingressCap > 0) {
             // Bounded-ingress admission: pull arrivals through the
@@ -505,91 +506,40 @@ runChipOnce(const core::AppFactory &factory,
             havePending && (stepPe < 0 || pendingArrival <= stepDt);
 
         if (!doDispatch) {
+            if (env.progress)
+                publishHorizon();
             processOne(static_cast<unsigned>(stepPe));
             continue;
         }
 
-        if (npu.dispatchBurst == 1 || ingressCap > 0) {
-            // Legacy reference arm: one dispatch per pass, dispatcher
-            // inputs rebuilt from the queues. Bounded-ingress runs
-            // use it too: their pending packet is the FIFO head, so
-            // the batched arm's pull-ahead does not apply.
-            for (unsigned pe = 0; pe < npu.peCount; ++pe) {
-                depths[pe] =
-                    static_cast<unsigned>(engines[pe].queue.size());
-                alive[pe] = engines[pe].alive ? 1 : 0;
-            }
-            const int pe = disp.choose(pending, depths, alive);
-            if (pe < 0) {
-                ++dropsDeadPe;
+        // One dispatch per pass: the pending arrival is due no later
+        // than the earliest queued engine (or the chip is idle), so it
+        // is placed, dropped, or stalls behind a drain before any
+        // engine steps past it. With a bounded ingress the pending
+        // packet is the FIFO head, and the next pass re-admits due
+        // arrivals before dispatching.
+        const int pe = disp.choose(pending, depths, alive);
+        if (pe < 0) {
+            ++dropsDeadPe;
+            consumePending();
+            continue;
+        }
+        if (engines[static_cast<unsigned>(pe)].queue.size() >=
+            npu.queueCapacity) {
+            if (npu.dropWhenFull) {
+                ++dropsQueueFull;
                 consumePending();
                 continue;
             }
-            Engine &e = engines[static_cast<unsigned>(pe)];
-            if (e.queue.size() >= npu.queueCapacity) {
-                if (npu.dropWhenFull) {
-                    ++dropsQueueFull;
-                    consumePending();
-                    continue;
-                }
-                // Backpressure: hold the arrival and drain the
-                // earliest engine; the packet re-arbitrates afterwards.
-                ++backpressureStalls;
-                CLUMSY_ASSERT(stepPe >= 0,
-                              "backpressure with no engine to drain");
-                processOne(static_cast<unsigned>(stepPe));
-                continue;
-            }
-            place(static_cast<unsigned>(pe));
+            // Backpressure: hold the arrival and drain the earliest
+            // engine; the packet re-arbitrates on the next pass.
+            ++backpressureStalls;
+            CLUMSY_ASSERT(stepPe >= 0,
+                          "backpressure with no engine to drain");
+            processOne(static_cast<unsigned>(stepPe));
             continue;
         }
-
-        // Batched arm: the whole run of arrivals preceding the
-        // earliest engine's horizon is placed back-to-back, one
-        // choose() per arrival and O(1) bookkeeping per placement.
-        // The horizon is re-read after every mutation — a first
-        // packet placed on an idle engine can lower it, and draining
-        // under backpressure raises it — so the burst ends exactly
-        // where the legacy loop would have stepped an engine.
-        unsigned placed = 0;
-        while (true) {
-            const int pe = disp.choose(pending, depths, alive);
-            if (pe < 0) {
-                ++dropsDeadPe;
-                havePending = false;
-            } else if (engines[static_cast<unsigned>(pe)].queue.size() >=
-                       npu.queueCapacity) {
-                if (npu.dropWhenFull) {
-                    ++dropsQueueFull;
-                    havePending = false;
-                } else {
-                    // Backpressure: drain the earliest engine, then
-                    // re-arbitrate this same arrival while it still
-                    // precedes the (now advanced) horizon.
-                    ++backpressureStalls;
-                    CLUMSY_ASSERT(!events.empty(),
-                                  "backpressure with no engine to drain");
-                    processOne(events.top());
-                    if (!events.empty() &&
-                        pendingArrival > events.topKey())
-                        break;
-                    continue;
-                }
-            } else {
-                place(static_cast<unsigned>(pe));
-            }
-            if (generated >= config.numPackets)
-                break;
-            pending = src->next();
-            pendingArrival = cyclesToQuanta(src->lastArrivalCycles());
-            havePending = true;
-            ++generated;
-            ++placed;
-            if (npu.dispatchBurst != 0 && placed >= npu.dispatchBurst)
-                break;
-            if (!events.empty() && pendingArrival > events.topKey())
-                break;
-        }
+        place(static_cast<unsigned>(pe));
     }
 
     // ---- merge engine metrics into single-core form ----------------

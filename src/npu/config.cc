@@ -87,16 +87,28 @@ l2ModeFromString(const std::string &name)
 void
 NpuConfig::validate(const mem::HierarchyConfig &hier) const
 {
-    CLUMSY_ASSERT(peCount >= 1, "chip needs at least one engine");
-    CLUMSY_ASSERT(queueCapacity >= 1, "queues need room for a packet");
-    CLUMSY_ASSERT(arrivalGapCycles >= 0, "arrival gap must be >= 0");
-    CLUMSY_ASSERT(perPeCr.empty() || perPeCr.size() == peCount,
-                  "perPeCr must be empty or name every engine");
-    for (double cr : perPeCr)
-        CLUMSY_ASSERT(cr > 0.0 && cr <= 1.0,
-                      "per-engine Cr outside (0, 1]");
+    // User-settable knobs (CLI flags, sweep axes): bad values are bad
+    // configuration, not simulator bugs.
+    if (peCount < 1)
+        fatal("a chip needs at least one engine, got %u", peCount);
+    if (queueCapacity < 1)
+        fatal("engine queues need room for a packet, got capacity %u",
+              queueCapacity);
+    if (arrivalGapCycles < 0)
+        fatal("arrival gap must be >= 0, got %lld",
+              static_cast<long long>(arrivalGapCycles));
+    if (!perPeCr.empty() && perPeCr.size() != peCount)
+        fatal("per-engine Cr list names %zu engines but the chip has "
+              "%u; it must name every engine",
+              perPeCr.size(), peCount);
+    for (double cr : perPeCr) {
+        if (cr <= 0.0 || cr > 1.0)
+            fatal("per-engine Cr %g outside (0, 1]", cr);
+    }
+    if (mshrs < 1)
+        fatal("the L2 port needs at least one MSHR, got %u", mshrs);
+
     CLUMSY_ASSERT(clockMhz > 0.0, "clock must be positive");
-    CLUMSY_ASSERT(mshrs >= 1, "the port needs at least one MSHR");
     // The single-engine-equivalence requirement: port service must be
     // coverable by the access's own embedded L2 latency, otherwise a
     // lone engine would queue behind itself.

@@ -187,22 +187,6 @@ struct NpuConfig
      */
     unsigned chipJobs = 1;
 
-    /**
-     * Dispatch batching of the chip step loop. Arrivals whose
-     * timestamps precede the earliest queued engine's data time are
-     * all dispatched before any engine steps — that is forced by the
-     * schedule, not a choice — and the batched loop places up to this
-     * many of them back-to-back with O(1) incremental depth/alive
-     * bookkeeping per placement instead of an O(P) rebuild each.
-     * 0 (the default) = unbounded bursts; 1 = the legacy
-     * one-dispatch-per-pass reference loop, kept as the
-     * self-byte-compare arm for bench/sim_perf and the batching
-     * equivalence tests. Modeled results are identical for every
-     * value: the dispatcher sees the same (packet, depths, alive)
-     * sequence in the same order.
-     */
-    unsigned dispatchBurst = 0;
-
     /** Modeled core clock (SA-110 class), for packets/sec figures. */
     double clockMhz = 233.0;
 

@@ -1,25 +1,31 @@
 /**
  * @file
- * Golden-trace regression corpus for the chip model.
+ * Golden-trace regression corpus for the single-core and chip models.
  *
- * Each corpus entry pins the exact numeric outcome of one small chip
- * run — chip ED2F2, throughput, completion and drop counts, merged
- * fallibility — as shortest-round-trip decimal text under
- * tests/golden/. The suite re-runs every configuration and compares
- * the fresh digest against the checked-in file *stringwise*, so any
- * refactor that shifts chip results by even one ULP fails loudly
+ * Each corpus entry pins the exact numeric outcome of one small run —
+ * recorder digests, cycles, energy, fault and recovery counts, and for
+ * chips ED2F2, throughput, completion and drop counts — as exact
+ * round-trip decimal text under tests/golden/. The suite re-runs every
+ * configuration and compares the fresh digest against the checked-in
+ * file *stringwise*, so any refactor that shifts results by even one
+ * ULP fails loudly
  * instead of drifting silently (the concern the Ramulator 2.0
  * re-evaluation work documents for shared-memory models).
  *
- * The corpus was generated from the private-L2 model that predates the
- * genuinely-shared L2 refactor, so it doubles as the bit-identity
- * regression for `l2=private` chip runs.
+ * The four chip-experiment entries were generated from the private-L2
+ * model that predates the genuinely-shared L2 refactor, so they double
+ * as the bit-identity regression for `l2=private` chip runs. The
+ * single-core and streaming-chip entries pin the L2 access path and
+ * the chip step loop across every workload, dispatch policy and
+ * queue-full mode; they were generated while independent reference
+ * implementations of both still agreed with them bit for bit.
  *
  * Regenerating (only when a change is *meant* to shift results):
  *   CLUMSY_REGEN_GOLDEN=1 ./build/tests/test_golden_trace
  * then commit the rewritten files and say why in the commit message.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -27,11 +33,13 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "apps/app.hh"
+#include "core/experiment.hh"
 #include "npu/chip.hh"
 #include "npu/config.hh"
 
@@ -40,23 +48,177 @@ namespace
 
 using namespace clumsy;
 
-/** One pinned configuration: 2 apps x 2 seed sets, small runs. */
+/** The harness a corpus entry runs. */
+enum class Harness
+{
+    ChipExperiment, ///< golden + trials through runChipExperiment
+    CoreGolden,     ///< one single-core golden run
+    CoreTrial,      ///< one single-core faulty trial vs its golden run
+    ChipStream,     ///< one streaming chip run (golden, or trial 0)
+};
+
+/**
+ * One pinned configuration. Fields a case leaves unset keep the
+ * library defaults (core::ExperimentConfig, npu::NpuConfig).
+ */
 struct GoldenCase
 {
     const char *name; ///< corpus file stem
     const char *app;
-    std::uint64_t traceSeed;
-    std::uint64_t faultSeed;
-    bool drop; ///< true: drop mode (queue-full drops); false:
-               ///< backpressure (stall accounting)
+    Harness harness = Harness::ChipExperiment;
+    std::uint64_t packets = 1000;
+    unsigned trials = 1;
+    std::uint64_t traceSeed = 1;
+    std::uint64_t faultSeed = 0x5eed;
+    double cr = 1.0;
+    double faultScale = 1.0;
+    mem::RecoveryScheme scheme = mem::RecoveryScheme::NoDetection;
+    unsigned pes = 1;
+    npu::DispatchPolicy dispatch = npu::DispatchPolicy::RoundRobin;
+    npu::L2Mode l2 = npu::L2Mode::Private;
+    unsigned mshrs = 1;
+    unsigned queueCap = 16;
+    bool drop = false; ///< true: drop mode (queue-full drops); false:
+                       ///< backpressure (stall accounting)
+    std::int64_t gap = 0; ///< arrival gap, base cycles
+    bool golden = true;   ///< ChipStream: golden run, else trial 0
 };
 
+/**
+ * The original corpus shape: 4 PEs behind short flow-hashed queues at
+ * Cr 0.5 with two-strike recovery, golden + 2 trials. Arrivals are
+ * spread so the run processes most of the trace while still
+ * overflowing the queues now and then: both the completion path and
+ * the drop/backpressure accounting get pinned.
+ */
+constexpr GoldenCase
+chipExperiment(const char *name, const char *app, std::uint64_t traceSeed,
+               std::uint64_t faultSeed, bool drop)
+{
+    return {.name = name,
+            .app = app,
+            .packets = 200,
+            .trials = 2,
+            .traceSeed = traceSeed,
+            .faultSeed = faultSeed,
+            .cr = 0.5,
+            .scheme = mem::RecoveryScheme::TwoStrike,
+            .pes = 4,
+            .dispatch = npu::DispatchPolicy::FlowHash,
+            .mshrs = 2,
+            .queueCap = 4,
+            .drop = drop,
+            .gap = drop ? 60 : 400};
+}
+
+/** A fault-free single-core run of one workload. */
+constexpr GoldenCase
+coreGolden(const char *name, const char *app)
+{
+    return {.name = name,
+            .app = app,
+            .harness = Harness::CoreGolden,
+            .packets = 200};
+}
+
 const GoldenCase kCases[] = {
-    {"route_s1", "route", 1, 0x5eed, true},
-    {"route_s2", "route", 9, 0xb0a710ad, true},
-    {"nat_s1", "nat", 1, 0x5eed, false},
-    {"nat_s2", "nat", 9, 0xb0a710ad, false},
+    chipExperiment("route_s1", "route", 1, 0x5eed, true),
+    chipExperiment("route_s2", "route", 9, 0xb0a710ad, true),
+    chipExperiment("nat_s1", "nat", 1, 0x5eed, false),
+    chipExperiment("nat_s2", "nat", 9, 0xb0a710ad, false),
+
+    // Every workload through the single-core L1D/L2 access path.
+    coreGolden("core_crc", "crc"),
+    coreGolden("core_tl", "tl"),
+    coreGolden("core_route", "route"),
+    coreGolden("core_drr", "drr"),
+    coreGolden("core_nat", "nat"),
+    coreGolden("core_md5", "md5"),
+    coreGolden("core_url", "url"),
+    coreGolden("core_adpcm", "adpcm"),
+    coreGolden("core_session", "session"),
+    coreGolden("core_lpm", "lpm"),
+
+    // Faults land (scaled rate): strike recovery and refetches.
+    {.name = "core_faulty_route",
+     .app = "route",
+     .harness = Harness::CoreTrial,
+     .packets = 300,
+     .cr = 0.45,
+     .faultScale = 50.0,
+     .scheme = mem::RecoveryScheme::TwoStrike},
+
+    // Shared L2: every engine's L2 operations go to one array.
+    {.name = "stream_shared_nat",
+     .app = "nat",
+     .harness = Harness::ChipStream,
+     .packets = 600,
+     .pes = 2,
+     .l2 = npu::L2Mode::Shared,
+     .mshrs = 2},
+
+    // The chip step loop across dispatch policies and queue modes.
+    {.name = "stream_flow_nat",
+     .app = "nat",
+     .harness = Harness::ChipStream,
+     .packets = 1500,
+     .pes = 4,
+     .dispatch = npu::DispatchPolicy::FlowHash,
+     .mshrs = 4},
+    // Paced arrivals: engines drain between arrivals.
+    {.name = "stream_rr_paced_route",
+     .app = "route",
+     .harness = Harness::ChipStream,
+     .packets = 1200,
+     .pes = 3,
+     .gap = 400},
+    // Tiny queues in drop mode: the full-queue branch and the depth
+    // bookkeeping both get exercised hard.
+    {.name = "stream_shortest_drop_session",
+     .app = "session",
+     .harness = Harness::ChipStream,
+     .packets = 1500,
+     .pes = 4,
+     .dispatch = npu::DispatchPolicy::ShortestQueue,
+     .queueCap = 2,
+     .drop = true},
+    // Backpressure: arrivals stall while engines step.
+    {.name = "stream_backpressure_nat",
+     .app = "nat",
+     .harness = Harness::ChipStream,
+     .packets = 1200,
+     .pes = 2,
+     .dispatch = npu::DispatchPolicy::FlowHash,
+     .queueCap = 2},
+    // Faulty chip at low Cr with a scaled fault rate: one engine dies
+    // mid-run, exercising the dead-engine drop path.
+    {.name = "stream_faulty_deaths_route",
+     .app = "route",
+     .harness = Harness::ChipStream,
+     .packets = 1000,
+     .cr = 0.45,
+     .faultScale = 20.0,
+     .pes = 4,
+     .dispatch = npu::DispatchPolicy::FlowHash,
+     .golden = false},
 };
+
+/**
+ * The dead-engine dispatch scenario at the unscaled fault rate: the
+ * faulty 4-PE flow-hashed route stream at Cr 0.45 without detection.
+ * Its digest was generated by the one-dispatch-per-pass chip loop the
+ * batched loop replaced, so the HotPath test below pins the batched
+ * loop to that loop's exact results.
+ */
+constexpr GoldenCase kLegacyFaultyDeaths = {
+    .name = "legacy_faulty_deaths_route",
+    .app = "route",
+    .harness = Harness::ChipStream,
+    .packets = 1000,
+    .cr = 0.45,
+    .pes = 4,
+    .dispatch = npu::DispatchPolicy::FlowHash,
+    .golden = false};
 
 /**
  * Print a case by value, not by its raw bytes: the default printer
@@ -66,8 +228,27 @@ const GoldenCase kCases[] = {
 void
 PrintTo(const GoldenCase &gc, std::ostream *os)
 {
-    *os << gc.app << " trace=" << gc.traceSeed << " fault=0x" << std::hex
-        << gc.faultSeed << std::dec << (gc.drop ? " drop" : " backpressure");
+    *os << gc.app;
+    switch (gc.harness) {
+      case Harness::ChipExperiment:
+        *os << " trace=" << gc.traceSeed << " fault=0x" << std::hex
+            << gc.faultSeed << std::dec
+            << (gc.drop ? " drop" : " backpressure");
+        return;
+      case Harness::CoreGolden:
+        *os << " core golden";
+        break;
+      case Harness::CoreTrial:
+        *os << " core trial";
+        break;
+      case Harness::ChipStream:
+        *os << " stream " << (gc.golden ? "golden" : "trial")
+            << " pes=" << gc.pes << " dispatch="
+            << npu::to_string(gc.dispatch)
+            << " l2=" << npu::to_string(gc.l2);
+        break;
+    }
+    *os << " packets=" << gc.packets;
 }
 
 /** Exact round-trip text for a double (%.17g re-reads bit-equal). */
@@ -79,62 +260,180 @@ exact(double v)
     return buf;
 }
 
+/** Ordered key=value lines of one digest. */
+class DigestWriter
+{
+  public:
+    void put(const std::string &key, double v)
+    {
+        text_ += key + "=" + exact(v) + "\n";
+    }
+
+    void putU(const std::string &key, std::uint64_t v)
+    {
+        text_ += key + "=" + std::to_string(v) + "\n";
+    }
+
+    void putS(const std::string &key, const std::string &v)
+    {
+        text_ += key + "=" + v + "\n";
+    }
+
+    /** Every modeled RunMetrics field. */
+    void putRun(const core::RunMetrics &m)
+    {
+        putU("packets_attempted", m.packetsAttempted);
+        putU("packets_processed", m.packetsProcessed);
+        putU("packets_with_error", m.packetsWithError);
+        putU("fatal", m.fatal ? 1 : 0);
+        putS("fatal_reason", m.fatalReason);
+        put("cycles_per_packet", m.cyclesPerPacket);
+        put("energy_per_packet_pj", m.energyPerPacketPj);
+        put("total_energy_pj", m.totalEnergyPj);
+        put("l1d_energy_pj", m.l1dEnergyPj);
+        putU("instructions", m.instructions);
+        putU("dcache_accesses", m.dcacheAccesses);
+        put("dcache_miss_rate", m.dcacheMissRate);
+        putU("faults_injected", m.faultsInjected);
+        putU("parity_trips", m.parityTrips);
+        putU("ecc_corrections", m.eccCorrections);
+        putU("freq_switches", m.freqSwitches);
+        putU("ctrl_events_applied", m.ctrlEventsApplied);
+        for (const auto &[type, n] : m.errorsByType)
+            putU("errors." + type, n);
+    }
+
+    /** Every chip-level metric, per-engine vectors included. */
+    void putChip(const npu::ChipMetrics &c)
+    {
+        put("chip_makespan_cycles", c.makespanCycles);
+        put("chip_throughput_pps", c.throughputPps);
+        put("chip_load_imbalance", c.loadImbalance);
+        put("chip_queue_occ_mean", c.queueOccMean);
+        put("chip_queue_occ_max", c.queueOccMax);
+        put("chip_drops_queue_full", c.dropsQueueFull);
+        put("chip_drops_dead_pe", c.dropsDeadPe);
+        put("chip_backpressure_stalls", c.backpressureStalls);
+        put("chip_l2_port_waits", c.l2PortWaits);
+        put("chip_l2_port_wait_cycles", c.l2PortWaitCycles);
+        put("chip_ingress_drops", c.ingressDrops);
+        put("chip_cross_engine_hits", c.crossEngineHits);
+        put("chip_cross_engine_hit_fraction", c.crossEngineHitFraction);
+        put("chip_l2_evictions_by_other", c.l2EvictionsByOther);
+        put("chip_mshr_merges", c.mshrMerges);
+        put("chip_edf", c.chipEdf);
+        const std::pair<const char *, const std::vector<double> *>
+            perPe[] = {{"utilization", &c.peUtilization},
+                       {"packets", &c.pePackets},
+                       {"l2_hits", &c.peL2Hits},
+                       {"l2_misses", &c.peL2Misses},
+                       {"cr_final", &c.peCrFinal},
+                       {"cr_mean", &c.peCrMean},
+                       {"epochs", &c.peEpochs},
+                       {"steps_up", &c.peStepsUp},
+                       {"steps_down", &c.peStepsDown}};
+        for (const auto &[key, values] : perPe)
+            for (std::size_t pe = 0; pe < values->size(); ++pe)
+                put("pe" + std::to_string(pe) + "_" + key,
+                    (*values)[pe]);
+    }
+
+    const std::string &text() const { return text_; }
+
+  private:
+    std::string text_;
+};
+
+/** The chip-experiment digest (the original corpus format). */
+std::string
+chipExperimentDigest(const core::AppFactory &factory,
+                     const core::ExperimentConfig &cfg,
+                     const npu::NpuConfig &npuCfg)
+{
+    const npu::ChipExperimentResult res =
+        npu::runChipExperiment(factory, cfg, npuCfg);
+
+    DigestWriter w;
+    w.put("golden_packets",
+          static_cast<double>(res.core.golden.packetsProcessed));
+    w.put("faulty_packets",
+          static_cast<double>(res.core.faulty.packetsProcessed));
+    w.put("fallibility", res.core.fallibility);
+    w.put("fatal_prob", res.core.fatalProb);
+    w.put("cycles_per_packet", res.core.cyclesPerPacket);
+    w.put("energy_per_packet_pj", res.core.energyPerPacketPj);
+    w.put("edf", res.core.edf);
+    w.put("golden_makespan_cycles", res.goldenChip.makespanCycles);
+    w.put("golden_throughput_pps", res.goldenChip.throughputPps);
+    w.put("golden_drops_queue_full", res.goldenChip.dropsQueueFull);
+    w.put("golden_backpressure_stalls",
+          res.goldenChip.backpressureStalls);
+    w.put("faulty_chip_edf", res.faultyChip.chipEdf);
+    w.put("faulty_throughput_pps", res.faultyChip.throughputPps);
+    w.put("faulty_drops_queue_full", res.faultyChip.dropsQueueFull);
+    w.put("faulty_drops_dead_pe", res.faultyChip.dropsDeadPe);
+    w.put("faulty_backpressure_stalls",
+          res.faultyChip.backpressureStalls);
+    w.put("faulty_l2_port_waits", res.faultyChip.l2PortWaits);
+    for (std::size_t pe = 0; pe < res.goldenChip.pePackets.size();
+         ++pe)
+        w.put("golden_pe" + std::to_string(pe) + "_packets",
+              res.goldenChip.pePackets[pe]);
+    return w.text();
+}
+
 /** Run one case and render its digest (ordered key=value lines). */
 std::string
 digest(const GoldenCase &gc)
 {
     core::ExperimentConfig cfg;
-    cfg.numPackets = 200;
-    cfg.trials = 2;
-    cfg.cr = 0.5;
-    cfg.scheme = mem::RecoveryScheme::TwoStrike;
+    cfg.numPackets = gc.packets;
+    cfg.trials = gc.trials;
     cfg.traceSeed = gc.traceSeed;
     cfg.faultSeed = gc.faultSeed;
+    cfg.cr = gc.cr;
+    cfg.faultScale = gc.faultScale;
+    cfg.scheme = gc.scheme;
 
     npu::NpuConfig npuCfg;
-    npuCfg.peCount = 4;
-    npuCfg.dispatch = npu::DispatchPolicy::FlowHash;
-    npuCfg.mshrs = 2;
-    npuCfg.queueCapacity = 4;
+    npuCfg.peCount = gc.pes;
+    npuCfg.dispatch = gc.dispatch;
+    npuCfg.l2 = gc.l2;
+    npuCfg.mshrs = gc.mshrs;
+    npuCfg.queueCapacity = gc.queueCap;
     npuCfg.dropWhenFull = gc.drop;
-    // Spread arrivals so the run processes most of the trace while
-    // still overflowing the short queues now and then: both the
-    // completion path and the drop/backpressure accounting get pinned.
-    npuCfg.arrivalGapCycles = gc.drop ? 60 : 400;
+    npuCfg.arrivalGapCycles = gc.gap;
 
-    const npu::ChipExperimentResult res =
-        npu::runChipExperiment(apps::appFactory(gc.app), cfg, npuCfg);
-
-    std::string out;
-    auto put = [&out](const char *key, double v) {
-        out += std::string(key) + "=" + exact(v) + "\n";
-    };
-    put("golden_packets",
-        static_cast<double>(res.core.golden.packetsProcessed));
-    put("faulty_packets",
-        static_cast<double>(res.core.faulty.packetsProcessed));
-    put("fallibility", res.core.fallibility);
-    put("fatal_prob", res.core.fatalProb);
-    put("cycles_per_packet", res.core.cyclesPerPacket);
-    put("energy_per_packet_pj", res.core.energyPerPacketPj);
-    put("edf", res.core.edf);
-    put("golden_makespan_cycles", res.goldenChip.makespanCycles);
-    put("golden_throughput_pps", res.goldenChip.throughputPps);
-    put("golden_drops_queue_full", res.goldenChip.dropsQueueFull);
-    put("golden_backpressure_stalls",
-        res.goldenChip.backpressureStalls);
-    put("faulty_chip_edf", res.faultyChip.chipEdf);
-    put("faulty_throughput_pps", res.faultyChip.throughputPps);
-    put("faulty_drops_queue_full", res.faultyChip.dropsQueueFull);
-    put("faulty_drops_dead_pe", res.faultyChip.dropsDeadPe);
-    put("faulty_backpressure_stalls",
-        res.faultyChip.backpressureStalls);
-    put("faulty_l2_port_waits", res.faultyChip.l2PortWaits);
-    for (std::size_t pe = 0; pe < res.goldenChip.pePackets.size();
-         ++pe)
-        put(("golden_pe" + std::to_string(pe) + "_packets").c_str(),
-            res.goldenChip.pePackets[pe]);
-    return out;
+    const core::AppFactory factory = apps::appFactory(gc.app);
+    DigestWriter w;
+    switch (gc.harness) {
+      case Harness::ChipExperiment:
+        return chipExperimentDigest(factory, cfg, npuCfg);
+      case Harness::CoreGolden: {
+        const core::GoldenRecord golden = core::runGolden(factory, cfg);
+        w.putU("recorder_digest", golden.recorder.digest());
+        w.putU("recorder_packets", golden.recorder.packetCount());
+        w.putRun(golden.metrics);
+        break;
+      }
+      case Harness::CoreTrial: {
+        const core::GoldenRecord golden = core::runGolden(factory, cfg);
+        w.putRun(core::runFaultyTrial(factory, cfg, 0, golden));
+        break;
+      }
+      case Harness::ChipStream: {
+        const npu::ChipStreamResult res =
+            npu::runChipStream(factory, cfg, npuCfg, gc.golden, 0);
+        w.putU("value_digest", res.valueDigest);
+        for (std::size_t pe = 0; pe < res.peDigests.size(); ++pe)
+            w.putU("pe" + std::to_string(pe) + "_digest",
+                   res.peDigests[pe]);
+        w.putRun(res.merged);
+        w.putChip(res.chip);
+        break;
+      }
+    }
+    return w.text();
 }
 
 std::string
@@ -143,13 +442,10 @@ goldenPath(const GoldenCase &gc)
     return std::string(CLUMSY_GOLDEN_DIR) + "/" + gc.name + ".golden";
 }
 
-class GoldenTrace : public ::testing::TestWithParam<GoldenCase>
+/** Re-run @p gc and compare its digest with the checked-in file. */
+void
+expectMatchesCorpus(const GoldenCase &gc)
 {
-};
-
-TEST_P(GoldenTrace, MatchesCorpus)
-{
-    const GoldenCase &gc = GetParam();
     const std::string fresh = digest(gc);
     const std::string path = goldenPath(gc);
 
@@ -194,6 +490,20 @@ TEST_P(GoldenTrace, MatchesCorpus)
                                        << " drifted";
     }
     EXPECT_EQ(pinned, fresh) << gc.name << ": digest drifted";
+}
+
+class GoldenTrace : public ::testing::TestWithParam<GoldenCase>
+{
+};
+
+TEST_P(GoldenTrace, MatchesCorpus)
+{
+    expectMatchesCorpus(GetParam());
+}
+
+TEST(HotPath, BatchedDispatchMatchesLegacyFaultyWithDeaths)
+{
+    expectMatchesCorpus(kLegacyFaultyDeaths);
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenTrace,

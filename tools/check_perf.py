@@ -6,8 +6,9 @@ more than --fail-below (default 30%) fails the gate; slower by more
 than --warn-below (default 10%) prints a warning. Cells present in only
 one file are reported but never fail (the cell set may legitimately
 grow). A fresh cell with "identical": false always fails — that means
-the optimized path diverged from the reference arm, which no amount of
-timing noise can excuse.
+a repeat run of the same cell produced different modeled results (the
+simulator is nondeterministic), which no amount of timing noise can
+excuse.
 
 When the two documents record different "host_threads" counts the
 machines are not comparable: every timing failure is downgraded to a
@@ -74,7 +75,7 @@ def main():
     for name, cell in sorted(fresh.items()):
         if cell.get("identical") is not True:
             failures.append(
-                f"{name}: fast path DIVERGED from reference arm")
+                f"{name}: repeat run DIVERGED from the timed run")
             continue
         ref = base.get(name)
         if ref is None:

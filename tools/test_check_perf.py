@@ -90,14 +90,14 @@ class VerdictTest(GateHarness):
         self.assertIn("3.00x", out)
 
     def test_divergence_fails_even_when_fast(self):
-        # identical=false means the optimized path produced different
-        # results than the reference arm — timing is irrelevant.
+        # identical=false means a repeat run of the cell produced
+        # different results than the timed run — timing is irrelevant.
         base = self._write("base", [cell("crc", 1000.0)])
         fresh = self._write("fresh",
                             [cell("crc", 9000.0, identical=False)])
         status, out, _ = self.run_gate(base, fresh)
         self.assertEqual(status, 1)
-        self.assertIn("DIVERGED from reference arm", out)
+        self.assertIn("repeat run DIVERGED from the timed run", out)
 
     def test_one_divergence_poisons_a_passing_run(self):
         base = self._write("base", [cell("crc", 1000.0),
@@ -108,7 +108,7 @@ class VerdictTest(GateHarness):
         status, out, _ = self.run_gate(base, fresh)
         self.assertEqual(status, 1)
         self.assertIn("ok   crc", out)
-        self.assertIn("route: fast path DIVERGED", out)
+        self.assertIn("route: repeat run DIVERGED", out)
 
     def test_thresholds_are_configurable(self):
         base = self._write("base", [cell("crc", 1000.0)])
