@@ -20,12 +20,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -39,29 +33,6 @@ Rng::reseed(std::uint64_t seed)
     std::uint64_t x = seed;
     for (auto &word : s_)
         word = splitmix64(x);
-    zipfN_ = 0;
-    zipfCdf_.clear();
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double
@@ -101,33 +72,27 @@ Rng::exponential(double rate)
     return -std::log(1.0 - uniform()) / rate;
 }
 
-void
-Rng::buildZipf(std::uint64_t n, double s)
+ZipfTable::ZipfTable(std::uint64_t n, double s) : cdf_(n)
 {
-    zipfN_ = n;
-    zipfS_ = s;
-    zipfCdf_.resize(n);
     double sum = 0.0;
     for (std::uint64_t k = 1; k <= n; ++k) {
         sum += 1.0 / std::pow(static_cast<double>(k), s);
-        zipfCdf_[k - 1] = sum;
+        cdf_[k - 1] = sum;
     }
-    for (auto &v : zipfCdf_)
+    for (auto &v : cdf_)
         v /= sum;
 }
 
 std::uint64_t
-Rng::zipf(std::uint64_t n, double s)
+ZipfTable::sample(Rng &rng) const
 {
-    CLUMSY_ASSERT(n > 0, "zipf() needs at least one item");
-    if (zipfN_ != n || zipfS_ != s)
-        buildZipf(n, s);
-    const double u = uniform();
+    CLUMSY_ASSERT(!cdf_.empty(), "zipf needs at least one item");
+    const double u = rng.uniform();
     // Binary search the CDF for the first entry >= u.
-    std::uint64_t lo = 0, hi = n - 1;
+    std::uint64_t lo = 0, hi = cdf_.size() - 1;
     while (lo < hi) {
         const std::uint64_t mid = (lo + hi) / 2;
-        if (zipfCdf_[mid] < u)
+        if (cdf_[mid] < u)
             lo = mid + 1;
         else
             hi = mid;

@@ -29,10 +29,25 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** @return the next raw 64-bit output. */
-    std::uint64_t next();
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** @return a double uniformly distributed in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 high bits -> double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** @return a double uniformly distributed in [lo, hi). */
     double uniform(double lo, double hi);
@@ -46,24 +61,39 @@ class Rng
     /** @return a sample from Exponential(rate). */
     double exponential(double rate);
 
-    /**
-     * @return a 1-based rank sampled from a Zipf distribution with
-     * exponent s over n items (rank 1 most popular).
-     */
-    std::uint64_t zipf(std::uint64_t n, double s);
-
-    /** Reseed the generator, resetting any cached Zipf tables. */
+    /** Reseed the generator. */
     void reseed(std::uint64_t seed);
 
   private:
     std::uint64_t s_[4];
 
-    // Cached CDF for zipf() — rebuilt when (n, s) changes.
-    std::uint64_t zipfN_ = 0;
-    double zipfS_ = 0.0;
-    std::vector<double> zipfCdf_;
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+};
 
-    void buildZipf(std::uint64_t n, double s);
+/**
+ * An immutable Zipf distribution over n items with exponent s: the
+ * CDF is built once, and each sample costs one uniform() draw from
+ * the caller's generator plus a binary search. A generator that
+ * alternates between distributions (flow popularity, destinations,
+ * URLs) therefore never rebuilds a table.
+ */
+class ZipfTable
+{
+  public:
+    /** n may be 0 (an empty table); sampling one is an error. */
+    ZipfTable(std::uint64_t n, double s);
+
+    /** @return a 1-based rank (rank 1 most popular). */
+    std::uint64_t sample(Rng &rng) const;
+
+    /** Number of items. */
+    std::uint64_t size() const { return cdf_.size(); }
+
+  private:
+    std::vector<double> cdf_;
 };
 
 } // namespace clumsy

@@ -77,24 +77,6 @@ EnergyAccount::addCoreCycles(double cycles)
 }
 
 void
-EnergyAccount::addL1iRead()
-{
-    l1i_ += model_->l1iReadPj();
-}
-
-void
-EnergyAccount::addL1dRead(double cr, Protection prot)
-{
-    l1d_ += model_->l1dReadPj(cr, prot);
-}
-
-void
-EnergyAccount::addL1dWrite(double cr, Protection prot)
-{
-    l1d_ += model_->l1dWritePj(cr, prot);
-}
-
-void
 EnergyAccount::addL2Access()
 {
     l2_ += model_->l2AccessPj();

@@ -120,13 +120,14 @@ class EnergyAccount
     void addCoreCycles(double cycles);
 
     /** Charge one I-cache fetch. */
-    void addL1iRead();
+    void addL1iRead() { l1i_ += model_->l1iReadPj(); }
 
-    /** Charge one D-cache read at the cache's current cycle time. */
-    void addL1dRead(double cr, Protection prot);
-
-    /** Charge one D-cache write. */
-    void addL1dWrite(double cr, Protection prot);
+    /**
+     * Charge one D-cache access of energy @p pj. The D-cache prices
+     * its reads and writes with the model's l1dReadPj()/l1dWritePj()
+     * once per cycle-time change, not per access.
+     */
+    void addL1d(PicoJoules pj) { l1d_ += pj; }
 
     /** Charge one L2 access. */
     void addL2Access();
@@ -148,6 +149,9 @@ class EnergyAccount
 
     /** Zero the account. */
     void reset();
+
+    /** The model pricing each event. */
+    const EnergyModel &model() const { return *model_; }
 
   private:
     const EnergyModel *model_;

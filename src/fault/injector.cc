@@ -75,25 +75,11 @@ FaultInjector::retuneMapPlane()
 }
 
 std::uint32_t
-FaultInjector::corrupt(std::uint32_t value, unsigned bits, FaultEvent *ev)
+FaultInjector::injectDrawn(std::uint32_t value, unsigned bits, double u,
+                           FaultEvent *ev)
 {
-    CLUMSY_ASSERT(bits >= 1 && bits <= 32, "access width %u bits", bits);
-    ++accesses_;
-    if (ev)
-        *ev = FaultEvent{};
-    if (!enabled_)
-        return value;
-
-    // One uniform draw decides among {clean, 1-bit, 2-bit, 3-bit}.
-    // Fault probabilities are ~1e-7..1e-5, so treating the events as
-    // mutually exclusive biases results by < 1e-10 per access.
     const double p1 = p1PerBit_ * bits;
     const double p2 = p2Word_;
-    const double p3 = p3Word_;
-    const double u = rng_.uniform();
-    if (u >= p1 + p2 + p3)
-        return value;
-
     unsigned nflips;
     if (u < p1) {
         nflips = 1;

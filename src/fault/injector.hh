@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "fault/fault_map.hh"
@@ -67,7 +68,25 @@ class FaultInjector
      * @return the (possibly corrupted) word.
      */
     std::uint32_t corrupt(std::uint32_t value, unsigned bits,
-                          FaultEvent *ev = nullptr);
+                          FaultEvent *ev = nullptr)
+    {
+        CLUMSY_ASSERT(bits >= 1 && bits <= 32, "access width %u bits",
+                      bits);
+        ++accesses_;
+        if (ev)
+            *ev = FaultEvent{};
+        if (!enabled_)
+            return value;
+        // One uniform draw decides among {clean, 1-bit, 2-bit,
+        // 3-bit}. Fault probabilities are ~1e-7..1e-5, so treating the
+        // events as mutually exclusive biases results by < 1e-10 per
+        // access. The clean test stays inline: it is the outcome of
+        // almost every access.
+        const double u = rng_.uniform();
+        if (u >= p1PerBit_ * bits + p2Word_ + p3Word_)
+            return value;
+        return injectDrawn(value, bits, u, ev);
+    }
 
     /**
      * Attach a weak-cell map (not owned; nullptr detaches): injection
@@ -138,6 +157,14 @@ class FaultInjector
 
     /** Recompute cellPEff_ for the current cycle time. */
     void retuneMapPlane();
+
+    /**
+     * The faulty branch of corrupt(): @p u (already drawn, below the
+     * total fault probability) picks the multiplicity, one more draw
+     * places the flipped bits.
+     */
+    std::uint32_t injectDrawn(std::uint32_t value, unsigned bits,
+                              double u, FaultEvent *ev);
 };
 
 } // namespace clumsy::fault

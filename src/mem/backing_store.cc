@@ -83,14 +83,6 @@ BackingStore::writable(std::size_t index)
     return pages_[index]->data();
 }
 
-bool
-BackingStore::contains(SimAddr addr, SimSize len) const
-{
-    // Guard the addition against 32-bit wraparound.
-    const std::uint64_t end = std::uint64_t{addr} + len;
-    return end <= size_;
-}
-
 std::uint8_t
 BackingStore::read8(SimAddr addr) const
 {

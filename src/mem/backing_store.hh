@@ -45,7 +45,11 @@ class BackingStore
     BackingStore &operator=(BackingStore &&) noexcept = default;
 
     /** @return true when [addr, addr+len) lies inside the memory. */
-    bool contains(SimAddr addr, SimSize len) const;
+    bool contains(SimAddr addr, SimSize len) const
+    {
+        // Guard the addition against 32-bit wraparound.
+        return std::uint64_t{addr} + len <= size_;
+    }
 
     /** Read one byte; addr must be in range. */
     std::uint8_t read8(SimAddr addr) const;

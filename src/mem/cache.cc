@@ -38,7 +38,7 @@ Cache::Cache(std::string name, CacheGeometry geom, CheckCodec codec)
 Cache::Evicted
 Cache::fill(SimAddr addr, const std::uint8_t *data)
 {
-    CLUMSY_ASSERT(findLine(addr) < 0, "fill of an already-present line");
+    CLUMSY_ASSERT(!find(addr), "fill of an already-present line");
     const std::size_t first = std::size_t{setIndex(addr)} * geom_.assoc;
 
     // Pick the victim: an invalid way, else the LRU way. Retired
@@ -63,6 +63,7 @@ Cache::fill(SimAddr addr, const std::uint8_t *data)
                   "fill into a set with every frame retired");
 
     Evicted evicted;
+    evicted.line = victim;
     if (valid_[victim]) {
         ++*evictions_;
         evicted.valid = true;
@@ -90,25 +91,21 @@ Cache::fill(SimAddr addr, const std::uint8_t *data)
 }
 
 void
-Cache::invalidate(SimAddr addr)
+Cache::invalidate(std::size_t line)
 {
-    const std::ptrdiff_t line = findLine(addr);
-    if (line < 0)
-        return;
+    checkPresent(line);
     ++*invalidations_;
-    valid_[static_cast<std::size_t>(line)] = 0;
+    valid_[line] = 0;
 }
 
 void
-Cache::disableFrame(std::uint32_t set, unsigned way)
+Cache::disableFrame(std::size_t line)
 {
-    const std::size_t idx = std::size_t{set} * geom_.assoc + way;
-    CLUMSY_ASSERT(set <= setMask_ && way < geom_.assoc,
-                  "frame outside the array");
-    CLUMSY_ASSERT(!valid_[idx], "retiring a frame that holds a line");
-    if (disabled_[idx])
+    CLUMSY_ASSERT(line < valid_.size(), "frame outside the array");
+    CLUMSY_ASSERT(!valid_[line], "retiring a frame that holds a line");
+    if (disabled_[line])
         return;
-    disabled_[idx] = 1;
+    disabled_[line] = 1;
     ++disabledFrames_;
 }
 
@@ -117,21 +114,23 @@ Cache::retag(SimAddr from, SimAddr to)
 {
     CLUMSY_ASSERT(setIndex(from) == setIndex(to),
                   "retag must stay within the set");
-    CLUMSY_ASSERT(findLine(to) < 0, "retag destination already present");
-    tags_[mustFindLine(from)] = tagOf(to);
+    CLUMSY_ASSERT(!find(to), "retag destination already present");
+    tags_[lineOf(from)] = tagOf(to);
 }
 
 void
-Cache::readLine(SimAddr addr, std::uint8_t *dst) const
+Cache::readLine(std::size_t line, std::uint8_t *dst) const
 {
-    std::memcpy(dst, dataOf(mustFindLine(addr)), geom_.lineBytes);
+    checkPresent(line);
+    std::memcpy(dst, dataOf(line), geom_.lineBytes);
 }
 
 void
-Cache::writeRange(SimAddr addr, const std::uint8_t *src, SimSize len,
-                  bool markDirty)
+Cache::writeRange(std::size_t line, SimAddr addr,
+                  const std::uint8_t *src, SimSize len, bool markDirty)
 {
-    const std::size_t line = mustFindLine(addr);
+    checkPresent(line);
+    CLUMSY_ASSERT(tags_[line] == tagOf(addr), "range outside the line");
     const SimAddr off = addr & (geom_.lineBytes - 1);
     CLUMSY_ASSERT(off + len <= geom_.lineBytes, "range crosses the line");
     std::uint8_t *data = dataOf(line);

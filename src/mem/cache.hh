@@ -19,6 +19,11 @@
  * touches one densely packed tag lane instead of striding over
  * heap-allocated line objects, and the whole hit path is inline here
  * so the hierarchy's access loop compiles without a call per probe.
+ *
+ * Tags are probed once per access: lookup(), find() and fill() hand
+ * back the line's flat index, and every data or state accessor takes
+ * that index. An index names its line until the next fill() or
+ * invalidate() of the array; after either, probe again.
  */
 
 #ifndef CLUMSY_MEM_CACHE_HH
@@ -48,68 +53,109 @@ enum class CheckCodec
     Secded, ///< 7-bit Hamming SEC-DED code
 };
 
+/**
+ * What a tag probe found: the flat index (set * assoc + way) of the
+ * resident line, or nothing. The std::optional subset the callers
+ * use, packed into one word with a sentinel so a probe result stays
+ * in a register on the access path.
+ */
+class LineRef
+{
+  public:
+    /** No line. */
+    LineRef() = default;
+
+    explicit LineRef(std::size_t index) : index_(index) {}
+
+    bool has_value() const { return index_ != kAbsent; }
+    explicit operator bool() const { return has_value(); }
+
+    /** The line's flat index (only meaningful when has_value()). */
+    std::size_t operator*() const { return index_; }
+
+  private:
+    static constexpr std::size_t kAbsent = SIZE_MAX;
+    std::size_t index_ = kAbsent;
+};
+
 /** One cache array with real data and per-word check bits. */
 class Cache
 {
   public:
-    /** Description of a line evicted by fill(). */
+    /** What fill() did: the installed line and the evicted victim. */
     struct Evicted
     {
-        bool valid = false;
+        std::size_t line = 0; ///< frame now holding the filled line
+        bool valid = false;   ///< a valid victim was evicted
         bool dirty = false;
         SimAddr base = 0;
-        std::vector<std::uint8_t> data;
+        std::vector<std::uint8_t> data; ///< victim bytes (dirty only)
     };
 
     Cache(std::string name, CacheGeometry geom,
           CheckCodec codec = CheckCodec::Parity);
 
-    /** @return true when the line containing addr is present (no LRU
-     *  update). */
-    bool contains(SimAddr addr) const { return findLine(addr) >= 0; }
+    /**
+     * The line containing addr, if present. A pure probe: no LRU
+     * update, no counters.
+     */
+    LineRef find(SimAddr addr) const
+    {
+        const std::size_t first =
+            std::size_t{setIndex(addr)} * geom_.assoc;
+        const std::uint32_t tag = tagOf(addr);
+        for (unsigned w = 0; w < geom_.assoc; ++w) {
+            if (valid_[first + w] && tags_[first + w] == tag)
+                return LineRef(first + w);
+        }
+        return LineRef();
+    }
+
+    /** @return true when the line containing addr is present. */
+    bool contains(SimAddr addr) const { return find(addr).has_value(); }
+
+    /** The present line containing addr; panics when absent. */
+    std::size_t lineOf(SimAddr addr) const
+    {
+        const LineRef line = find(addr);
+        CLUMSY_ASSERT(line.has_value(), "line not present");
+        return *line;
+    }
 
     /**
      * Look up the line containing addr, updating LRU and hit/miss
-     * counters. @return true on hit.
+     * counters. @return the line on a hit.
      */
-    bool lookup(SimAddr addr)
+    LineRef lookup(SimAddr addr)
     {
-        const std::ptrdiff_t line = findLine(addr);
-        if (line < 0) {
+        const LineRef line = find(addr);
+        if (!line) {
             ++*misses_;
-            return false;
+            return LineRef();
         }
         ++*hits_;
-        lru_[static_cast<std::size_t>(line)] = ++tick_;
-        return true;
+        lru_[*line] = ++tick_;
+        return line;
     }
 
     /**
      * Install the line containing addr with the given lineBytes() of
      * data (parity regenerated from it). The line must not already be
-     * present. @return the evicted victim, if any.
+     * present. @return the installed line and the evicted victim.
      */
     Evicted fill(SimAddr addr, const std::uint8_t *data);
 
-    /** Drop the line containing addr without writeback (no-op when
-     *  absent). */
-    void invalidate(SimAddr addr);
+    /** Drop a present line without writeback. */
+    void invalidate(std::size_t line);
 
     /**
-     * Permanently retire the frame (set, way): it never holds a line
+     * Permanently retire the frame @p line: it never holds a line
      * again — fill() skips it when picking victims. The frame must
      * already be invalid (invalidate first); way-disable recovery in
      * the hierarchy is the only caller. reset() re-enables all
      * frames (fresh-silicon semantics, like dropping the contents).
      */
-    void disableFrame(std::uint32_t set, unsigned way);
-
-    /** @return true when the frame (set, way) has been retired. */
-    bool frameDisabled(std::uint32_t set, unsigned way) const
-    {
-        return disabledFrames_ != 0 &&
-               disabled_[std::size_t{set} * geom_.assoc + way] != 0;
-    }
+    void disableFrame(std::size_t line);
 
     /**
      * @return true when the set containing addr still has at least
@@ -130,18 +176,6 @@ class Cache
     /** Total frames retired by disableFrame(). */
     unsigned disabledFrameCount() const { return disabledFrames_; }
 
-    /** Set index of addr (exposed for the fault-map slot mapping). */
-    std::uint32_t setIndexOf(SimAddr addr) const
-    {
-        return setIndex(addr);
-    }
-
-    /** Way currently holding the (present) line containing addr. */
-    unsigned wayOf(SimAddr addr) const
-    {
-        return static_cast<unsigned>(mustFindLine(addr) % geom_.assoc);
-    }
-
     /**
      * Re-tag the (present) line containing @p from so it answers to
      * @p to instead. Both addresses must map to the same set and the
@@ -152,12 +186,13 @@ class Cache
      */
     void retag(SimAddr from, SimAddr to);
 
-    /** Raw stored 32-bit word; the line must be present, addr
-     *  4-aligned. */
-    std::uint32_t readWordRaw(SimAddr addr) const
+    /**
+     * Raw stored 32-bit word at addr inside @p line (the present line
+     * containing addr); addr must be 4-aligned.
+     */
+    std::uint32_t readWordRaw(std::size_t line, SimAddr addr) const
     {
-        CLUMSY_ASSERT(addr % 4 == 0, "word access must be 4-aligned");
-        const std::size_t line = mustFindLine(addr);
+        checkWordAccess(line, addr);
         std::uint32_t v;
         std::memcpy(&v,
                     &data_[line * geom_.lineBytes +
@@ -172,22 +207,21 @@ class Cache
      * check bits of the *intended* value, modeling the check-bit
      * generator sitting before the array.
      */
-    void writeWordRaw(SimAddr addr, std::uint32_t storedValue,
+    void writeWordRaw(std::size_t line, SimAddr addr,
+                      std::uint32_t storedValue,
                       std::uint8_t intendedCheck)
     {
-        CLUMSY_ASSERT(addr % 4 == 0, "word access must be 4-aligned");
-        const std::size_t line = mustFindLine(addr);
+        checkWordAccess(line, addr);
         const SimAddr off = addr & (geom_.lineBytes - 1);
         std::memcpy(&data_[line * geom_.lineBytes + off], &storedValue,
                     4);
         check_[line * wordsPerLine_ + off / 4] = intendedCheck;
     }
 
-    /** The stored check bits guarding the word at addr. */
-    std::uint8_t wordCheck(SimAddr addr) const
+    /** The stored check bits guarding the word at addr in @p line. */
+    std::uint8_t wordCheck(std::size_t line, SimAddr addr) const
     {
-        CLUMSY_ASSERT(addr % 4 == 0, "word access must be 4-aligned");
-        const std::size_t line = mustFindLine(addr);
+        checkWordAccess(line, addr);
         return check_[line * wordsPerLine_ +
                       ((addr & (geom_.lineBytes - 1)) / 4)];
     }
@@ -203,24 +237,30 @@ class Cache
     /** The codec in use. */
     CheckCodec codec() const { return codec_; }
 
-    /** Mark the line containing addr dirty; line must be present. */
-    void setDirty(SimAddr addr) { dirty_[mustFindLine(addr)] = 1; }
-
-    /** @return true when the (present) line is dirty. */
-    bool isDirty(SimAddr addr) const
+    /** Mark a present line dirty. */
+    void setDirty(std::size_t line)
     {
-        return dirty_[mustFindLine(addr)] != 0;
+        checkPresent(line);
+        dirty_[line] = 1;
     }
 
-    /** Copy the whole (present) line out. */
-    void readLine(SimAddr addr, std::uint8_t *dst) const;
+    /** @return true when a present line is dirty. */
+    bool isDirty(std::size_t line) const
+    {
+        checkPresent(line);
+        return dirty_[line] != 0;
+    }
+
+    /** Copy a whole present line out. */
+    void readLine(std::size_t line, std::uint8_t *dst) const;
 
     /**
-     * Overwrite len bytes inside a (present) line starting at addr,
-     * regenerating parity for the touched words.
+     * Overwrite len bytes starting at addr inside @p line (the present
+     * line containing addr), regenerating check bits for the touched
+     * words.
      */
-    void writeRange(SimAddr addr, const std::uint8_t *src, SimSize len,
-                    bool markDirty);
+    void writeRange(std::size_t line, SimAddr addr,
+                    const std::uint8_t *src, SimSize len, bool markDirty);
 
     /** Base address of the line containing addr. */
     SimAddr lineBase(SimAddr addr) const
@@ -307,26 +347,23 @@ class Cache
         return static_cast<std::uint32_t>(addr >> setShift_);
     }
 
-    /** @return flat line index of the hit, or -1. */
-    std::ptrdiff_t findLine(SimAddr addr) const
+    /** Panics unless @p line is a valid, present line. */
+    void checkPresent(std::size_t line) const
     {
-        const std::size_t first =
-            std::size_t{setIndex(addr)} * geom_.assoc;
-        const std::uint32_t tag = tagOf(addr);
-        for (unsigned w = 0; w < geom_.assoc; ++w) {
-            if (valid_[first + w] && tags_[first + w] == tag)
-                return static_cast<std::ptrdiff_t>(first + w);
-        }
-        return -1;
+        CLUMSY_ASSERT(line < valid_.size() && valid_[line],
+                      "line not present");
     }
 
-    /** Flat index of the present line containing addr; panics when
-     *  absent. */
-    std::size_t mustFindLine(SimAddr addr) const
+    /**
+     * Panics unless @p addr is a 4-aligned word of the present line
+     * @p line (the tag compare costs no probe: the line is given).
+     */
+    void checkWordAccess(std::size_t line, SimAddr addr) const
     {
-        const std::ptrdiff_t line = findLine(addr);
-        CLUMSY_ASSERT(line >= 0, "line not present");
-        return static_cast<std::size_t>(line);
+        CLUMSY_ASSERT(addr % 4 == 0, "word access must be 4-aligned");
+        checkPresent(line);
+        CLUMSY_ASSERT(tags_[line] == tagOf(addr),
+                      "word outside the given line");
     }
 
     std::uint8_t *dataOf(std::size_t line)

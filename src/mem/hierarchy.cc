@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <vector>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
-#include "mem/parity.hh"
 #include "mem/secded.hh"
 
 namespace clumsy::mem
@@ -66,6 +64,13 @@ MemHierarchy::setCycleTime(double cr)
     // rise sharply.
     if (l1dQuanta_ < kQuantaPerCycle)
         l1dQuanta_ = kQuantaPerCycle;
+    // The access energies depend only on (cr, protection): price them
+    // here, so an access adds a stored double instead of re-evaluating
+    // the swing model. Same expression, so the sums are bit-identical.
+    if (energy_) {
+        l1dReadPj_ = energy_->model().l1dReadPj(cr, protection());
+        l1dWritePj_ = energy_->model().l1dWritePj(cr, protection());
+    }
     injector_->setCycleTime(cr);
 }
 
@@ -111,32 +116,27 @@ MemHierarchy::writebackToL2(const Cache::Evicted &evicted)
 }
 
 void
-MemHierarchy::corruptFilledLine(SimAddr lineBase)
+MemHierarchy::corruptFilledLine(std::size_t line, SimAddr lineBase)
 {
     if (!config_.injectOnFill || !injector_->enabled())
         return;
     for (SimAddr off = 0; off < config_.l1d.lineBytes; off += 4) {
         const SimAddr wordAddr = lineBase + off;
-        const std::uint32_t intended = l1d_.readWordRaw(wordAddr);
+        const std::uint32_t intended = l1d_.readWordRaw(line, wordAddr);
         fault::FaultEvent ev;
         const std::uint32_t stored =
-            injector_->mapAttached()
-                ? injector_->corruptMapped(intended, 32,
-                                           mapSlotOf(wordAddr), &ev)
-                : injector_->corrupt(intended, 32, &ev);
+            injectL1d(intended, line, wordAddr, ev);
         if (ev.flippedBits) {
-            l1d_.writeWordRaw(wordAddr, stored,
+            l1d_.writeWordRaw(line, wordAddr, stored,
                               l1d_.computeCheck(intended));
             stats_.inc("fill_faults");
         }
     }
 }
 
-void
-MemHierarchy::ensureL1D(SimAddr addr, Access &acc)
+std::size_t
+MemHierarchy::fillL1D(SimAddr addr, Access &acc)
 {
-    if (l1d_.lookup(addr))
-        return;
     ensureL2(addr, acc);
     const SimAddr base = l1d_.lineBase(addr);
     // The containing L2 line is now resident; copy our slice of it.
@@ -146,79 +146,46 @@ MemHierarchy::ensureL1D(SimAddr addr, Access &acc)
     }
     const Cache::Evicted victim = l1d_.fill(base, l1LineScratch_.data());
     if (energy_)
-        energy_->addL1dWrite(cr_, protection());
-    corruptFilledLine(base);
+        energy_->addL1d(l1dWritePj_);
+    corruptFilledLine(victim.line, base);
+    // The writeback only touches the L2, so the filled line stays put.
     writebackToL2(victim);
-}
-
-std::uint32_t
-MemHierarchy::senseWord(SimAddr wordAddr, Access &acc)
-{
-    acc.latency += l1dHitQuanta();
-    if (energy_)
-        energy_->addL1dRead(cr_, protection());
-    ++*senses_;
-    const std::uint32_t raw = l1d_.readWordRaw(wordAddr);
-    fault::FaultEvent ev;
-    const std::uint32_t sensed =
-        injector_->mapAttached()
-            ? injector_->corruptMapped(raw, 32, mapSlotOf(wordAddr),
-                                       &ev)
-            : injector_->corrupt(raw, 32, &ev);
-    if (ev.flippedBits) {
-        ++acc.faultsInjected;
-        ++*readFaults_;
-    }
-    return sensed;
+    return victim.line;
 }
 
 MemHierarchy::RetireOutcome
-MemHierarchy::noteStrikeAndMaybeRetire(SimAddr wordAddr)
+MemHierarchy::noteStrikeAndMaybeRetire(std::size_t line, SimAddr wordAddr)
 {
-    const std::uint32_t set = l1d_.setIndexOf(wordAddr);
-    const unsigned way = l1d_.wayOf(wordAddr);
-    const std::size_t idx = std::size_t{set} * config_.l1d.assoc + way;
-    if (++frameStrikes_[idx] < config_.wayDisable.retireThreshold)
+    // frameStrikes_ is indexed like the L1D frames: set * assoc + way.
+    if (++frameStrikes_[line] < config_.wayDisable.retireThreshold)
         return RetireOutcome::None;
     // Chronically weak frame: retire it. The caller has already
     // written back any dirty data, so dropping the line loses
     // nothing.
     stats_.inc("ways_retired");
-    l1d_.invalidate(wordAddr);
-    l1d_.disableFrame(set, way);
+    l1d_.invalidate(line);
+    l1d_.disableFrame(line);
     return l1d_.hasEnabledWay(wordAddr) ? RetireOutcome::SetAlive
                                         : RetireOutcome::SetDead;
 }
 
 bool
-MemHierarchy::checkSensedWord(std::uint32_t sensed, SimAddr wordAddr,
-                              std::uint32_t &value)
+MemHierarchy::decodeSecded(std::uint32_t sensed, std::uint8_t check,
+                           std::uint32_t &value)
 {
-    if (!detectionOn()) {
+    const secded::Decoded dec = secded::decode(sensed, check);
+    switch (dec.status) {
+      case secded::DecodeStatus::Ok:
         value = sensed;
         return true;
-    }
-    const std::uint8_t check = l1d_.wordCheck(wordAddr);
-    if (config_.codec == CheckCodec::Secded) {
-        const secded::Decoded dec = secded::decode(sensed, check);
-        switch (dec.status) {
-          case secded::DecodeStatus::Ok:
-            value = sensed;
-            return true;
-          case secded::DecodeStatus::Corrected:
-            stats_.inc("ecc_corrections");
-            value = dec.data;
-            return true;
-          case secded::DecodeStatus::DoubleError:
-            return false;
-        }
-        panic("unreachable SEC-DED status");
-    }
-    if (parityMatches(sensed, (check & 1) != 0)) {
-        value = sensed;
+      case secded::DecodeStatus::Corrected:
+        stats_.inc("ecc_corrections");
+        value = dec.data;
         return true;
+      case secded::DecodeStatus::DoubleError:
+        return false;
     }
-    return false;
+    panic("unreachable SEC-DED status");
 }
 
 Access
@@ -226,7 +193,7 @@ MemHierarchy::read(SimAddr addr, unsigned bytes)
 {
     CLUMSY_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
                   "access width must be 1, 2 or 4 bytes");
-    if (addr % bytes != 0) {
+    if ((addr & (bytes - 1)) != 0) { // bytes is 1, 2 or 4: no divide
         // ARM-style forced alignment for corrupted addresses.
         stats_.inc("unaligned_reads");
         addr &= ~SimAddr{bytes - 1};
@@ -257,14 +224,14 @@ MemHierarchy::read(SimAddr addr, unsigned bytes)
             bytes == 4 ? word : bitField(word, shift, bytes * 8);
         return acc;
     }
-    ensureL1D(wordAddr, acc);
+    std::size_t line = ensureL1D(wordAddr, acc);
 
     const unsigned attempts = readAttempts(config_.scheme);
     std::uint32_t sensed = 0;
     bool resolved = false;
     for (unsigned attempt = 1; attempt <= attempts; ++attempt) {
-        sensed = senseWord(wordAddr, acc);
-        if (checkSensedWord(sensed, wordAddr, sensed)) {
+        sensed = senseWord(line, wordAddr, acc);
+        if (checkSensedWord(sensed, line, wordAddr, sensed)) {
             resolved = true;
             break;
         }
@@ -285,9 +252,9 @@ MemHierarchy::read(SimAddr addr, unsigned bytes)
         // silently corrupted value: the residual undetected-fault
         // channel the paper describes for protected configurations.
         stats_.inc("strike_invalidations");
-        if (l1d_.isDirty(wordAddr)) {
+        if (l1d_.isDirty(line)) {
             stats_.inc("strike_writebacks");
-            l1d_.readLine(wordAddr, l1LineScratch_.data());
+            l1d_.readLine(line, l1LineScratch_.data());
             ensureL2(wordAddr, acc);
             l2b_->writeRange(l1d_.lineBase(wordAddr),
                              l1LineScratch_.data(), config_.l1d.lineBytes,
@@ -295,7 +262,7 @@ MemHierarchy::read(SimAddr addr, unsigned bytes)
         }
         RetireOutcome retired = RetireOutcome::None;
         if (retireOn())
-            retired = noteStrikeAndMaybeRetire(wordAddr);
+            retired = noteStrikeAndMaybeRetire(line, wordAddr);
         if (retired == RetireOutcome::SetDead) {
             // The strike-out retired the set's last frame: serve the
             // word from the L2 directly, like every future access to
@@ -307,7 +274,7 @@ MemHierarchy::read(SimAddr addr, unsigned bytes)
             if (retired == RetireOutcome::SetAlive) {
                 // The line went down with its retired frame; refill
                 // into one of the set's surviving ways.
-                ensureL1D(wordAddr, acc);
+                line = ensureL1D(wordAddr, acc);
             } else if (config_.subBlockRecovery) {
                 // Refetch only the faulted word (paper footnote 2):
                 // the rest of the line — including its other dirty
@@ -315,14 +282,14 @@ MemHierarchy::read(SimAddr addr, unsigned bytes)
                 stats_.inc("subblock_refetches");
                 ensureL2(wordAddr, acc);
                 const std::uint32_t fresh = l2b_->readWordRaw(wordAddr);
-                l1d_.writeWordRaw(wordAddr, fresh,
+                l1d_.writeWordRaw(line, wordAddr, fresh,
                                   l1d_.computeCheck(fresh));
             } else {
-                l1d_.invalidate(wordAddr);
-                ensureL1D(wordAddr, acc);
+                l1d_.invalidate(line);
+                line = ensureL1D(wordAddr, acc);
             }
-            sensed = senseWord(wordAddr, acc);
-            if (!checkSensedWord(sensed, wordAddr, sensed)) {
+            sensed = senseWord(line, wordAddr, acc);
+            if (!checkSensedWord(sensed, line, wordAddr, sensed)) {
                 // The refetched copy also sensed faulty: bypass the L1
                 // and serve the L2's word directly.
                 stats_.inc("l2_bypasses");
@@ -348,7 +315,7 @@ MemHierarchy::write(SimAddr addr, unsigned bytes, std::uint32_t value)
 {
     CLUMSY_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
                   "access width must be 1, 2 or 4 bytes");
-    if (addr % bytes != 0) {
+    if ((addr & (bytes - 1)) != 0) { // bytes is 1, 2 or 4: no divide
         stats_.inc("unaligned_writes");
         addr &= ~SimAddr{bytes - 1};
     }
@@ -383,7 +350,7 @@ MemHierarchy::write(SimAddr addr, unsigned bytes, std::uint32_t value)
         l2b_->writeRange(wordAddr, buf, 4, true);
         return acc;
     }
-    ensureL1D(wordAddr, acc);
+    const std::size_t line = ensureL1D(wordAddr, acc);
 
     // Sub-word stores are a masked read-modify-write of the stored
     // word; the merge path is internal and not subject to sensing
@@ -392,7 +359,7 @@ MemHierarchy::write(SimAddr addr, unsigned bytes, std::uint32_t value)
     if (bytes == 4) {
         intended = value;
     } else {
-        const std::uint32_t raw = l1d_.readWordRaw(wordAddr);
+        const std::uint32_t raw = l1d_.readWordRaw(line, wordAddr);
         const unsigned shift = (addr & 3u) * 8;
         const std::uint32_t mask =
             ((bytes == 1 ? 0xffu : 0xffffu)) << shift;
@@ -400,11 +367,7 @@ MemHierarchy::write(SimAddr addr, unsigned bytes, std::uint32_t value)
     }
 
     fault::FaultEvent ev;
-    const std::uint32_t stored =
-        injector_->mapAttached()
-            ? injector_->corruptMapped(intended, 32,
-                                       mapSlotOf(wordAddr), &ev)
-            : injector_->corrupt(intended, 32, &ev);
+    const std::uint32_t stored = injectL1d(intended, line, wordAddr, ev);
     if (ev.flippedBits) {
         ++acc.faultsInjected;
         ++*writeFaults_;
@@ -413,24 +376,18 @@ MemHierarchy::write(SimAddr addr, unsigned bytes, std::uint32_t value)
     // bits reflect the intended value even when the array write
     // faulted, which is what makes write faults detectable (and, for
     // SEC-DED, single-bit-correctable) on a later read.
-    l1d_.writeWordRaw(wordAddr, stored, l1d_.computeCheck(intended));
-    l1d_.setDirty(wordAddr);
+    l1d_.writeWordRaw(line, wordAddr, stored, l1d_.computeCheck(intended));
+    l1d_.setDirty(line);
 
     acc.latency += l1dHitQuanta();
     if (energy_)
-        energy_->addL1dWrite(cr_, protection());
+        energy_->addL1d(l1dWritePj_);
     return acc;
 }
 
-Access
-MemHierarchy::fetch(SimAddr pc)
+void
+MemHierarchy::fillL1I(SimAddr lineAddr, Access &acc)
 {
-    const SimAddr lineAddr = pc & ~SimAddr{3};
-    Access acc;
-    if (energy_)
-        energy_->addL1iRead();
-    if (l1i_.lookup(lineAddr))
-        return acc; // pipelined fetch: no visible stall
     ensureL2(lineAddr, acc);
     const SimAddr base = l1i_.lineBase(lineAddr);
     for (SimAddr off = 0; off < config_.l1i.lineBytes; off += 4) {
@@ -439,7 +396,6 @@ MemHierarchy::fetch(SimAddr pc)
     }
     // Instruction lines are clean; evictions never write back.
     (void)l1i_.fill(base, l1LineScratch_.data());
-    return acc;
 }
 
 void
@@ -447,8 +403,8 @@ MemHierarchy::flushRange(SimAddr addr, SimSize len)
 {
     CLUMSY_ASSERT(len > 0, "empty flush range");
     // Flush L2 before L1: when both hold a line dirty, the L1 copy is
-    // the more recent, so it must reach DRAM last.
-    std::vector<std::uint8_t> buf(config_.l2.lineBytes);
+    // the more recent, so it must reach DRAM last. The L1 copies go
+    // through l1LineScratch_: flushRange never reaches ensureL2.
     const SimAddr first2 = l2LineBase(addr);
     for (SimAddr a = first2; a < addr + len;
          a += config_.l2.lineBytes)
@@ -456,14 +412,15 @@ MemHierarchy::flushRange(SimAddr addr, SimSize len)
     const SimAddr first1 = l1d_.lineBase(addr);
     for (SimAddr a = first1; a < addr + len;
          a += config_.l1d.lineBytes) {
-        if (!l1d_.contains(a))
+        const LineRef line = l1d_.find(a);
+        if (!line)
             continue;
-        if (l1d_.isDirty(a)) {
-            l1d_.readLine(a, buf.data());
-            store_->writeBlock(l1d_.lineBase(a), buf.data(),
+        if (l1d_.isDirty(*line)) {
+            l1d_.readLine(*line, l1LineScratch_.data());
+            store_->writeBlock(l1d_.lineBase(a), l1LineScratch_.data(),
                                config_.l1d.lineBytes);
         }
-        l1d_.invalidate(a);
+        l1d_.invalidate(*line);
     }
 }
 
@@ -471,8 +428,8 @@ std::uint32_t
 MemHierarchy::peekWord(SimAddr addr) const
 {
     const SimAddr wordAddr = addr & ~SimAddr{3};
-    if (l1d_.contains(wordAddr))
-        return l1d_.readWordRaw(wordAddr);
+    if (const LineRef line = l1d_.find(wordAddr))
+        return l1d_.readWordRaw(*line, wordAddr);
     if (l2b_->contains(wordAddr))
         return l2b_->readWordRaw(wordAddr);
     return store_->read32(wordAddr);

@@ -25,6 +25,7 @@
 #include "mem/cache.hh"
 #include "mem/l2_backend.hh"
 #include "mem/l2_port.hh"
+#include "mem/parity.hh"
 #include "mem/recovery.hh"
 
 namespace clumsy::mem
@@ -93,7 +94,9 @@ struct Access
      * MSHR merging. Sized for the deepest access the recovery
      * machinery can produce (ensure + strike writeback + refetch +
      * bypass); overflow silently drops events, which only forgoes a
-     * merge opportunity — never correctness.
+     * merge opportunity — never correctness. Only the first
+     * l2LineCount entries are meaningful; the rest are left
+     * uninitialized, so building an Access per load costs no fill.
      */
     static constexpr unsigned kMaxL2Lines = 8;
     L2LineUse l2Lines[kMaxL2Lines];
@@ -149,7 +152,16 @@ class MemHierarchy
      * the stall latency — an L1I hit is fully pipelined and costs 0
      * extra quanta — plus the L2 port uses a miss performed.
      */
-    Access fetch(SimAddr pc);
+    Access fetch(SimAddr pc)
+    {
+        const SimAddr lineAddr = pc & ~SimAddr{3};
+        Access acc;
+        if (energy_)
+            energy_->addL1iRead();
+        if (!l1i_.lookup(lineAddr))
+            fillL1I(lineAddr, acc);
+        return acc; // a hit is a pipelined fetch: no visible stall
+    }
 
     /** Set the D-cache's relative cycle time (also retunes the
      *  injector). */
@@ -235,10 +247,15 @@ class MemHierarchy
     double cr_ = 1.0;
     Quanta l1dQuanta_;
 
+    // L1D access energies at cr_ and the configured protection,
+    // priced by setCycleTime() so each access adds a stored double.
+    PicoJoules l1dReadPj_ = 0.0;
+    PicoJoules l1dWritePj_ = 0.0;
+
     /**
      * Reusable line buffers for the refill paths. ensureL2 owns
-     * l2LineScratch_ and the L1 fill/strike paths (L1D fills, strike
-     * writebacks, L1I fills) own l1LineScratch_, sized for the larger
+     * l2LineScratch_ and the L1 paths (L1D fills, strike writebacks,
+     * L1I fills, flushRange) own l1LineScratch_, sized for the larger
      * L1 line; the nesting is strictly L1-path -> ensureL2, never the
      * reverse, and each path finishes consuming its buffer before any
      * call that could overwrite it, so one buffer per level suffices
@@ -269,18 +286,31 @@ class MemHierarchy
     bool retireOn() const { return config_.wayDisable.enabled(); }
 
     /**
-     * Fault-map word slot of the L1D frame currently holding
-     * wordAddr (the line must be present).
+     * Fault-map word slot of wordAddr in the L1D frame @p line:
+     * (set * ways + way) * wordsPerLine + wordIndex, and the flat line
+     * index is set * ways + way.
      */
-    std::uint32_t mapSlotOf(SimAddr wordAddr) const
+    std::uint32_t mapSlotOf(std::size_t line, SimAddr wordAddr) const
     {
-        const std::uint32_t set = l1d_.setIndexOf(wordAddr);
-        const unsigned way = l1d_.wayOf(wordAddr);
         const std::uint32_t wordIdx = static_cast<std::uint32_t>(
             (wordAddr & (config_.l1d.lineBytes - 1)) / 4);
-        return (set * config_.l1d.assoc + way) *
+        return static_cast<std::uint32_t>(line) *
                    (config_.l1d.lineBytes / 4) +
                wordIdx;
+    }
+
+    /**
+     * Run @p word through the injector as a 32-bit L1D access of
+     * wordAddr in frame @p line (map mode when a weak-cell map is
+     * attached). @return the possibly corrupted word.
+     */
+    std::uint32_t injectL1d(std::uint32_t word, std::size_t line,
+                            SimAddr wordAddr, fault::FaultEvent &ev)
+    {
+        return injector_->mapAttached()
+                   ? injector_->corruptMapped(
+                         word, 32, mapSlotOf(line, wordAddr), &ev)
+                   : injector_->corrupt(word, 32, &ev);
     }
 
     /** What noteStrikeAndMaybeRetire did to wordAddr's frame. */
@@ -292,11 +322,12 @@ class MemHierarchy
     };
 
     /**
-     * Record one strike-out against the frame holding wordAddr and
-     * retire it at the threshold (the line must still be present; on
-     * retirement it is invalidated and the frame disabled).
+     * Record one strike-out against the L1D frame @p line (holding
+     * wordAddr) and retire it at the threshold (on retirement the
+     * line is invalidated and the frame disabled).
      */
-    RetireOutcome noteStrikeAndMaybeRetire(SimAddr wordAddr);
+    RetireOutcome noteStrikeAndMaybeRetire(std::size_t line,
+                                           SimAddr wordAddr);
 
     /** Protection level for energy accounting. */
     energy::Protection protection() const
@@ -309,12 +340,31 @@ class MemHierarchy
     }
 
     /**
-     * Run the sensed word through the active codec. @return true when
-     * the access is resolved (value set to the accepted — possibly
-     * ECC-corrected — word); false when the detection tripped.
+     * Run the word sensed from wordAddr in L1D frame @p line through
+     * the active codec. @return true when the access is resolved
+     * (value set to the accepted — possibly ECC-corrected — word);
+     * false when the detection tripped.
      */
-    bool checkSensedWord(std::uint32_t sensed, SimAddr wordAddr,
-                         std::uint32_t &value);
+    bool checkSensedWord(std::uint32_t sensed, std::size_t line,
+                         SimAddr wordAddr, std::uint32_t &value)
+    {
+        if (!detectionOn()) {
+            value = sensed;
+            return true;
+        }
+        const std::uint8_t check = l1d_.wordCheck(line, wordAddr);
+        if (config_.codec == CheckCodec::Secded)
+            return decodeSecded(sensed, check, value);
+        if (parityMatches(sensed, (check & 1) != 0)) {
+            value = sensed;
+            return true;
+        }
+        return false;
+    }
+
+    /** checkSensedWord()'s SEC-DED decode (value set when resolved). */
+    bool decodeSecded(std::uint32_t sensed, std::uint8_t check,
+                      std::uint32_t &value);
 
     /** L1D hit latency at the current cycle time, in quanta. */
     Quanta l1dHitQuanta() const { return l1dQuanta_; }
@@ -332,18 +382,50 @@ class MemHierarchy
      */
     void ensureL2(SimAddr addr, Access &acc);
 
-    /** Bring the L1D line containing addr in via L2. */
-    void ensureL1D(SimAddr addr, Access &acc);
+    /**
+     * Bring the L1D line containing addr in via L2. @return the line
+     * it hit or filled; valid until the next L1D fill or invalidate.
+     */
+    std::size_t ensureL1D(SimAddr addr, Access &acc)
+    {
+        if (const LineRef line = l1d_.lookup(addr))
+            return *line;
+        return fillL1D(addr, acc);
+    }
+
+    /** ensureL1D()'s miss path. @return the filled line. */
+    std::size_t fillL1D(SimAddr addr, Access &acc);
 
     /** Write back an evicted dirty L1 line into the L2 (buffered: no
      *  demand latency). */
     void writebackToL2(const Cache::Evicted &evicted);
 
-    /** Fill corruption pass over a just-installed L1D line. */
-    void corruptFilledLine(SimAddr lineBase);
+    /** fetch()'s miss path: bring the L1I line in via the L2. */
+    void fillL1I(SimAddr lineAddr, Access &acc);
 
-    /** One sensed read of the word at wordAddr (injection applied). */
-    std::uint32_t senseWord(SimAddr wordAddr, Access &acc);
+    /** Fill corruption pass over the just-installed L1D @p line. */
+    void corruptFilledLine(std::size_t line, SimAddr lineBase);
+
+    /**
+     * One sensed read of the word at wordAddr in L1D frame @p line
+     * (injection applied).
+     */
+    std::uint32_t senseWord(std::size_t line, SimAddr wordAddr,
+                            Access &acc)
+    {
+        acc.latency += l1dHitQuanta();
+        if (energy_)
+            energy_->addL1d(l1dReadPj_);
+        ++*senses_;
+        fault::FaultEvent ev;
+        const std::uint32_t sensed = injectL1d(
+            l1d_.readWordRaw(line, wordAddr), line, wordAddr, ev);
+        if (ev.flippedBits) {
+            ++acc.faultsInjected;
+            ++*readFaults_;
+        }
+        return sensed;
+    }
 };
 
 } // namespace clumsy::mem

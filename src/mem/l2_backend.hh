@@ -34,6 +34,7 @@
 #define CLUMSY_MEM_L2_BACKEND_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -110,9 +111,13 @@ class PrivateL2Backend final : public L2Backend
         store_ = store;
         energy_ = energy;
         stats_ = stats;
+        flushBuf_.resize(l2_->lineBytes());
     }
 
-    bool lookup(SimAddr addr) override { return l2_->lookup(addr); }
+    bool lookup(SimAddr addr) override
+    {
+        return l2_->lookup(addr).has_value();
+    }
 
     void fill(SimAddr base, const std::uint8_t *data) override
     {
@@ -133,26 +138,26 @@ class PrivateL2Backend final : public L2Backend
 
     void flushLine(SimAddr addr) override
     {
-        if (!l2_->contains(addr))
+        const LineRef line = l2_->find(addr);
+        if (!line)
             return;
-        if (l2_->isDirty(addr)) {
-            std::vector<std::uint8_t> buf(l2_->lineBytes());
-            l2_->readLine(addr, buf.data());
-            store_->writeBlock(l2_->lineBase(addr), buf.data(),
+        if (l2_->isDirty(*line)) {
+            l2_->readLine(*line, flushBuf_.data());
+            store_->writeBlock(l2_->lineBase(addr), flushBuf_.data(),
                                l2_->lineBytes());
         }
-        l2_->invalidate(addr);
+        l2_->invalidate(*line);
     }
 
     std::uint32_t readWordRaw(SimAddr addr) const override
     {
-        return l2_->readWordRaw(addr);
+        return l2_->readWordRaw(l2_->lineOf(addr), addr);
     }
 
     void writeRange(SimAddr addr, const std::uint8_t *src, SimSize len,
                     bool markDirty) override
     {
-        l2_->writeRange(addr, src, len, markDirty);
+        l2_->writeRange(l2_->lineOf(addr), addr, src, len, markDirty);
     }
 
     bool sharedFrame(SimAddr) const override { return false; }
@@ -164,6 +169,7 @@ class PrivateL2Backend final : public L2Backend
     BackingStore *store_ = nullptr;
     energy::EnergyAccount *energy_ = nullptr;
     StatGroup *stats_ = nullptr;
+    std::vector<std::uint8_t> flushBuf_; ///< one L2 line, for flushLine
 };
 
 } // namespace clumsy::mem

@@ -36,12 +36,16 @@ namespace clumsy::mem
  * npu::SharedL2Cache); a private L2 backend marks nothing shareable,
  * so the arbiter's merge machinery never engages and private timing is
  * unchanged.
+ *
+ * No default member initializers: the struct stays trivial, so the
+ * per-access record array in mem::Access is not zero-filled on every
+ * load and store. Build one with all three fields.
  */
 struct L2LineUse
 {
-    SimAddr base = 0;      ///< L2 line base address
-    bool miss = false;     ///< the use transferred the line from DRAM
-    bool shareable = false; ///< other engines may hit this transfer
+    SimAddr base;   ///< L2 line base address
+    bool miss;      ///< the use transferred the line from DRAM
+    bool shareable; ///< other engines may hit this transfer
 };
 
 /** Contention model for a shared L2 access port. */

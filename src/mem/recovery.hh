@@ -16,6 +16,8 @@
 
 #include <string>
 
+#include "common/logging.hh"
+
 namespace clumsy::mem
 {
 
@@ -61,13 +63,31 @@ struct WayDisablePolicy
 };
 
 /** @return true when the scheme uses parity detection. */
-bool usesParity(RecoveryScheme scheme);
+inline bool
+usesParity(RecoveryScheme scheme)
+{
+    return scheme != RecoveryScheme::NoDetection;
+}
 
 /**
  * Number of L1 read attempts (initial + retries) before the block is
  * invalidated and refetched from L2. NoDetection never invalidates.
  */
-unsigned readAttempts(RecoveryScheme scheme);
+inline unsigned
+readAttempts(RecoveryScheme scheme)
+{
+    switch (scheme) {
+      case RecoveryScheme::NoDetection:
+        return 1;
+      case RecoveryScheme::OneStrike:
+        return 1;
+      case RecoveryScheme::TwoStrike:
+        return 2;
+      case RecoveryScheme::ThreeStrike:
+        return 3;
+    }
+    panic("unreachable recovery scheme");
+}
 
 /** Human-readable name ("no detection", "one-strike", ...). */
 std::string to_string(RecoveryScheme scheme);

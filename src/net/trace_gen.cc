@@ -17,6 +17,14 @@ const char *const kUrlStems[] = {
     "/docs/manual", "/feed.xml",
 };
 
+/** @p config after validate() (which fatal()s on a bad one). */
+TraceConfig
+validated(TraceConfig config)
+{
+    config.validate();
+    return config;
+}
+
 } // namespace
 
 void
@@ -84,12 +92,13 @@ TraceGenerator::makeUrlPool(const TraceConfig &config)
 }
 
 TraceGenerator::TraceGenerator(TraceConfig config)
-    : config_(config), rng_(config.seed)
+    : config_(validated(config)),
+      rng_(config.seed),
+      destPool_(makeDestPool(config_)),
+      destZipf_(destPool_.size(), config_.destZipf),
+      flowZipf_(config_.numFlows, config_.flowZipf),
+      urlZipf_(config_.httpPayloads ? config_.numUrls : 0, 1.0)
 {
-    config_.validate();
-
-    destPool_ = makeDestPool(config_);
-
     flows_.reserve(config_.numFlows);
     for (std::uint32_t i = 0; i < config_.numFlows; ++i)
         flows_.push_back(drawFlow(rng_));
@@ -105,7 +114,7 @@ TraceGenerator::drawFlow(Rng &rng) const
     // Private 10/8 sources (what NAT translates).
     f.src = 0x0a000000u |
             (static_cast<std::uint32_t>(rng.next()) & 0x00ffffffu);
-    const auto destIdx = rng.zipf(destPool_.size(), config_.destZipf);
+    const auto destIdx = destZipf_.sample(rng);
     f.dst = destPool_[destIdx - 1];
     f.srcPort = static_cast<std::uint16_t>(1024 + rng.below(60000));
     f.dstPort = rng.bernoulli(0.6)
@@ -132,7 +141,7 @@ TraceGenerator::emit(const FlowTuple &flow)
     pkt.dstPort = flow.dstPort;
 
     if (config_.httpPayloads) {
-        const auto urlIdx = rng_.zipf(urlPool_.size(), 1.0) - 1;
+        const auto urlIdx = urlZipf_.sample(rng_) - 1;
         const std::string &url = urlPool_[urlIdx];
         std::string req = "GET " + url + " HTTP/1.0\r\nHost: h\r\n\r\n";
         pkt.payload.assign(req.begin(), req.end());
@@ -159,7 +168,7 @@ TraceGenerator::next()
 {
     // Pick a flow with Zipf popularity (hot flows dominate, as in
     // real traces).
-    const auto flowIdx = rng_.zipf(flows_.size(), config_.flowZipf) - 1;
+    const auto flowIdx = flowZipf_.sample(rng_) - 1;
     return emit(flows_[flowIdx]);
 }
 

@@ -154,6 +154,9 @@ class TraceGenerator
     /** The URL path pool used for HTTP payloads. */
     const std::vector<std::string> &urls() const { return urlPool_; }
 
+    /** Flow popularity: Zipf(numFlows, flowZipf) over flow ranks. */
+    const ZipfTable &flowPopularity() const { return flowZipf_; }
+
     /** The configuration in force. */
     const TraceConfig &config() const { return config_; }
 
@@ -178,6 +181,9 @@ class TraceGenerator
     std::vector<FlowTuple> flows_;
     std::vector<std::string> urlPool_;
     std::uint64_t seq_ = 0;
+    ZipfTable destZipf_; ///< over destPool_
+    ZipfTable flowZipf_; ///< over flows_
+    ZipfTable urlZipf_;  ///< over urlPool_ (empty without HTTP)
 };
 
 } // namespace clumsy::net

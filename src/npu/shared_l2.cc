@@ -123,7 +123,8 @@ SharedL2Cache::SharedL2Cache(const mem::CacheGeometry &geom,
       energies_(peCount, nullptr),
       views_(peCount),
       engineStats_(peCount),
-      diverged_(memBytes / geom.lineBytes, 0)
+      diverged_(memBytes / geom.lineBytes, 0),
+      flushBuf_(geom.lineBytes)
 {
     CLUMSY_ASSERT(peCount >= 1, "shared L2 needs at least one engine");
     CLUMSY_ASSERT(memBytes % geom.lineBytes == 0,
@@ -252,7 +253,8 @@ SharedL2Cache::migrateFrom(unsigned pe, const mem::Cache &privateL2)
 {
     std::vector<std::uint8_t> buf(lineBytes_);
     for (const SimAddr base : privateL2.residentLineBasesByLru()) {
-        const bool dirty = privateL2.isDirty(base);
+        const std::size_t line = privateL2.lineOf(base);
+        const bool dirty = privateL2.isDirty(line);
         CLUMSY_ASSERT(!dirty || diverged(base),
                       "dirty line migrating into a shared frame");
         if (!diverged(base) && cache_.contains(base)) {
@@ -261,10 +263,10 @@ SharedL2Cache::migrateFrom(unsigned pe, const mem::Cache &privateL2)
             // clean everywhere and store-identical), so nothing moves.
             continue;
         }
-        privateL2.readLine(base, buf.data());
+        privateL2.readLine(line, buf.data());
         fill(pe, base, buf.data());
         if (dirty)
-            cache_.setDirty(keyFor(pe, base));
+            cache_.setDirty(cache_.lineOf(keyFor(pe, base)));
         stats_.inc("migrated_lines");
     }
 }
@@ -284,7 +286,7 @@ bool
 SharedL2Cache::lookup(unsigned pe, SimAddr addr)
 {
     const SimAddr base = lineBase(addr);
-    const bool hit = cache_.lookup(keyFor(pe, addr));
+    const bool hit = cache_.lookup(keyFor(pe, addr)).has_value();
     if (!hit) {
         ++engineStats_[pe].misses;
         return false;
@@ -355,9 +357,10 @@ SharedL2Cache::contains(unsigned pe, SimAddr addr) const
 void
 SharedL2Cache::convertToColored(unsigned pe, SimAddr base)
 {
-    CLUMSY_ASSERT(cache_.contains(base),
+    const mem::LineRef line = cache_.find(base);
+    CLUMSY_ASSERT(line.has_value(),
                   "shared->colored conversion of an absent frame");
-    CLUMSY_ASSERT(!cache_.isDirty(base), "dirty shared frame");
+    CLUMSY_ASSERT(!cache_.isDirty(*line), "dirty shared frame");
     // The stride preserves the set index, so the colored key lives in
     // the same set: the line is re-tagged in place, keeping its LRU
     // position, so a one-engine shared chip ages lines exactly like a
@@ -378,8 +381,8 @@ SharedL2Cache::writeRange(unsigned pe, SimAddr addr,
     // shared frame must first become this engine's colored line.
     if (!diverged(base))
         convertToColored(pe, base);
-    cache_.writeRange(addr + stride_ * (SimAddr{pe} + 1), src, len,
-                      markDirty);
+    const SimAddr key = addr + stride_ * (SimAddr{pe} + 1);
+    cache_.writeRange(cache_.lineOf(key), key, src, len, markDirty);
 }
 
 void
@@ -391,29 +394,30 @@ SharedL2Cache::flushLine(unsigned pe, SimAddr addr)
         // line, so the stores will differ afterwards: diverge now.
         // The shared frame (when present) is clean — drop it; other
         // engines refill their colored copies from their own stores.
-        if (cache_.contains(base)) {
-            CLUMSY_ASSERT(!cache_.isDirty(base), "dirty shared frame");
-            cache_.invalidate(base);
+        if (const mem::LineRef line = cache_.find(base)) {
+            CLUMSY_ASSERT(!cache_.isDirty(*line), "dirty shared frame");
+            cache_.invalidate(*line);
             fillOwner_.erase(base);
         }
         markDiverged(base);
         return;
     }
-    const SimAddr key = base + stride_ * (SimAddr{pe} + 1);
-    if (!cache_.contains(key))
+    const mem::LineRef line =
+        cache_.find(base + stride_ * (SimAddr{pe} + 1));
+    if (!line)
         return;
-    if (cache_.isDirty(key)) {
-        std::vector<std::uint8_t> buf(lineBytes_);
-        cache_.readLine(key, buf.data());
-        stores_[pe]->writeBlock(base, buf.data(), lineBytes_);
+    if (cache_.isDirty(*line)) {
+        cache_.readLine(*line, flushBuf_.data());
+        stores_[pe]->writeBlock(base, flushBuf_.data(), lineBytes_);
     }
-    cache_.invalidate(key);
+    cache_.invalidate(*line);
 }
 
 std::uint32_t
 SharedL2Cache::readWordRaw(unsigned pe, SimAddr addr) const
 {
-    return cache_.readWordRaw(keyFor(pe, addr));
+    const SimAddr key = keyFor(pe, addr);
+    return cache_.readWordRaw(cache_.lineOf(key), key);
 }
 
 } // namespace clumsy::npu

@@ -339,6 +339,7 @@ class SharedL2Cache
     std::vector<View> views_;
     std::vector<EngineStats> engineStats_;
     std::vector<char> diverged_; ///< per-DRAM-line, monotone
+    std::vector<std::uint8_t> flushBuf_; ///< one line, for flushLine
     /** Shared-frame line base -> engine whose refill installed it. */
     std::unordered_map<SimAddr, unsigned> fillOwner_;
     StatGroup stats_{"shared_l2"};

@@ -71,6 +71,10 @@ ChurnSource::ChurnSource(const net::TraceConfig &config,
       flows_(gen_, churnRng_, config.churn, config.numFlows),
       slotPackets_(config.numFlows, 0), nominalGap_(nominalGapCycles)
 {
+    // Slot picks sample the generator's flow-popularity table, which
+    // ranks exactly as many flows as the live table holds.
+    CLUMSY_ASSERT(gen_.flowPopularity().size() == flows_.size(),
+                  "flow popularity does not match the flow table");
 }
 
 std::uint64_t
@@ -117,7 +121,7 @@ ChurnSource::next()
 
     // Zipf-popular slot pick: rank 1 is the hottest live flow.
     const auto slot = static_cast<std::size_t>(
-        churnRng_.zipf(flows_.size(), gen_.config().flowZipf) - 1);
+        gen_.flowPopularity().sample(churnRng_) - 1);
 
     // The packet the first arrival of the stream lands at t = 0; each
     // later packet trails its predecessor by the nominal gap scaled

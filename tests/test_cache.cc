@@ -47,13 +47,27 @@ TEST(Cache, FillPreservesData)
 {
     Cache cache("t", CacheGeometry{4096, 1, 32, 22});
     const auto line = patternLine(32, 7);
-    cache.fill(0x200, line.data());
+    const std::size_t at = cache.fill(0x200, line.data()).line;
     std::uint8_t out[32];
-    cache.readLine(0x210, out);
+    cache.readLine(at, out);
     EXPECT_EQ(std::memcmp(out, line.data(), 32), 0);
     std::uint32_t word;
     std::memcpy(&word, &line[8], 4);
-    EXPECT_EQ(cache.readWordRaw(0x208), word);
+    EXPECT_EQ(cache.readWordRaw(at, 0x208), word);
+}
+
+TEST(Cache, FillLookupAndFindNameTheSameLine)
+{
+    Cache cache("t", CacheGeometry{256, 2, 32, 22});
+    const auto l = patternLine(32, 12);
+    const std::size_t a = cache.fill(0x000, l.data()).line;
+    const std::size_t b = cache.fill(0x080, l.data()).line; // same set
+    EXPECT_NE(a, b);
+    EXPECT_EQ(*cache.find(0x01c), a);
+    EXPECT_EQ(*cache.lookup(0x084), b);
+    EXPECT_EQ(cache.lineOf(0x080), b);
+    EXPECT_FALSE(cache.find(0x100).has_value());
+    EXPECT_EQ(cache.stats().get("hits"), 1u); // find() counts nothing
 }
 
 TEST(Cache, DirectMappedConflictEvicts)
@@ -89,11 +103,11 @@ TEST(Cache, DirtyWritebackCarriesData)
 {
     Cache cache("t", CacheGeometry{4096, 1, 32, 22});
     const auto l = patternLine(32, 4);
-    cache.fill(0x40, l.data());
-    cache.writeWordRaw(0x40, 0xdeadbeef,
+    const std::size_t at = cache.fill(0x40, l.data()).line;
+    cache.writeWordRaw(at, 0x40, 0xdeadbeef,
                        cache.computeCheck(0xdeadbeef));
-    cache.setDirty(0x40);
-    EXPECT_TRUE(cache.isDirty(0x40));
+    cache.setDirty(at);
+    EXPECT_TRUE(cache.isDirty(at));
     const auto evicted = cache.fill(0x1040, l.data());
     ASSERT_TRUE(evicted.valid);
     ASSERT_TRUE(evicted.dirty);
@@ -110,24 +124,24 @@ TEST(Cache, ExplicitParityCanDisagreeWithData)
     // parity bit reflects the *intended* value.
     Cache cache("t", CacheGeometry{4096, 1, 32, 22});
     const auto l = patternLine(32, 5);
-    cache.fill(0x80, l.data());
+    const std::size_t at = cache.fill(0x80, l.data()).line;
     const std::uint32_t intended = 0x00000000;
     const std::uint32_t corrupted = 0x00000001; // 1-bit write fault
-    cache.writeWordRaw(0x80, corrupted, cache.computeCheck(intended));
-    EXPECT_EQ(cache.readWordRaw(0x80), corrupted);
-    EXPECT_FALSE(parityMatches(cache.readWordRaw(0x80),
-                               (cache.wordCheck(0x80) & 1) != 0));
+    cache.writeWordRaw(at, 0x80, corrupted, cache.computeCheck(intended));
+    EXPECT_EQ(cache.readWordRaw(at, 0x80), corrupted);
+    EXPECT_FALSE(parityMatches(cache.readWordRaw(at, 0x80),
+                               (cache.wordCheck(at, 0x80) & 1) != 0));
 }
 
 TEST(Cache, FillRegeneratesParity)
 {
     Cache cache("t", CacheGeometry{4096, 1, 32, 22});
     const auto l = patternLine(32, 6);
-    cache.fill(0xc0, l.data());
+    const std::size_t at = cache.fill(0xc0, l.data()).line;
     for (SimAddr off = 0; off < 32; off += 4) {
         EXPECT_TRUE(
-            parityMatches(cache.readWordRaw(0xc0 + off),
-                          (cache.wordCheck(0xc0 + off) & 1) != 0));
+            parityMatches(cache.readWordRaw(at, 0xc0 + off),
+                          (cache.wordCheck(at, 0xc0 + off) & 1) != 0));
     }
 }
 
@@ -135,26 +149,24 @@ TEST(Cache, WriteRangeRegeneratesParity)
 {
     Cache cache("t", CacheGeometry{4096, 1, 32, 22});
     const auto l = patternLine(32, 7);
-    cache.fill(0x100, l.data());
+    const std::size_t at = cache.fill(0x100, l.data()).line;
     const std::uint8_t patch[6] = {0xff, 0x01, 0x02, 0x03, 0x04, 0x05};
-    cache.writeRange(0x102, patch, 6, true); // spans words 0 and 1
-    EXPECT_TRUE(parityMatches(cache.readWordRaw(0x100),
-                              (cache.wordCheck(0x100) & 1) != 0));
-    EXPECT_TRUE(parityMatches(cache.readWordRaw(0x104),
-                              (cache.wordCheck(0x104) & 1) != 0));
-    EXPECT_TRUE(cache.isDirty(0x100));
+    cache.writeRange(at, 0x102, patch, 6, true); // spans words 0 and 1
+    EXPECT_TRUE(parityMatches(cache.readWordRaw(at, 0x100),
+                              (cache.wordCheck(at, 0x100) & 1) != 0));
+    EXPECT_TRUE(parityMatches(cache.readWordRaw(at, 0x104),
+                              (cache.wordCheck(at, 0x104) & 1) != 0));
+    EXPECT_TRUE(cache.isDirty(at));
 }
 
 TEST(Cache, InvalidateDropsLine)
 {
     Cache cache("t", CacheGeometry{4096, 1, 32, 22});
     const auto l = patternLine(32, 8);
-    cache.fill(0x140, l.data());
-    cache.setDirty(0x140);
-    cache.invalidate(0x140);
+    const std::size_t at = cache.fill(0x140, l.data()).line;
+    cache.setDirty(at);
+    cache.invalidate(at);
     EXPECT_FALSE(cache.contains(0x140));
-    EXPECT_EQ(cache.stats().get("invalidations"), 1u);
-    cache.invalidate(0x140); // absent: no-op
     EXPECT_EQ(cache.stats().get("invalidations"), 1u);
 }
 
@@ -181,7 +193,21 @@ TEST(Cache, MissRate)
 TEST(CacheDeath, RawAccessRequiresPresence)
 {
     Cache cache("t", CacheGeometry{4096, 1, 32, 22});
-    EXPECT_DEATH(cache.readWordRaw(0x40), "not present");
+    EXPECT_DEATH(cache.lineOf(0x40), "not present");
+    EXPECT_DEATH(cache.readWordRaw(2, 0x40), "not present");
+    EXPECT_DEATH(cache.invalidate(2), "not present");
+}
+
+TEST(CacheDeath, WordAccessMustBeInsideTheGivenLine)
+{
+    Cache cache("t", CacheGeometry{4096, 1, 32, 22});
+    const auto l = patternLine(32, 13);
+    const std::size_t at = cache.fill(0x40, l.data()).line;
+    EXPECT_DEATH(cache.readWordRaw(at, 0x60), "outside the given line");
+    EXPECT_DEATH(cache.writeWordRaw(at, 0x1040, 0, 0),
+                 "outside the given line");
+    EXPECT_DEATH(cache.wordCheck(at, 0x44 + 0x20),
+                 "outside the given line");
 }
 
 TEST(CacheDeath, FillRejectsDuplicate)
@@ -316,7 +342,7 @@ TEST(Cache, SoaMatchesNaiveModelUnderRandomOps)
         const std::uint64_t base = (rng() % 16) * 32;
         switch (rng() % 3) {
         case 0: { // lookup, fill on miss
-            const bool hit = cache.lookup(base + rng() % 32);
+            const bool hit = cache.lookup(base + rng() % 32).has_value();
             const bool refHit = ref.lookup(base);
             ASSERT_EQ(hit, refHit) << "op " << op;
             (hit ? hits : misses) += 1;
@@ -346,7 +372,8 @@ TEST(Cache, SoaMatchesNaiveModelUnderRandomOps)
                 b = static_cast<std::uint8_t>(rng());
             const unsigned off = rng() % 25; // off+8 <= 32
             const bool markDirty = rng() % 2 == 0;
-            cache.writeRange(base + off, patch, 8, markDirty);
+            cache.writeRange(cache.lineOf(base), base + off, patch, 8,
+                             markDirty);
             ref.writeRange(base + off, patch, 8, markDirty);
             break;
         }
@@ -356,11 +383,12 @@ TEST(Cache, SoaMatchesNaiveModelUnderRandomOps)
                 << "op " << op;
             if (l == nullptr)
                 break;
+            const std::size_t at = cache.lineOf(base);
             std::uint8_t got[32];
-            cache.readLine(base, got);
+            cache.readLine(at, got);
             ASSERT_EQ(std::memcmp(got, l->data.data(), 32), 0)
                 << "op " << op;
-            ASSERT_EQ(cache.isDirty(base), l->dirty) << "op " << op;
+            ASSERT_EQ(cache.isDirty(at), l->dirty) << "op " << op;
             break;
         }
         }

@@ -91,9 +91,10 @@ TEST(Rng, ExponentialMean)
 TEST(Rng, ZipfRankOneMostPopular)
 {
     Rng rng(6);
+    const ZipfTable zipf(10, 1.0);
     std::uint64_t counts[10] = {};
     for (int i = 0; i < 50000; ++i)
-        ++counts[rng.zipf(10, 1.0) - 1];
+        ++counts[zipf.sample(rng) - 1];
     for (int k = 1; k < 10; ++k)
         EXPECT_GT(counts[0], counts[k]);
     // Rank 1 should get ~1/H(10) = 34% of the mass at s = 1.

@@ -114,8 +114,8 @@ TEST(EnergyAccount, AccumulatesByEvent)
     account.addCoreCycles(10.0);
     EXPECT_NEAR(account.restPj(), 10.0 * model.restPerCyclePj(),
                 1e-9);
-    account.addL1dRead(1.0, Protection::None);
-    account.addL1dWrite(1.0, Protection::None);
+    account.addL1d(model.l1dReadPj(1.0, Protection::None));
+    account.addL1d(model.l1dWritePj(1.0, Protection::None));
     EXPECT_NEAR(account.l1dPj(),
                 model.l1dReadPj(1.0, Protection::None) +
                     model.l1dWritePj(1.0, Protection::None),

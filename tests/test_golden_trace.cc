@@ -19,6 +19,11 @@
  * the chip step loop across every workload, dispatch policy and
  * queue-full mode; they were generated while independent reference
  * implementations of both still agreed with them bit for bit.
+ * The dynamic-Cr, SEC-DED, mapped-fault/way-retire and dvs=queue
+ * entries pin the L1D path's energy across clock switches, inline ECC
+ * correction, map-mode draws with frame retirement, and per-PE DVS;
+ * they were generated before the L1D path was reworked to price its
+ * energy per clock change and probe its tags once per access.
  *
  * Regenerating (only when a change is *meant* to shift results):
  *   CLUMSY_REGEN_GOLDEN=1 ./build/tests/test_golden_trace
@@ -40,6 +45,7 @@
 
 #include "apps/app.hh"
 #include "core/experiment.hh"
+#include "fault/fault_map.hh"
 #include "npu/chip.hh"
 #include "npu/config.hh"
 
@@ -82,6 +88,11 @@ struct GoldenCase
                        ///< backpressure (stall accounting)
     std::int64_t gap = 0; ///< arrival gap, base cycles
     bool golden = true;   ///< ChipStream: golden run, else trial 0
+    bool dynamic = false; ///< dynamic-frequency controller
+    mem::CheckCodec codec = mem::CheckCodec::Parity;
+    const char *faultMap = "off"; ///< `--fault-map` value
+    unsigned wayRetire = 0;       ///< way-disable retire threshold
+    npu::DvsMode dvs = npu::DvsMode::Fault;
 };
 
 /**
@@ -201,6 +212,49 @@ const GoldenCase kCases[] = {
      .pes = 4,
      .dispatch = npu::DispatchPolicy::FlowHash,
      .golden = false},
+
+    // Dynamic frequency: the controller switches Cr mid-run, so every
+    // D-cache access after a switch is charged at the new clock.
+    {.name = "core_dynamic_crc",
+     .app = "crc",
+     .harness = Harness::CoreTrial,
+     .packets = 600,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .dynamic = true},
+    // SEC-DED: single-bit faults are corrected inline, double-bit
+    // faults go through the strike machinery.
+    {.name = "core_secded_route",
+     .app = "route",
+     .harness = Harness::CoreTrial,
+     .packets = 300,
+     .cr = 0.25,
+     .faultScale = 20.0,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .codec = mem::CheckCodec::Secded},
+    // Weak-cell map with way-disable: map-mode draws, strike-outs and
+    // frame retirement (the L1D is direct-mapped, so a retired frame
+    // kills its set and later accesses to it are served by the L2).
+    {.name = "core_mapped_retire_crc",
+     .app = "crc",
+     .harness = Harness::CoreTrial,
+     .packets = 300,
+     .cr = 0.25,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .faultMap = "spatial",
+     .wayRetire = 2},
+    // Per-PE queue-driven DVS: chip-level epochs retune each engine.
+    {.name = "stream_dvs_queue_route",
+     .app = "route",
+     .harness = Harness::ChipStream,
+     .packets = 1200,
+     .cr = 0.5,
+     .faultScale = 20.0,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .pes = 4,
+     .dispatch = npu::DispatchPolicy::FlowHash,
+     .golden = false,
+     .dynamic = true,
+     .dvs = npu::DvsMode::Queue},
 };
 
 /**
@@ -249,6 +303,17 @@ PrintTo(const GoldenCase &gc, std::ostream *os)
         break;
     }
     *os << " packets=" << gc.packets;
+    // Non-default knobs only, so older cases keep their names.
+    if (gc.dynamic)
+        *os << " dynamic";
+    if (gc.codec == mem::CheckCodec::Secded)
+        *os << " codec=secded";
+    if (std::string(gc.faultMap) != "off")
+        *os << " faultmap=" << gc.faultMap;
+    if (gc.wayRetire != 0)
+        *os << " way-retire=" << gc.wayRetire;
+    if (gc.dvs != npu::DvsMode::Fault)
+        *os << " dvs=" << npu::to_string(gc.dvs);
 }
 
 /** Exact round-trip text for a double (%.17g re-reads bit-equal). */
@@ -394,6 +459,10 @@ digest(const GoldenCase &gc)
     cfg.cr = gc.cr;
     cfg.faultScale = gc.faultScale;
     cfg.scheme = gc.scheme;
+    cfg.dynamicFrequency = gc.dynamic;
+    cfg.processor.hierarchy.codec = gc.codec;
+    cfg.processor.hierarchy.wayDisable.retireThreshold = gc.wayRetire;
+    cfg.processor.faultMap = fault::faultMapSpecFromString(gc.faultMap);
 
     npu::NpuConfig npuCfg;
     npuCfg.peCount = gc.pes;
@@ -403,6 +472,7 @@ digest(const GoldenCase &gc)
     npuCfg.queueCapacity = gc.queueCap;
     npuCfg.dropWhenFull = gc.drop;
     npuCfg.arrivalGapCycles = gc.gap;
+    npuCfg.dvs = gc.dvs;
 
     const core::AppFactory factory = apps::appFactory(gc.app);
     DigestWriter w;

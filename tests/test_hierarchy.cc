@@ -250,6 +250,47 @@ TEST(Hierarchy, EnergyChargedPerAccess)
     EXPECT_GT(rig.account.l2Pj(), 0.0);
 }
 
+TEST(Hierarchy, L1dEnergyIsTheModelPriceAtTheCurrentClock)
+{
+    // Each protection level, and the clock it is re-priced at, must
+    // charge exactly the model's per-access price: bit-equal, not
+    // merely close, because the recorded energies are compared
+    // stringwise by the golden corpus.
+    struct Level
+    {
+        RecoveryScheme scheme;
+        CheckCodec codec;
+        energy::Protection prot;
+    };
+    const Level levels[] = {
+        {RecoveryScheme::NoDetection, CheckCodec::Parity,
+         energy::Protection::None},
+        {RecoveryScheme::OneStrike, CheckCodec::Parity,
+         energy::Protection::Parity},
+        {RecoveryScheme::TwoStrike, CheckCodec::Secded,
+         energy::Protection::Secded},
+    };
+    for (const Level &level : levels) {
+        HierarchyConfig cfg;
+        cfg.scheme = level.scheme;
+        cfg.codec = level.codec;
+        Rig rig(cfg);
+        for (const double cr : {1.0, 0.75, 0.5, 0.3, 0.25}) {
+            SCOPED_TRACE(cr);
+            rig.hier.setCycleTime(cr);
+            rig.hier.write(0xe000, 4, 0x1234); // line now resident
+            rig.account.reset();
+            rig.hier.read(0xe000, 4);
+            EXPECT_EQ(rig.account.l1dPj(),
+                      rig.model.l1dReadPj(cr, level.prot));
+            rig.account.reset();
+            rig.hier.write(0xe000, 4, 0x5678);
+            EXPECT_EQ(rig.account.l1dPj(),
+                      rig.model.l1dWritePj(cr, level.prot));
+        }
+    }
+}
+
 TEST(Hierarchy, ResetDropsState)
 {
     Rig rig;

@@ -161,6 +161,53 @@ TEST(Injector, ResetStatsClearsCounters)
     EXPECT_EQ(injector.accessCount(), 0u);
 }
 
+TEST(Injector, FaultSequenceIsPinned)
+{
+    // The first faults of a fixed seed at Cr = 0.25, at the paper's
+    // rates: (access index, XOR mask). Any change to the draw order,
+    // the threshold expression or the flip placement moves them.
+    struct Fault
+    {
+        std::uint64_t access;
+        std::uint32_t mask;
+    };
+    struct Width
+    {
+        unsigned bits;
+        Fault first[8];
+    };
+    const Width widths[] = {
+        {8,
+         {{16654, 0x1}, {125755, 0x1}, {127892, 0x10}, {164657, 0x1},
+          {318306, 0x10}, {335339, 0x8}, {354084, 0x1}, {437792, 0x1}}},
+        {16,
+         {{16654, 0x100}, {87516, 0x200}, {125754, 0x100},
+          {127891, 0x10}, {145882, 0x4000}, {164655, 0x100},
+          {167580, 0x80}, {175867, 0x8}}},
+        {32,
+         {{16654, 0x1000000}, {35276, 0x20}, {78318, 0x8000000},
+          {86028, 0x10000}, {87513, 0x200}, {90892, 0x800},
+          {94015, 0x8000000}, {99505, 0x800000}}},
+    };
+    for (const Width &w : widths) {
+        SCOPED_TRACE(w.bits);
+        FaultInjector injector(FaultModel(FaultModelParams{}), 0x1e57);
+        injector.setCycleTime(0.25);
+        std::uint64_t access = 0;
+        for (const Fault &want : w.first) {
+            FaultEvent ev;
+            std::uint32_t got = 0;
+            do {
+                got = injector.corrupt(0xa5a5a5a5u, w.bits, &ev);
+            } while (ev.flippedBits == 0 && ++access < 1000000);
+            EXPECT_EQ(access, want.access);
+            EXPECT_EQ(ev.mask, want.mask);
+            EXPECT_EQ(got, 0xa5a5a5a5u ^ want.mask);
+            ++access;
+        }
+    }
+}
+
 TEST(InjectorDeath, RejectsBadWidth)
 {
     auto injector = boostedInjector(1.0);
