@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -35,6 +36,16 @@ parseU64(const std::string &opt, const std::string &value)
         fatal("%s: '%s' is not an unsigned integer", opt.c_str(),
               value.c_str());
     return v;
+}
+
+std::uint32_t
+parseU32(const std::string &opt, const std::string &value)
+{
+    const std::uint64_t v = parseU64(opt, value);
+    if (v > std::numeric_limits<std::uint32_t>::max())
+        fatal("%s: '%s' is out of range (max %u)", opt.c_str(),
+              value.c_str(), std::numeric_limits<std::uint32_t>::max());
+    return static_cast<std::uint32_t>(v);
 }
 
 std::vector<std::string>
@@ -135,7 +146,7 @@ ArgParser::optUnsigned(const std::string &name,
                        const std::string &help, unsigned *target)
 {
     option(name, metavar, help, [name, target](const std::string &v) {
-        *target = static_cast<unsigned>(parseU64(name, v));
+        *target = parseU32(name, v);
     });
 }
 

@@ -108,6 +108,12 @@ double parseDouble(const std::string &opt, const std::string &value);
 std::uint64_t parseU64(const std::string &opt, const std::string &value);
 
 /**
+ * parseU64 narrowed to 32 bits: fatal()s on a value above
+ * UINT32_MAX rather than letting the cast wrap it (4294967298 -> 2).
+ */
+std::uint32_t parseU32(const std::string &opt, const std::string &value);
+
+/**
  * Split @p text on @p sep, trimming surrounding spaces from each
  * piece; empty pieces are dropped.
  */

@@ -42,6 +42,18 @@ to_string(FaultPlane plane)
 }
 
 void
+ExperimentConfig::validate() const
+{
+    if (numPackets < 1)
+        fatal("packets must be >= 1");
+    if (trials < 1)
+        fatal("trials must be >= 1");
+    // Negated so a NaN scale is rejected too.
+    if (!(faultScale >= 0.0))
+        fatal("fault-scale must be >= 0, got %g", faultScale);
+}
+
+void
 ValueRecorder::beginPacket()
 {
     // A frame marker in the digest separates consecutive packets, so

@@ -210,6 +210,13 @@ struct ExperimentConfig
 
     /** Template for the processors built by the harness. */
     ProcessorConfig processor;
+
+    /**
+     * Reject degenerate run sizes and fault rates: fatal() unless
+     * numPackets >= 1, trials >= 1 and faultScale >= 0. The CLIs and
+     * the sweep grid both call this before any simulation.
+     */
+    void validate() const;
 };
 
 /** Aggregated outcome of one experiment (over all trials). */

@@ -365,13 +365,9 @@ runCardExperiment(const core::AppFactory &factory,
             ++fatals;
         faulty.push_back(run.card);
     }
-    result.faultyCard = faulty.empty() ? result.golden.card
-                                       : averageCardMetrics(faulty);
-    result.fatalFraction =
-        config.trials > 0
-            ? static_cast<double>(fatals) /
-                  static_cast<double>(config.trials)
-            : 0.0;
+    result.faultyCard = averageCardMetrics(faulty);
+    result.fatalFraction = static_cast<double>(fatals) /
+                           static_cast<double>(config.trials);
     return result;
 }
 

@@ -151,7 +151,10 @@ struct CardExperimentResult
     double fatalFraction = 0.0; ///< trials in which any chip died
 };
 
-/** Golden + config.trials faulty card runs, reduced in trial order. */
+/**
+ * Golden + config.trials (>= 1, see ExperimentConfig::validate) faulty
+ * card runs, reduced in trial order.
+ */
 CardExperimentResult runCardExperiment(const core::AppFactory &factory,
                                        const core::ExperimentConfig &config,
                                        const npu::NpuConfig &npu,

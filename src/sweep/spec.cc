@@ -180,20 +180,16 @@ SweepSpec::parse(const std::string &grid)
                 spec.planes.push_back(planeFromString(v));
         } else if (key == "fault-scale") {
             spec.faultScales.clear();
-            for (const std::string &v : values) {
-                const double s = cli::parseDouble("fault-scale", v);
-                if (s < 0.0)
-                    fatal("fault-scale must be >= 0, got %s",
-                          v.c_str());
-                spec.faultScales.push_back(s);
-            }
+            for (const std::string &v : values)
+                spec.faultScales.push_back(
+                    cli::parseDouble("fault-scale", v));
         } else if (key == "pes") {
             spec.peCounts.clear();
             for (const std::string &v : values) {
-                const std::uint64_t n = cli::parseU64("pes", v);
+                const std::uint32_t n = cli::parseU32("pes", v);
                 if (n == 0)
                     fatal("pes must be >= 1");
-                spec.peCounts.push_back(static_cast<unsigned>(n));
+                spec.peCounts.push_back(n);
             }
         } else if (key == "dispatch") {
             spec.dispatches.clear();
@@ -221,10 +217,10 @@ SweepSpec::parse(const std::string &grid)
         } else if (key == "mshrs") {
             spec.mshrs.clear();
             for (const std::string &v : values) {
-                const std::uint64_t n = cli::parseU64("mshrs", v);
+                const std::uint32_t n = cli::parseU32("mshrs", v);
                 if (n == 0)
                     fatal("mshrs must be >= 1");
-                spec.mshrs.push_back(static_cast<unsigned>(n));
+                spec.mshrs.push_back(n);
             }
         } else if (key == "l2") {
             spec.l2Modes.clear();
@@ -238,36 +234,32 @@ SweepSpec::parse(const std::string &grid)
         } else if (key == "chip-jobs") {
             spec.chipJobs.clear();
             for (const std::string &v : values)
-                spec.chipJobs.push_back(static_cast<unsigned>(
-                    cli::parseU64("chip-jobs", v)));
+                spec.chipJobs.push_back(cli::parseU32("chip-jobs", v));
         } else if (key == "chips") {
             spec.chips.clear();
             for (const std::string &v : values) {
-                const std::uint64_t n = cli::parseU64("chips", v);
+                const std::uint32_t n = cli::parseU32("chips", v);
                 if (n == 0)
                     fatal("chips must be >= 1");
-                spec.chips.push_back(static_cast<unsigned>(n));
+                spec.chips.push_back(n);
             }
         } else if (key == "dram-banks") {
             // 0 is the model-off sentinel (what toGridString prints
             // for an unswept axis), so grids round-trip.
             spec.dramBanks.clear();
             for (const std::string &v : values)
-                spec.dramBanks.push_back(static_cast<unsigned>(
-                    cli::parseU64("dram-banks", v)));
+                spec.dramBanks.push_back(cli::parseU32("dram-banks", v));
         } else if (key == "card-jobs") {
             spec.cardJobs.clear();
             for (const std::string &v : values)
-                spec.cardJobs.push_back(static_cast<unsigned>(
-                    cli::parseU64("card-jobs", v)));
+                spec.cardJobs.push_back(cli::parseU32("card-jobs", v));
         } else if (key == "flows") {
             // 0 is the app-default sentinel (what toGridString prints
             // for an unswept axis), so grids round-trip; the tools'
             // --flows flag still rejects 0 outright.
             spec.flows.clear();
             for (const std::string &v : values)
-                spec.flows.push_back(static_cast<std::uint32_t>(
-                    cli::parseU64("flows", v)));
+                spec.flows.push_back(cli::parseU32("flows", v));
         } else if (key == "churn") {
             spec.churns.clear();
             for (const std::string &v : values)
@@ -283,15 +275,13 @@ SweepSpec::parse(const std::string &grid)
         } else if (key == "retire") {
             spec.retires.clear();
             for (const std::string &v : values)
-                spec.retires.push_back(static_cast<unsigned>(
-                    cli::parseU64("retire", v)));
+                spec.retires.push_back(cli::parseU32("retire", v));
         } else if (key == "ctrl") {
             // 0 is the no-control-plane sentinel (what toGridString
             // prints for an unswept axis), so grids round-trip.
             spec.ctrlRates.clear();
             for (const std::string &v : values)
-                spec.ctrlRates.push_back(static_cast<std::uint32_t>(
-                    cli::parseU64("ctrl", v)));
+                spec.ctrlRates.push_back(cli::parseU32("ctrl", v));
         } else if (key == "updates") {
             spec.updateMixes.clear();
             for (const std::string &v : values)
@@ -299,10 +289,7 @@ SweepSpec::parse(const std::string &grid)
         } else if (key == "packets") {
             spec.packets = cli::parseU64("packets", scalar());
         } else if (key == "trials") {
-            spec.trials =
-                static_cast<unsigned>(cli::parseU64("trials", scalar()));
-            if (spec.trials == 0)
-                fatal("trials must be >= 1");
+            spec.trials = cli::parseU32("trials", scalar());
         } else if (key == "seed") {
             spec.traceSeed = cli::parseU64("seed", scalar());
         } else if (key == "fault-seed") {
@@ -312,6 +299,14 @@ SweepSpec::parse(const std::string &grid)
         } else {
             fatal("unknown grid key '%s'", key.c_str());
         }
+    }
+    // Run sizes and fault scales get the same checks as the CLIs'.
+    core::ExperimentConfig probe;
+    probe.numPackets = spec.packets;
+    probe.trials = spec.trials;
+    for (const double scale : spec.faultScales) {
+        probe.faultScale = scale;
+        probe.validate();
     }
     return spec;
 }

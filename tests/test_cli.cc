@@ -113,6 +113,24 @@ TEST(CliDeath, RejectsUnknownOptionsAndBadNumbers)
                 testing::ExitedWithCode(1), "unexpected argument");
 }
 
+TEST(Cli, ParseU32KeepsTheWhole32BitRange)
+{
+    EXPECT_EQ(parseU32("n", "0"), 0u);
+    EXPECT_EQ(parseU32("n", "4294967295"), 4294967295u);
+
+    // Past UINT32_MAX a narrowing cast would wrap (4294967298 -> 2);
+    // both the helper and optUnsigned must refuse instead.
+    EXPECT_EXIT(parseU32("--pes", "4294967298"),
+                testing::ExitedWithCode(1), "out of range");
+    unsigned pes = 0;
+    ArgParser p("prog", "test");
+    p.optUnsigned("--pes", "N", "pes", &pes);
+    const char *wraps[] = {"prog", "--pes", "4294967296"};
+    auto argv = makeArgv(wraps);
+    EXPECT_EXIT(p.parse(3, argv.data()), testing::ExitedWithCode(1),
+                "--pes: '4294967296' is out of range");
+}
+
 TEST(Cli, SplitTrimsAndDropsEmpties)
 {
     EXPECT_EQ(split("a, b ,,c", ','),

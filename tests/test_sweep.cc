@@ -10,10 +10,12 @@
 #include <fstream>
 
 #include "apps/app.hh"
+#include "common/cli.hh"
 #include "common/pool.hh"
 #include "core/experiment.hh"
 #include "ctrl/ctrl.hh"
 #include "sweep/json.hh"
+#include "sweep/run_options.hh"
 #include "sweep/runner.hh"
 #include "sweep/sink.hh"
 #include "sweep/spec.hh"
@@ -322,6 +324,113 @@ TEST(SweepSpec, CtrlAxesParseExpandAndKey)
     const core::ExperimentConfig cfg = makeConfig(spec, cells[1]);
     EXPECT_EQ(cfg.ctrl.rate, 50u);
     EXPECT_EQ(cfg.ctrl.mix, ctrl::CtrlMix::Fib);
+}
+
+TEST(SweepSpec, RejectsDegenerateRunsAndWrappingCounts)
+{
+    // The same ExperimentConfig::validate the CLIs call, with the same
+    // messages; packets=0 used to abort the process.
+    EXPECT_EXIT(SweepSpec::parse("app=crc;packets=0"),
+                ::testing::ExitedWithCode(1), "packets must be >= 1");
+    EXPECT_EXIT(SweepSpec::parse("app=crc;trials=0"),
+                ::testing::ExitedWithCode(1), "trials must be >= 1");
+    EXPECT_EXIT(SweepSpec::parse("app=crc;fault-scale=1,-1"),
+                ::testing::ExitedWithCode(1), "fault-scale must be >= 0");
+    // 32-bit keys refuse values a cast would wrap: ctrl=2^32 used to
+    // become a silent no-ctrl cell, pes=2^32+2 a 2-PE chip.
+    EXPECT_EXIT(SweepSpec::parse("app=lpm;ctrl=4294967296"),
+                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_EXIT(SweepSpec::parse("app=crc;pes=4294967298"),
+                ::testing::ExitedWithCode(1), "out of range");
+}
+
+// --- the single-run CLI option set -----------------------------------
+
+namespace
+{
+
+/** configEcho() after parsing "--app route" + @p args for @p tier. */
+std::string
+echoOf(std::vector<std::string> args, Tier tier = Tier::Card)
+{
+    RunOptions opts;
+    cli::ArgParser parser("test", "");
+    opts.add(parser, tier);
+    args.insert(args.begin(), {"test", "--app", "route"});
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    parser.parse(static_cast<int>(argv.size()), argv.data());
+    opts.finish();
+    return opts.configEcho();
+}
+
+} // namespace
+
+TEST(RunOptions, DefaultCoreEchoKeepsTheHistoricalBytes)
+{
+    EXPECT_EQ(echoOf({}, Tier::Core),
+              "{\n"
+              "  \"app\": \"route\",\n"
+              "  \"cr\": 1,\n"
+              "  \"dynamic\": false,\n"
+              "  \"scheme\": \"no-detection\",\n"
+              "  \"codec\": \"parity\",\n"
+              "  \"plane\": \"both\",\n"
+              "  \"fault_scale\": 1,\n"
+              "  \"packets\": 2000,\n"
+              "  \"trials\": 4,\n"
+              "  \"seed\": 1,\n"
+              "  \"fault_seed\": 24301,\n");
+}
+
+TEST(RunOptions, EveryModelFlagChangesTheEcho)
+{
+    // Two runs that differ in any modeled knob must not print the
+    // same config next to different results.
+    const std::string base = echoOf({});
+    const std::vector<std::vector<std::string>> variants = {
+        // run group
+        {"--flows", "64"}, {"--churn", "100"}, {"--ctrl-rate", "50"},
+        {"--flow-zipf", "0.5"}, {"--session-capacity", "64"},
+        {"--session-timeout", "64"}, {"--cr", "0.5"}, {"--dynamic"},
+        {"--scheme", "two-strike"}, {"--codec", "secded"},
+        {"--subblock"}, {"--fault-map", "spatial"}, {"--way-retire", "2"},
+        {"--packets", "10"}, {"--trials", "2"}, {"--plane", "data"},
+        {"--fault-scale", "4"}, {"--seed", "9"}, {"--fault-seed", "9"},
+        // chip group
+        {"--pes", "2"}, {"--dispatch", "flow"}, {"--queue-cap", "4"},
+        {"--drop"}, {"--arrival-gap", "9"}, {"--per-pe-cr", "0.5"},
+        {"--dvs", "queue"}, {"--mshrs", "2"}, {"--l2", "shared"},
+        {"--flow-rehash"},
+        // card group
+        {"--chips", "2"}, {"--card-dispatch", "flow"},
+        {"--dram-banks", "4"}, {"--dram-row-bytes", "1024"},
+        {"--dram-hit", "50"}, {"--dram-miss", "100"},
+        {"--dram-conflict", "200"}, {"--ingress-cap", "8"},
+        {"--per-chip-cr", "0.5"}};
+    for (const auto &v : variants)
+        EXPECT_NE(echoOf(v), base) << v[0];
+
+    // Knobs that only qualify another one differ once it is on.
+    EXPECT_NE(echoOf({"--fault-map", "spatial", "--fault-map-seed", "7"}),
+              echoOf({"--fault-map", "spatial"}));
+    EXPECT_NE(echoOf({"--ctrl-rate", "50", "--ctrl-mix", "fib"}),
+              echoOf({"--ctrl-rate", "50"}));
+    // The map seed composes with the map in either order.
+    EXPECT_EQ(echoOf({"--fault-map-seed", "7", "--fault-map", "spatial"}),
+              echoOf({"--fault-map", "spatial", "--fault-map-seed", "7"}));
+    // Host thread counts are not part of the modeled machine.
+    EXPECT_EQ(echoOf({"--card-jobs", "4"}), base);
+}
+
+TEST(RunOptions, CardEchoRunsHeadThenCardThenChipThenTail)
+{
+    const std::string echo = echoOf({});
+    EXPECT_LT(echo.find("\"fault_scale\""), echo.find("\"chips\""));
+    EXPECT_LT(echo.find("\"ingress_cap\""), echo.find("\"pes\""));
+    EXPECT_LT(echo.find("\"arrival_gap_cycles\""),
+              echo.find("\"packets\""));
 }
 
 // --- work-stealing pool ----------------------------------------------

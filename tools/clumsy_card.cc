@@ -16,324 +16,53 @@
  */
 
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "apps/app.hh"
-#include "apps/session.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "ctrl/ctrl.hh"
 #include "linecard/card.hh"
-#include "npu/config.hh"
 #include "sweep/json.hh"
+#include "sweep/run_options.hh"
 #include "sweep/sink.hh"
-#include "sweep/spec.hh"
 
 using namespace clumsy;
-
-namespace
-{
-
-void
-printJson(const std::string &app, const core::ExperimentConfig &cfg,
-          const npu::NpuConfig &npuCfg,
-          const linecard::CardConfig &cardCfg,
-          const linecard::CardExperimentResult &res)
-{
-    std::string perChipCr;
-    for (std::size_t i = 0; i < cardCfg.perChipCr.size(); ++i) {
-        if (i)
-            perChipCr += ":";
-        perChipCr += sweep::formatDouble(cardCfg.perChipCr[i]);
-    }
-
-    std::string out = "{\n";
-    out += "  \"app\": \"" + sweep::jsonEscape(app) + "\",\n";
-    out += "  \"cr\": " + sweep::jsonNumber(cfg.cr) + ",\n";
-    out += "  \"scheme\": \"" + sweep::schemeName(cfg.scheme) + "\",\n";
-    out += "  \"plane\": \"" + sweep::planeName(cfg.plane) + "\",\n";
-    out += "  \"chips\": " + std::to_string(cardCfg.chips) + ",\n";
-    out += "  \"card_dispatch\": \"" +
-           npu::to_string(cardCfg.dispatch) + "\",\n";
-    out += "  \"per_chip_cr\": \"" +
-           (perChipCr.empty() ? std::string("uniform") : perChipCr) +
-           "\",\n";
-    out += "  \"dram_banks\": " + std::to_string(cardCfg.dram.banks) +
-           ",\n";
-    if (cardCfg.dram.banks > 0) {
-        out += "  \"dram_row_bytes\": " +
-               std::to_string(cardCfg.dram.rowBytes) + ",\n";
-        out += "  \"dram_hit_cycles\": " +
-               std::to_string(cardCfg.dram.rowHitCycles) + ",\n";
-        out += "  \"dram_miss_cycles\": " +
-               std::to_string(cardCfg.dram.rowMissCycles) + ",\n";
-        out += "  \"dram_conflict_cycles\": " +
-               std::to_string(cardCfg.dram.rowConflictCycles) + ",\n";
-    }
-    out += "  \"ingress_cap\": " +
-           std::to_string(cardCfg.ingressCapacity) + ",\n";
-    out += "  \"pes\": " + std::to_string(npuCfg.peCount) + ",\n";
-    out += "  \"dispatch\": \"" + npu::to_string(npuCfg.dispatch) +
-           "\",\n";
-    out += "  \"dvs\": \"" + npu::to_string(npuCfg.dvs) + "\",\n";
-    out += "  \"l2\": \"" + npu::to_string(npuCfg.l2) + "\",\n";
-    out += "  \"queue_cap\": " + std::to_string(npuCfg.queueCapacity) +
-           ",\n";
-    out += "  \"arrival_gap_cycles\": " +
-           std::to_string(npuCfg.arrivalGapCycles) + ",\n";
-    if (cfg.ctrl.rate != 0) {
-        out += "  \"ctrl\": " + std::to_string(cfg.ctrl.rate) + ",\n";
-        out += "  \"updates\": \"" + ctrl::to_string(cfg.ctrl.mix) +
-               "\",\n";
-    }
-    out += "  \"packets\": " + std::to_string(cfg.numPackets) + ",\n";
-    out += "  \"trials\": " + std::to_string(cfg.trials) + ",\n";
-    out += "  \"seed\": " + std::to_string(cfg.traceSeed) + ",\n";
-    out += "  \"fault_seed\": " + std::to_string(cfg.faultSeed) + ",\n";
-    // CardConfig::cardJobs is deliberately not echoed: it is a host
-    // scheduling knob, not part of the modeled card, and the JSON of
-    // --card-jobs K must stay byte-identical to --card-jobs 1.
-    out += "  \"value_digest\": \"" +
-           sweep::hexU64(res.golden.valueDigest) + "\",\n";
-    out += "  \"fatal_fraction\": " +
-           sweep::jsonNumber(res.fatalFraction) + ",\n";
-    out += "  \"card\": {\"golden\": " +
-           sweep::cardMetricsJson(res.golden.card) +
-           ", \"faulty\": " + sweep::cardMetricsJson(res.faultyCard) +
-           "}\n";
-    out += "}\n";
-    std::fputs(out.c_str(), stdout);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
 
-    std::string app, dispatch = "rr", cardDispatch = "rr",
-                perChipCrText, dvs = "fault", l2 = "private";
-    core::ExperimentConfig cfg;
-    cfg.numPackets = 2000;
-    cfg.trials = 4;
-    npu::NpuConfig npuCfg;
-    linecard::CardConfig cardCfg;
-    apps::SessionParams sess;
-    std::uint64_t arrivalGap = 0;
-    std::string faultMapText = "off";
-    std::uint64_t mapSeed = fault::FaultMapSpec{}.seed;
-    bool drop = false, csv = false, json = false;
-
+    sweep::RunOptions opts;
     cli::ArgParser parser(
         "clumsy_card",
         "Run one workload on a line card of N clumsy chips sharing a "
         "banked DRAM and report card-level metrics.");
-    parser.section("workload");
-    parser.optString("--app", "NAME",
-                     "crc tl route drr nat md5 url (paper) + adpcm "
-                     "session lpm",
-                     &app);
-    parser.section("traffic");
-    parser.option("--flows", "N",
-                  "live flow population override (default: the app's)",
-                  [&cfg](const std::string &v) {
-                      const std::uint64_t n = cli::parseU64("flows", v);
-                      if (n == 0)
-                          fatal("flows must be >= 1");
-                      cfg.traceFlows = static_cast<std::uint32_t>(n);
-                  });
-    parser.optU64("--churn", "N",
-                  "mean flow lifetime in packets; forces the churn "
-                  "traffic model on (default: the app's own setting)",
-                  &cfg.churnLifetime);
-    parser.option("--ctrl-rate", "N",
-                  "control-plane updates per 1000 packets "
-                  "(default 0 = no control plane)",
-                  [&cfg](const std::string &v) {
-                      cfg.ctrl.rate = static_cast<std::uint32_t>(
-                          cli::parseU64("ctrl-rate", v));
-                  });
-    parser.option("--ctrl-mix", "M",
-                  "control-plane event mix: fib | nat | session | all "
-                  "(default all)",
-                  [&cfg](const std::string &v) {
-                      cfg.ctrl.mix = ctrl::mixFromString(v);
-                  });
-    parser.option("--session-capacity", "N",
-                  "session app: table slots (default 1024)",
-                  [&sess](const std::string &v) {
-                      const std::uint64_t n =
-                          cli::parseU64("session-capacity", v);
-                      if (n == 0)
-                          fatal("session capacity must be >= 1");
-                      sess.capacity = static_cast<std::uint32_t>(n);
-                  });
-    parser.section("card");
-    parser.option("--chips", "N",
-                  "chips on the card (default 1)",
-                  [&cardCfg](const std::string &v) {
-                      const std::uint64_t n =
-                          cli::parseU64("chips", v);
-                      if (n == 0)
-                          fatal("a line card needs at least one chip, "
-                                "got 0");
-                      cardCfg.chips = static_cast<unsigned>(n);
-                  });
-    parser.optString("--card-dispatch", "P",
-                     "inter-chip dispatch: rr | flow | shortest "
-                     "(default rr)",
-                     &cardDispatch);
-    parser.option("--dram-banks", "N",
-                  "shared-DRAM banks (default 8; 0 = flat penalty, "
-                  "byte-identical to clumsy_npu)",
-                  [&cardCfg](const std::string &v) {
-                      cardCfg.dram.banks = static_cast<unsigned>(
-                          cli::parseU64("dram-banks", v));
-                  });
-    parser.option("--dram-row-bytes", "N",
-                  "DRAM row-buffer size, bytes, power of two "
-                  "(default 2048)",
-                  [&cardCfg](const std::string &v) {
-                      cardCfg.dram.rowBytes = static_cast<std::uint32_t>(
-                          cli::parseU64("dram-row-bytes", v));
-                  });
-    parser.option("--dram-hit", "N",
-                  "row-buffer hit latency, cycles (default 60; also "
-                  "the flat penalty the model replaces)",
-                  [&cardCfg](const std::string &v) {
-                      cardCfg.dram.rowHitCycles =
-                          static_cast<std::int64_t>(
-                              cli::parseU64("dram-hit", v));
-                  });
-    parser.option("--dram-miss", "N",
-                  "closed-row miss latency, cycles (default 90)",
-                  [&cardCfg](const std::string &v) {
-                      cardCfg.dram.rowMissCycles =
-                          static_cast<std::int64_t>(
-                              cli::parseU64("dram-miss", v));
-                  });
-    parser.option("--dram-conflict", "N",
-                  "row-conflict latency, cycles (default 135)",
-                  [&cardCfg](const std::string &v) {
-                      cardCfg.dram.rowConflictCycles =
-                          static_cast<std::int64_t>(
-                              cli::parseU64("dram-conflict", v));
-                  });
-    parser.optUnsigned("--card-jobs", "N",
-                       "chips simulating concurrently; results are "
-                       "byte-identical for every value (default 1 = "
-                       "serial, 0 = hardware)",
-                       &cardCfg.cardJobs);
-    parser.optUnsigned("--ingress-cap", "N",
-                       "per-chip ingress FIFO capacity, packets "
-                       "(default 0 = unbounded)",
-                       &cardCfg.ingressCapacity);
-    parser.optString("--per-chip-cr", "LIST",
-                     "colon-separated per-chip Cr list "
-                     "(e.g. 1:0.5:0.5:0.25; default: uniform)",
-                     &perChipCrText);
-    parser.section("chip");
-    parser.optUnsigned("--pes", "N",
-                       "processing engines per chip (default 1)",
-                       &npuCfg.peCount);
-    parser.optString("--dispatch", "P",
-                     "intra-chip dispatch: rr | flow | shortest "
-                     "(default rr)",
-                     &dispatch);
-    parser.optUnsigned("--queue-cap", "N",
-                       "per-engine input queue capacity (default 16)",
-                       &npuCfg.queueCapacity);
-    parser.flag("--drop",
-                "drop arrivals when the chosen queue is full "
-                "(default: backpressure)",
-                &drop);
-    parser.optU64("--arrival-gap", "N",
-                  "inter-arrival gap, base cycles (default 0 = "
-                  "saturated)",
-                  &arrivalGap);
-    parser.optString("--dvs", "M",
-                     "per-engine frequency adaptation: static | fault "
-                     "| queue (default fault)",
-                     &dvs);
-    parser.optUnsigned("--mshrs", "K",
-                       "shared-L2 port MSHRs (default 1)",
-                       &npuCfg.mshrs);
-    parser.optString("--l2", "M",
-                     "L2 contents: private | shared (default private)",
-                     &l2);
-    parser.section("operating point");
-    parser.optDouble("--cr", "X",
-                     "relative cycle time (1, 0.75, 0.5, 0.25)",
-                     &cfg.cr);
-    parser.flag("--dynamic", "use the dynamic frequency controller",
-                [&cfg]() { cfg.dynamicFrequency = true; });
-    parser.option("--scheme", "S",
-                  "no-detection | one-strike | two-strike | "
-                  "three-strike (default: no-detection)",
-                  [&cfg](const std::string &v) {
-                      cfg.scheme = sweep::schemeFromName(v);
-                  });
-    parser.optString("--fault-map", "MAP",
-                     "weak-cell map: off | spatial | FILE (the card "
-                     "salts the generation seed per chip and engine)",
-                     &faultMapText);
-    parser.optU64("--fault-map-seed", "N",
-                  "map generation seed (spatial mode)", &mapSeed);
-    parser.section("experiment");
-    parser.optU64("--packets", "N",
-                  "packets per run, card-wide (default 2000)",
-                  &cfg.numPackets);
-    parser.optUnsigned("--trials", "N", "faulty trials (default 4)",
-                       &cfg.trials);
-    parser.option("--plane", "P", "both | control | data (default both)",
-                  [&cfg](const std::string &v) {
-                      cfg.plane = sweep::planeFromString(v);
-                  });
-    parser.optDouble("--fault-scale", "X",
-                     "fault-rate multiplier (default 1)",
-                     &cfg.faultScale);
-    parser.optU64("--seed", "N", "trace seed", &cfg.traceSeed);
-    parser.optU64("--fault-seed", "N", "fault-stream seed",
-                  &cfg.faultSeed);
-    parser.section("output");
-    parser.flag("--csv", "CSV tables", &csv);
-    parser.flag("--json", "machine-readable JSON", &json);
+    opts.add(parser, sweep::Tier::Card);
     parser.parse(argc, argv);
+    opts.finish();
 
-    if (app.empty())
-        fatal("--app is required (try --help)");
-
-    cfg.processor.faultMap = fault::faultMapSpecFromString(faultMapText);
-    cfg.processor.faultMap.seed = mapSeed;
-
-    npuCfg.dispatch = npu::dispatchFromString(dispatch);
-    npuCfg.dvs = npu::dvsFromString(dvs);
-    npuCfg.l2 = npu::l2ModeFromString(l2);
-    npuCfg.dropWhenFull = drop;
-    npuCfg.arrivalGapCycles = static_cast<std::int64_t>(arrivalGap);
-
-    cardCfg.dispatch = npu::dispatchFromString(cardDispatch);
-    for (const std::string &piece : cli::split(perChipCrText, ':'))
-        cardCfg.perChipCr.push_back(
-            cli::parseDouble("--per-chip-cr", piece));
-    cardCfg.validate();
-
-    const core::AppFactory factory =
-        app == "session"
-            ? core::AppFactory([sess] {
-                  return std::make_unique<apps::SessionApp>(sess);
-              })
-            : apps::appFactory(app);
+    const std::string &app = opts.app;
+    const core::ExperimentConfig &cfg = opts.cfg;
+    const npu::NpuConfig &npuCfg = opts.npuCfg;
+    const linecard::CardConfig &cardCfg = opts.cardCfg;
+    const bool csv = opts.csv;
 
     const linecard::CardExperimentResult res =
-        linecard::runCardExperiment(factory, cfg, npuCfg, cardCfg);
+        linecard::runCardExperiment(opts.factory(), cfg, npuCfg,
+                                    cardCfg);
 
-    if (json) {
-        printJson(app, cfg, npuCfg, cardCfg, res);
+    if (opts.json) {
+        std::fputs((opts.configEcho() + "  \"value_digest\": \"" +
+                    sweep::hexU64(res.golden.valueDigest) +
+                    "\",\n  \"fatal_fraction\": " +
+                    sweep::jsonNumber(res.fatalFraction) +
+                    ",\n  \"card\": {\"golden\": " +
+                    sweep::cardMetricsJson(res.golden.card) +
+                    ", \"faulty\": " +
+                    sweep::cardMetricsJson(res.faultyCard) + "}\n}\n")
+                       .c_str(),
+                   stdout);
         return 0;
     }
 

@@ -52,18 +52,15 @@ cmdGenerate(int argc, char **argv)
     parser.section("array geometry");
     parser.option("--sets", "N", "cache sets (default 128)",
                   [&opt](const std::string &v) {
-                      opt.geom.sets = static_cast<std::uint32_t>(
-                          cli::parseU64("sets", v));
+                      opt.geom.sets = cli::parseU32("sets", v);
                   });
     parser.option("--ways", "N", "cache ways (default 1)",
                   [&opt](const std::string &v) {
-                      opt.geom.ways = static_cast<std::uint32_t>(
-                          cli::parseU64("ways", v));
+                      opt.geom.ways = cli::parseU32("ways", v);
                   });
     parser.option("--line-bytes", "N", "line size in bytes (default 32)",
                   [&opt](const std::string &v) {
-                      opt.geom.lineBytes = static_cast<std::uint32_t>(
-                          cli::parseU64("line-bytes", v));
+                      opt.geom.lineBytes = cli::parseU32("line-bytes", v);
                   });
     parser.section("spatial model");
     parser.optU64("--seed", "N", "generation seed", &opt.seed);

@@ -19,312 +19,55 @@
  */
 
 #include <cstdio>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "apps/app.hh"
-#include "apps/session.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "ctrl/ctrl.hh"
 #include "npu/chip.hh"
-#include "npu/config.hh"
-#include "sweep/json.hh"
+#include "sweep/run_options.hh"
 #include "sweep/sink.hh"
-#include "sweep/spec.hh"
 
 using namespace clumsy;
-
-namespace
-{
-
-void
-printJson(const std::string &app, const core::ExperimentConfig &cfg,
-          const npu::NpuConfig &npuCfg,
-          const npu::ChipExperimentResult &res)
-{
-    std::string perPeCr;
-    for (std::size_t i = 0; i < npuCfg.perPeCr.size(); ++i) {
-        if (i)
-            perPeCr += ":";
-        perPeCr += sweep::formatDouble(npuCfg.perPeCr[i]);
-    }
-
-    std::string out = "{\n";
-    out += "  \"app\": \"" + sweep::jsonEscape(app) + "\",\n";
-    out += "  \"cr\": " + sweep::jsonNumber(cfg.cr) + ",\n";
-    out += std::string("  \"dynamic\": ") +
-           (cfg.dynamicFrequency ? "true" : "false") + ",\n";
-    out += "  \"scheme\": \"" + sweep::schemeName(cfg.scheme) + "\",\n";
-    out += "  \"codec\": \"" +
-           sweep::codecName(cfg.processor.hierarchy.codec) + "\",\n";
-    out += "  \"plane\": \"" + sweep::planeName(cfg.plane) + "\",\n";
-    out += "  \"fault_scale\": " + sweep::jsonNumber(cfg.faultScale) +
-           ",\n";
-    // Echoed only when on: off-mode JSON stays byte-identical to
-    // pre-faultmap output (same contract as the ctrl block below).
-    if (cfg.processor.faultMap.enabled()) {
-        const auto &fm = cfg.processor.faultMap;
-        out += "  \"fault_map\": \"" +
-               sweep::jsonEscape(fm.mode == fault::FaultMapMode::File
-                                     ? fm.path
-                                     : fault::to_string(fm.mode)) +
-               "\",\n";
-        out += "  \"map_seed\": " + std::to_string(fm.seed) + ",\n";
-    }
-    if (cfg.processor.hierarchy.wayDisable.enabled())
-        out += "  \"way_retire\": " +
-               std::to_string(
-                   cfg.processor.hierarchy.wayDisable.retireThreshold) +
-               ",\n";
-    out += "  \"pes\": " + std::to_string(npuCfg.peCount) + ",\n";
-    out += "  \"dispatch\": \"" + npu::to_string(npuCfg.dispatch) +
-           "\",\n";
-    out += "  \"per_pe_cr\": \"" +
-           (perPeCr.empty() ? std::string("uniform") : perPeCr) +
-           "\",\n";
-    out += "  \"dvs\": \"" + npu::to_string(npuCfg.dvs) + "\",\n";
-    out += "  \"mshrs\": " + std::to_string(npuCfg.mshrs) + ",\n";
-    out += "  \"l2\": \"" + npu::to_string(npuCfg.l2) + "\",\n";
-    out += std::string("  \"flow_rehash\": ") +
-           (npuCfg.flowRehash ? "true" : "false") + ",\n";
-    out += "  \"queue_cap\": " + std::to_string(npuCfg.queueCapacity) +
-           ",\n";
-    out += std::string("  \"drop_when_full\": ") +
-           (npuCfg.dropWhenFull ? "true" : "false") + ",\n";
-    // NpuConfig::chipJobs is deliberately not echoed: it is a host
-    // scheduling knob, not part of the modeled chip, and the JSON of
-    // --chip-jobs K must stay byte-identical to --chip-jobs 1.
-    out += "  \"arrival_gap_cycles\": " +
-           std::to_string(npuCfg.arrivalGapCycles) + ",\n";
-    if (cfg.ctrl.rate != 0) {
-        out += "  \"ctrl\": " + std::to_string(cfg.ctrl.rate) + ",\n";
-        out += "  \"updates\": \"" + ctrl::to_string(cfg.ctrl.mix) +
-               "\",\n";
-    }
-    out += "  \"packets\": " + std::to_string(cfg.numPackets) + ",\n";
-    out += "  \"trials\": " + std::to_string(cfg.trials) + ",\n";
-    out += "  \"seed\": " + std::to_string(cfg.traceSeed) + ",\n";
-    out += "  \"fault_seed\": " + std::to_string(cfg.faultSeed) + ",\n";
-    out += "  \"result\": " + sweep::experimentResultJson(res.core) +
-           ",\n";
-    out += "  \"npu\": {\"golden\": " +
-           sweep::chipMetricsJson(res.goldenChip) +
-           ", \"faulty\": " + sweep::chipMetricsJson(res.faultyChip) +
-           "}\n";
-    out += "}\n";
-    std::fputs(out.c_str(), stdout);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     setQuiet(true);
 
-    std::string app, dispatch = "rr", perPeCrText, dvs = "fault",
-                l2 = "private";
-    core::ExperimentConfig cfg;
-    cfg.numPackets = 2000;
-    cfg.trials = 4;
-    npu::NpuConfig npuCfg;
-    apps::SessionParams sess;
-    std::uint64_t arrivalGap = 0;
-    std::string faultMapText = "off";
-    std::uint64_t mapSeed = fault::FaultMapSpec{}.seed;
-    unsigned wayRetire = 0;
-    bool drop = false, csv = false, json = false;
-
+    sweep::RunOptions opts;
     cli::ArgParser parser(
         "clumsy_npu",
         "Run one workload on an N-engine chip behind a shared L2 and "
         "report core results plus chip-level metrics.");
-    parser.section("workload");
-    parser.optString("--app", "NAME",
-                     "crc tl route drr nat md5 url (paper) + adpcm "
-                     "session lpm",
-                     &app);
-    parser.section("traffic");
-    parser.option("--flows", "N",
-                  "live flow population override (default: the app's)",
-                  [&cfg](const std::string &v) {
-                      const std::uint64_t n = cli::parseU64("flows", v);
-                      if (n == 0)
-                          fatal("flows must be >= 1");
-                      cfg.traceFlows = static_cast<std::uint32_t>(n);
-                  });
-    parser.optU64("--churn", "N",
-                  "mean flow lifetime in packets; forces the churn "
-                  "traffic model on (default: the app's own setting)",
-                  &cfg.churnLifetime);
-    parser.option("--ctrl-rate", "N",
-                  "control-plane updates per 1000 packets "
-                  "(default 0 = no control plane)",
-                  [&cfg](const std::string &v) {
-                      cfg.ctrl.rate = static_cast<std::uint32_t>(
-                          cli::parseU64("ctrl-rate", v));
-                  });
-    parser.option("--ctrl-mix", "M",
-                  "control-plane event mix: fib | nat | session | all "
-                  "(default all)",
-                  [&cfg](const std::string &v) {
-                      cfg.ctrl.mix = ctrl::mixFromString(v);
-                  });
-    parser.option("--flow-zipf", "X",
-                  "flow-popularity Zipf exponent (default: the app's)",
-                  [&cfg](const std::string &v) {
-                      const double x = cli::parseDouble("flow-zipf", v);
-                      if (x < 0.0)
-                          fatal("flow-zipf must be >= 0, got %s",
-                                v.c_str());
-                      cfg.flowZipf = x;
-                  });
-    parser.option("--session-capacity", "N",
-                  "session app: table slots (default 1024)",
-                  [&sess](const std::string &v) {
-                      const std::uint64_t n =
-                          cli::parseU64("session-capacity", v);
-                      if (n == 0)
-                          fatal("session capacity must be >= 1");
-                      sess.capacity = static_cast<std::uint32_t>(n);
-                  });
-    parser.option("--session-timeout", "N",
-                  "session app: idle timeout in packets (default 4096)",
-                  [&sess](const std::string &v) {
-                      const std::uint64_t n =
-                          cli::parseU64("session-timeout", v);
-                      if (n == 0)
-                          fatal("session timeout must be >= 1");
-                      sess.timeoutPackets =
-                          static_cast<std::uint32_t>(n);
-                  });
-    parser.section("chip");
-    parser.optUnsigned("--pes", "N",
-                       "processing engines (default 1)", &npuCfg.peCount);
-    parser.optString("--dispatch", "P",
-                     "rr | flow | shortest (default rr)", &dispatch);
-    parser.optUnsigned("--queue-cap", "N",
-                       "per-engine input queue capacity (default 16)",
-                       &npuCfg.queueCapacity);
-    parser.flag("--drop",
-                "drop arrivals when the chosen queue is full "
-                "(default: backpressure)",
-                &drop);
-    parser.optU64("--arrival-gap", "N",
-                  "inter-arrival gap, base cycles (default 0 = "
-                  "saturated)",
-                  &arrivalGap);
-    parser.optString("--per-pe-cr", "LIST",
-                     "colon-separated per-engine Cr list "
-                     "(e.g. 1:0.5:0.5:0.25; default: uniform)",
-                     &perPeCrText);
-    parser.optString("--dvs", "M",
-                     "per-engine frequency adaptation: static | fault "
-                     "| queue (default fault)",
-                     &dvs);
-    parser.optUnsigned("--mshrs", "K",
-                       "shared-L2 port MSHRs: transfers that overlap "
-                       "before the port serializes (default 1)",
-                       &npuCfg.mshrs);
-    parser.optString("--l2", "M",
-                     "L2 contents: private per engine | shared one "
-                     "array chip-wide (default private)",
-                     &l2);
-    parser.flag("--flow-rehash",
-                "flow dispatch: rehash flows off dead engines instead "
-                "of dropping their packets",
-                [&npuCfg]() { npuCfg.flowRehash = true; });
+    opts.add(parser, sweep::Tier::Chip);
+    parser.section("host");
     parser.optUnsigned("--chip-jobs", "N",
                        "worker threads for one chip run (bring-up + "
                        "trial fan-out); results are byte-identical "
                        "for every value (default 1 = serial, 0 = "
                        "hardware)",
-                       &npuCfg.chipJobs);
-    parser.section("operating point");
-    parser.optDouble("--cr", "X",
-                     "relative cycle time (1, 0.75, 0.5, 0.25)",
-                     &cfg.cr);
-    parser.flag("--dynamic", "use the dynamic frequency controller",
-                [&cfg]() { cfg.dynamicFrequency = true; });
-    parser.option("--scheme", "S",
-                  "no-detection | one-strike | two-strike | "
-                  "three-strike (default: no-detection)",
-                  [&cfg](const std::string &v) {
-                      cfg.scheme = sweep::schemeFromName(v);
-                  });
-    parser.option("--codec", "C", "parity | secded (default: parity)",
-                  [&cfg](const std::string &v) {
-                      cfg.processor.hierarchy.codec =
-                          sweep::codecFromString(v);
-                  });
-    parser.flag("--subblock", "sub-block strike recovery", [&cfg]() {
-        cfg.processor.hierarchy.subBlockRecovery = true;
-    });
-    parser.optString("--fault-map", "MAP",
-                     "weak-cell map: off | spatial | FILE "
-                     "(default off = uniform eq. (4) faults; the chip "
-                     "salts the generation seed per engine)",
-                     &faultMapText);
-    parser.optU64("--fault-map-seed", "N",
-                  "map generation seed (spatial mode)", &mapSeed);
-    parser.optUnsigned("--way-retire", "N",
-                       "retire an L1D way after N strike-outs "
-                       "(default 0 = never)",
-                       &wayRetire);
-    parser.section("experiment");
-    parser.optU64("--packets", "N", "packets per run (default 2000)",
-                  &cfg.numPackets);
-    parser.optUnsigned("--trials", "N", "faulty trials (default 4)",
-                       &cfg.trials);
-    parser.option("--plane", "P", "both | control | data (default both)",
-                  [&cfg](const std::string &v) {
-                      cfg.plane = sweep::planeFromString(v);
-                  });
-    parser.optDouble("--fault-scale", "X",
-                     "fault-rate multiplier (default 1)",
-                     &cfg.faultScale);
-    parser.optU64("--seed", "N", "trace seed", &cfg.traceSeed);
-    parser.optU64("--fault-seed", "N", "fault-stream seed",
-                  &cfg.faultSeed);
-    parser.section("output");
-    parser.flag("--csv", "CSV tables", &csv);
-    parser.flag("--json",
-                "machine-readable JSON (result schema shared with "
-                "clumsy_sim/clumsy_sweep)",
-                &json);
+                       &opts.npuCfg.chipJobs);
     parser.parse(argc, argv);
+    opts.finish();
 
-    if (app.empty())
-        fatal("--app is required (try --help)");
-
-    cfg.processor.faultMap = fault::faultMapSpecFromString(faultMapText);
-    cfg.processor.faultMap.seed = mapSeed;
-    cfg.processor.hierarchy.wayDisable.retireThreshold = wayRetire;
-
-    npuCfg.dispatch = npu::dispatchFromString(dispatch);
-    npuCfg.dvs = npu::dvsFromString(dvs);
-    npuCfg.l2 = npu::l2ModeFromString(l2);
-    npuCfg.dropWhenFull = drop;
-    npuCfg.arrivalGapCycles = static_cast<std::int64_t>(arrivalGap);
-    for (const std::string &piece : cli::split(perPeCrText, ':'))
-        npuCfg.perPeCr.push_back(
-            cli::parseDouble("--per-pe-cr", piece));
-
-    const core::AppFactory factory =
-        app == "session"
-            ? core::AppFactory([sess] {
-                  return std::make_unique<apps::SessionApp>(sess);
-              })
-            : apps::appFactory(app);
+    const std::string &app = opts.app;
+    const core::ExperimentConfig &cfg = opts.cfg;
+    const npu::NpuConfig &npuCfg = opts.npuCfg;
+    const bool csv = opts.csv;
 
     const npu::ChipExperimentResult res =
-        npu::runChipExperiment(factory, cfg, npuCfg);
+        npu::runChipExperiment(opts.factory(), cfg, npuCfg);
 
-    if (json) {
-        printJson(app, cfg, npuCfg, res);
+    if (opts.json) {
+        std::fputs((opts.configEcho() + "  \"result\": " +
+                    sweep::experimentResultJson(res.core) +
+                    ",\n  \"npu\": {\"golden\": " +
+                    sweep::chipMetricsJson(res.goldenChip) +
+                    ", \"faulty\": " +
+                    sweep::chipMetricsJson(res.faultyChip) + "}\n}\n")
+                       .c_str(),
+                   stdout);
         return 0;
     }
 

@@ -17,21 +17,15 @@
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <string>
 
-#include "apps/app.hh"
-#include "apps/session.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/experiment.hh"
-#include "ctrl/ctrl.hh"
-#include "net/trace_gen.hh"
 #include "net/trace_io.hh"
-#include "sweep/json.hh"
+#include "sweep/run_options.hh"
 #include "sweep/sink.hh"
-#include "sweep/spec.hh"
 #include "traffic/traffic.hh"
 
 using namespace clumsy;
@@ -99,52 +93,6 @@ replay(const core::AppFactory &factory, const std::string &path,
     return proc.fatalOccurred() ? 1 : 0;
 }
 
-/** Machine-readable output: config + the sweep result serializer. */
-void
-printJson(const std::string &app, const core::ExperimentConfig &cfg,
-          const core::ExperimentResult &res)
-{
-    std::string out = "{\n";
-    out += "  \"app\": \"" + sweep::jsonEscape(app) + "\",\n";
-    out += "  \"cr\": " + sweep::jsonNumber(cfg.cr) + ",\n";
-    out += std::string("  \"dynamic\": ") +
-           (cfg.dynamicFrequency ? "true" : "false") + ",\n";
-    out += "  \"scheme\": \"" + sweep::schemeName(cfg.scheme) + "\",\n";
-    out += "  \"codec\": \"" +
-           sweep::codecName(cfg.processor.hierarchy.codec) + "\",\n";
-    out += "  \"plane\": \"" + sweep::planeName(cfg.plane) + "\",\n";
-    out += "  \"fault_scale\": " + sweep::jsonNumber(cfg.faultScale) +
-           ",\n";
-    // Echoed only when on, so off-mode JSON stays byte-identical to
-    // pre-faultmap output (same contract as the ctrl block below).
-    if (cfg.processor.faultMap.enabled()) {
-        const auto &fm = cfg.processor.faultMap;
-        out += "  \"fault_map\": \"" +
-               sweep::jsonEscape(fm.mode == fault::FaultMapMode::File
-                                     ? fm.path
-                                     : fault::to_string(fm.mode)) +
-               "\",\n";
-        out += "  \"map_seed\": " + std::to_string(fm.seed) + ",\n";
-    }
-    if (cfg.processor.hierarchy.wayDisable.enabled())
-        out += "  \"way_retire\": " +
-               std::to_string(
-                   cfg.processor.hierarchy.wayDisable.retireThreshold) +
-               ",\n";
-    if (cfg.ctrl.rate != 0) {
-        out += "  \"ctrl\": " + std::to_string(cfg.ctrl.rate) + ",\n";
-        out += "  \"updates\": \"" + ctrl::to_string(cfg.ctrl.mix) +
-               "\",\n";
-    }
-    out += "  \"packets\": " + std::to_string(cfg.numPackets) + ",\n";
-    out += "  \"trials\": " + std::to_string(cfg.trials) + ",\n";
-    out += "  \"seed\": " + std::to_string(cfg.traceSeed) + ",\n";
-    out += "  \"fault_seed\": " + std::to_string(cfg.faultSeed) + ",\n";
-    out += "  \"result\": " + sweep::experimentResultJson(res) + "\n";
-    out += "}\n";
-    std::fputs(out.c_str(), stdout);
-}
-
 } // namespace
 
 int
@@ -152,156 +100,30 @@ main(int argc, char **argv)
 {
     setQuiet(true);
 
-    std::string app, dumpTrace, replayTrace, faultMapText = "off";
-    core::ExperimentConfig cfg;
-    cfg.numPackets = 2000;
-    cfg.trials = 4;
-    apps::SessionParams sess;
-    std::uint64_t mapSeed = fault::FaultMapSpec{}.seed;
-    unsigned wayRetire = 0;
-    bool stats = false, csv = false, json = false;
+    sweep::RunOptions opts;
+    std::string dumpTrace, replayTrace;
+    bool stats = false;
 
     cli::ArgParser parser(
         "clumsy_sim",
         "Run one workload under one operating point and report the "
         "full result set.");
-    parser.section("workload");
-    parser.optString("--app", "NAME",
-                     "crc tl route drr nat md5 url (paper) + adpcm "
-                     "session lpm",
-                     &app);
-    parser.section("traffic");
-    parser.option("--flows", "N",
-                  "live flow population override (default: the app's)",
-                  [&cfg](const std::string &v) {
-                      const std::uint64_t n = cli::parseU64("flows", v);
-                      if (n == 0)
-                          fatal("flows must be >= 1");
-                      cfg.traceFlows = static_cast<std::uint32_t>(n);
-                  });
-    parser.optU64("--churn", "N",
-                  "mean flow lifetime in packets; forces the churn "
-                  "traffic model on (default: the app's own setting)",
-                  &cfg.churnLifetime);
-    parser.option("--ctrl-rate", "N",
-                  "control-plane updates per 1000 packets "
-                  "(default 0 = no control plane)",
-                  [&cfg](const std::string &v) {
-                      cfg.ctrl.rate = static_cast<std::uint32_t>(
-                          cli::parseU64("ctrl-rate", v));
-                  });
-    parser.option("--ctrl-mix", "M",
-                  "control-plane event mix: fib | nat | session | all "
-                  "(default all)",
-                  [&cfg](const std::string &v) {
-                      cfg.ctrl.mix = ctrl::mixFromString(v);
-                  });
-    parser.option("--flow-zipf", "X",
-                  "flow-popularity Zipf exponent (default: the app's)",
-                  [&cfg](const std::string &v) {
-                      const double x = cli::parseDouble("flow-zipf", v);
-                      if (x < 0.0)
-                          fatal("flow-zipf must be >= 0, got %s",
-                                v.c_str());
-                      cfg.flowZipf = x;
-                  });
-    parser.option("--session-capacity", "N",
-                  "session app: table slots (default 1024)",
-                  [&sess](const std::string &v) {
-                      const std::uint64_t n =
-                          cli::parseU64("session-capacity", v);
-                      if (n == 0)
-                          fatal("session capacity must be >= 1");
-                      sess.capacity = static_cast<std::uint32_t>(n);
-                  });
-    parser.option("--session-timeout", "N",
-                  "session app: idle timeout in packets (default 4096)",
-                  [&sess](const std::string &v) {
-                      const std::uint64_t n =
-                          cli::parseU64("session-timeout", v);
-                      if (n == 0)
-                          fatal("session timeout must be >= 1");
-                      sess.timeoutPackets =
-                          static_cast<std::uint32_t>(n);
-                  });
-    parser.section("operating point");
-    parser.optDouble("--cr", "X",
-                     "relative cycle time (1, 0.75, 0.5, 0.25)",
-                     &cfg.cr);
-    parser.flag("--dynamic", "use the dynamic frequency controller",
-                [&cfg]() { cfg.dynamicFrequency = true; });
-    parser.option("--scheme", "S",
-                  "no-detection | one-strike | two-strike | "
-                  "three-strike (default: no-detection)",
-                  [&cfg](const std::string &v) {
-                      cfg.scheme = sweep::schemeFromName(v);
-                  });
-    parser.option("--codec", "C", "parity | secded (default: parity)",
-                  [&cfg](const std::string &v) {
-                      cfg.processor.hierarchy.codec =
-                          sweep::codecFromString(v);
-                  });
-    parser.flag("--subblock", "sub-block strike recovery", [&cfg]() {
-        cfg.processor.hierarchy.subBlockRecovery = true;
-    });
-    parser.optString("--fault-map", "MAP",
-                     "weak-cell map: off | spatial | FILE "
-                     "(default off = uniform eq. (4) faults)",
-                     &faultMapText);
-    parser.optU64("--fault-map-seed", "N",
-                  "map generation seed (spatial mode)", &mapSeed);
-    parser.optUnsigned("--way-retire", "N",
-                       "retire an L1D way after N strike-outs "
-                       "(default 0 = never)",
-                       &wayRetire);
-    parser.section("experiment");
-    parser.optU64("--packets", "N", "packets per run (default 2000)",
-                  &cfg.numPackets);
-    parser.optUnsigned("--trials", "N", "faulty trials (default 4)",
-                       &cfg.trials);
-    parser.option("--plane", "P", "both | control | data (default both)",
-                  [&cfg](const std::string &v) {
-                      cfg.plane = sweep::planeFromString(v);
-                  });
-    parser.optDouble("--fault-scale", "X",
-                     "fault-rate multiplier (default 1)",
-                     &cfg.faultScale);
-    parser.optU64("--seed", "N", "trace seed", &cfg.traceSeed);
-    parser.optU64("--fault-seed", "N", "fault-stream seed",
-                  &cfg.faultSeed);
-    parser.section("traces");
+    opts.add(parser, sweep::Tier::Core);
+    parser.section("traces and counters");
     parser.optString("--dump-trace", "FILE",
                      "write the app's generated trace and exit",
                      &dumpTrace);
     parser.optString("--replay", "FILE",
                      "run one faulty pass over a saved trace",
                      &replayTrace);
-    parser.section("output");
     parser.flag("--stats", "dump raw simulator counters", &stats);
-    parser.flag("--csv", "CSV tables", &csv);
-    parser.flag("--json",
-                "machine-readable JSON (same result schema as "
-                "clumsy_sweep)",
-                &json);
     parser.parse(argc, argv);
+    opts.finish();
 
-    if (app.empty())
-        fatal("--app is required (try --help)");
-
-    // Applied after parsing so --fault-map and --fault-map-seed
-    // compose in either order.
-    cfg.processor.faultMap = fault::faultMapSpecFromString(faultMapText);
-    cfg.processor.faultMap.seed = mapSeed;
-    cfg.processor.hierarchy.wayDisable.retireThreshold = wayRetire;
-
-    // The session app is the one workload with CLI-tunable knobs; all
-    // others come from the stock factory.
-    const core::AppFactory factory =
-        app == "session"
-            ? core::AppFactory([sess] {
-                  return std::make_unique<apps::SessionApp>(sess);
-              })
-            : apps::appFactory(app);
+    const std::string &app = opts.app;
+    const core::ExperimentConfig &cfg = opts.cfg;
+    const bool csv = opts.csv;
+    const core::AppFactory factory = opts.factory();
 
     if (!dumpTrace.empty()) {
         // Stream the trace straight to disk: packet counts beyond
@@ -328,8 +150,11 @@ main(int argc, char **argv)
 
     const auto res = core::runExperiment(factory, cfg);
 
-    if (json) {
-        printJson(app, cfg, res);
+    if (opts.json) {
+        std::fputs((opts.configEcho() + "  \"result\": " +
+                    sweep::experimentResultJson(res) + "\n}\n")
+                       .c_str(),
+                   stdout);
         return 0;
     }
 
