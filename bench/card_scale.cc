@@ -3,15 +3,17 @@
  * Line-card wall-clock baseline: --card-jobs speedup on a chips x
  * jobs grid, written machine-readable to BENCH_card.json.
  *
- * Times runCardExperiment (golden + trials, all advancing the chips
- * of one card together) at the shared-DRAM configuration the
- * inter-chip parallelism work targets (8 banks behind every chip's
- * L2, mshrs=2, l2=shared, flow dispatch within a chip, rr across
- * chips, two-strike at Cr=0.5) and records, per cell: wall
- * milliseconds, host-side packet throughput, the measured speedup
- * over the card-jobs=1 run of the same card, and the model bound
- * min(chips, jobs) — unlike --chip-jobs, the golden run itself fans
- * out across chips, so the bound is structural, not trial-limited.
+ * Times runCardExperiment (golden + trials; each run advances the
+ * chips of one card together on one thread) at a shared-DRAM
+ * configuration (8 banks behind every chip's L2, mshrs=2, l2=shared,
+ * flow dispatch within a chip, rr across chips, two-strike at
+ * Cr=0.5) and records, per cell: wall milliseconds, host-side packet
+ * throughput, the measured speedup over the card-jobs=1 run of the
+ * same card, and the critical-path model bound
+ * runs / ceil(runs / jobs) with runs = trials + 1 — --card-jobs fans
+ * the golden run and the trials out as whole runs, so the bound is
+ * min(jobs, trials + 1) when the runs divide evenly over the workers,
+ * and does not depend on the chip count.
  * Every cell is byte-compared against its serial twin (the
  * determinism contract), and the host's hardware thread count is
  * recorded so a reader can tell a 1-CPU container (measured speedup
@@ -47,7 +49,7 @@ struct Cell
     double wallMs;
     double pps;       ///< host-side packets per second, all runs
     double measured;  ///< wall(jobs=1) / wall(jobs), same chips
-    double model;     ///< min(chips, resolved jobs)
+    double model;     ///< runs / ceil(runs / resolved jobs)
     bool identical;   ///< byte-equal to the jobs=1 run
 };
 
@@ -137,8 +139,9 @@ main(int argc, char **argv)
             const double totalPackets =
                 static_cast<double>(opt.packets) * (1.0 + opt.trials);
 
+            const unsigned runs = opt.trials + 1;
             const unsigned resolved =
-                std::min(jobs == 0 ? hostThreads : jobs, chips);
+                std::min(jobs == 0 ? hostThreads : jobs, runs);
 
             Cell cell;
             cell.chips = chips;
@@ -147,8 +150,8 @@ main(int argc, char **argv)
             cell.pps =
                 wallMs > 0.0 ? totalPackets / (wallMs / 1000.0) : 0.0;
             cell.measured = wallMs > 0.0 ? serialMs / wallMs : 0.0;
-            cell.model = static_cast<double>(
-                resolved < 1 ? 1 : resolved);
+            cell.model = static_cast<double>(runs) /
+                         ((runs + resolved - 1) / resolved);
             cell.identical = repr == serialRepr;
             cells.push_back(cell);
 

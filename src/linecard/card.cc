@@ -15,16 +15,6 @@ namespace clumsy::linecard
 namespace
 {
 
-/** CardConfig::cardJobs resolved and clamped to one thread per chip. */
-unsigned
-resolveCardJobs(unsigned cardJobs, unsigned chips)
-{
-    const unsigned jobs = cardJobs == 0
-                              ? WorkStealingPool::hardwareWorkers()
-                              : cardJobs;
-    return std::max(1u, std::min(jobs, chips));
-}
-
 /**
  * Chip @p chip's share of the card-wide packet stream: a fresh replica
  * of the global source pushed through a dispatcher replica, keeping
@@ -147,26 +137,13 @@ runCard(const core::AppFactory &factory,
     const std::vector<std::uint64_t> counts = cardAssignCounts(
         trace, npuBase.arrivalGapCycles, card, base.numPackets);
 
-    const unsigned jobs = resolveCardJobs(card.cardJobs, card.chips);
-
-    // With shared DRAM the chips interact, so every chip needs its
-    // own blockable thread and the fabric's tokens do the throttling;
-    // without it the chips are independent jobs on a plain pool.
-    std::unique_ptr<DramFabric> fabric;
-    std::vector<ChipDramPort> ports(card.chips);
-    if (dramOn) {
-        fabric = std::make_unique<DramFabric>(
-            card.dram, card.chips, jobs,
-            cyclesToQuanta(card.dram.rowHitCycles));
-        for (unsigned c = 0; c < card.chips; ++c)
-            ports[c].bind(fabric.get(), c);
-    }
-
+    // Every chip runs on its own fiber on this thread; with the DRAM
+    // model off no chip ever parks, so each runs start to finish.
+    DramFabric fabric(card.dram, card.chips,
+                      cyclesToQuanta(card.dram.rowHitCycles));
     CardRunResult result;
     result.chips.resize(card.chips);
-    const WorkStealingPool pool(dramOn ? card.chips : jobs);
-    pool.run(card.chips, [&](std::size_t job) {
-        const unsigned c = static_cast<unsigned>(job);
+    fabric.run([&](unsigned c) {
         core::ExperimentConfig cc = base;
         cc.numPackets = counts[c];
         if (!card.perChipCr.empty())
@@ -174,23 +151,20 @@ runCard(const core::AppFactory &factory,
 
         CardSplitSource source(trace, npuBase.arrivalGapCycles,
                                card.dispatch, card.chips, c);
+        ChipDramPort port(fabric, c);
         npu::ChipEnv env;
         env.source = &source;
         env.engineSaltBase = c * npuBase.peCount;
         if (dramOn) {
-            env.dram = &ports[c];
+            env.dram = &port;
             env.dramSalt =
                 static_cast<std::uint64_t>(c) * base.processor.memBytes;
-            ChipDramPort *const port = &ports[c];
-            env.progress = [port](Quanta bound) {
-                port->publish(bound);
+            env.progress = [&fabric, c](Quanta bound) {
+                fabric.publish(c, bound);
             };
-            fabric->start(c);
         }
         result.chips[c] =
             npu::runChipStream(factory, cc, npuBase, golden, trial, env);
-        if (dramOn)
-            fabric->finish(c);
     });
 
     if (golden) {
@@ -225,8 +199,8 @@ runCard(const core::AppFactory &factory,
     const double meanPackets =
         totalPackets / static_cast<double>(card.chips);
     m.loadImbalance = meanPackets > 0.0 ? maxPackets / meanPackets : 1.0;
-    if (fabric) {
-        const dram::DramStats &d = fabric->model().stats();
+    if (dramOn) {
+        const dram::DramStats &d = fabric.model().stats();
         m.dramAccesses = static_cast<double>(d.accesses);
         m.dramRowHits = static_cast<double>(d.rowHits);
         m.dramRowMisses = static_cast<double>(d.rowMisses);
@@ -350,21 +324,30 @@ runCardExperiment(const core::AppFactory &factory,
                   const core::ExperimentConfig &config,
                   const npu::NpuConfig &npu, const CardConfig &card)
 {
+    // Golden and trials are independent card runs: fan them out into
+    // per-run slots and reduce in trial order, so the aggregate is
+    // the same at every job count.
     CardExperimentResult result;
-    result.golden = runCard(factory, config, npu, card, true, 0);
-    std::vector<CardMetrics> faulty;
-    faulty.reserve(config.trials);
-    unsigned fatals = 0;
-    for (unsigned t = 0; t < config.trials; ++t) {
-        const CardRunResult run =
-            runCard(factory, config, npu, card, false, t);
-        bool died = false;
+    std::vector<CardMetrics> faulty(config.trials);
+    std::vector<char> died(config.trials, 0);
+    const unsigned jobs = card.cardJobs == 0
+                              ? WorkStealingPool::hardwareWorkers()
+                              : card.cardJobs;
+    const WorkStealingPool pool(std::min(jobs, config.trials + 1));
+    pool.run(config.trials + 1, [&](std::size_t k) {
+        if (k == 0) {
+            result.golden = runCard(factory, config, npu, card, true, 0);
+            return;
+        }
+        const CardRunResult run = runCard(factory, config, npu, card,
+                                          false,
+                                          static_cast<unsigned>(k - 1));
         for (const npu::ChipStreamResult &r : run.chips)
-            died = died || r.merged.fatal;
-        if (died)
-            ++fatals;
-        faulty.push_back(run.card);
-    }
+            died[k - 1] = died[k - 1] || r.merged.fatal;
+        faulty[k - 1] = run.card;
+    });
+    const auto fatals = static_cast<unsigned>(
+        std::count(died.begin(), died.end(), 1));
     result.faultyCard = averageCardMetrics(faulty);
     result.fatalFraction = static_cast<double>(fatals) /
                            static_cast<double>(config.trials);

@@ -25,13 +25,14 @@
  * one-chip card with the DRAM model off is bit-identical to
  * clumsy_npu.
  *
- * Parallelism (--card-jobs). Chips advance concurrently, one thread
- * per chip, throttled to the resolved job count by the fabric's
- * execution tokens; DRAM commits are admitted in deterministic
- * (time, chip) order, so results are byte-identical at every job
+ * Scheduling. The chips of one run advance together on the calling
+ * thread, one fiber each, under the DRAM fabric's (time, chip) commit
+ * order (linecard/fabric.hh); with the DRAM model off they share
+ * nothing and simply run one after another. Parallelism
+ * (--card-jobs) is across runs instead: runCardExperiment fans the
+ * golden run and the faulty trials out on a worker pool and reduces
+ * them in trial order, so results are byte-identical at every job
  * count — the same contract --chip-jobs honours one level down.
- * With the DRAM model off the chips share nothing and simply fan
- * out on a worker pool.
  */
 
 #ifndef CLUMSY_LINECARD_CARD_HH
@@ -61,9 +62,10 @@ struct CardConfig
     dram::DramConfig dram;
 
     /**
-     * Worker threads for inter-chip parallelism: how many chips may
-     * simulate at once. 1 = serial (the default); 0 = the machine's
-     * hardware default. Byte-identical results at every value.
+     * Worker threads runCardExperiment runs its golden run and trials
+     * on (at most trials + 1 are used). 1 = serial (the default); 0 =
+     * the machine's hardware default. Byte-identical results at every
+     * value; a single runCard() call ignores it.
      */
     unsigned cardJobs = 1;
 
@@ -123,9 +125,9 @@ struct CardRunResult
 };
 
 /**
- * Run the whole card once. @p golden runs injection-free and panics
- * if any chip dies; a faulty run injects with trial seed @p trial on
- * every chip. Byte-identical at every CardConfig::cardJobs value.
+ * Run the whole card once, on the calling thread. @p golden runs
+ * injection-free and panics if any chip dies; a faulty run injects
+ * with trial seed @p trial on every chip.
  */
 CardRunResult runCard(const core::AppFactory &factory,
                       const core::ExperimentConfig &config,
@@ -153,7 +155,8 @@ struct CardExperimentResult
 
 /**
  * Golden + config.trials (>= 1, see ExperimentConfig::validate) faulty
- * card runs, reduced in trial order.
+ * card runs on min(CardConfig::cardJobs, trials + 1) workers, reduced
+ * in trial order.
  */
 CardExperimentResult runCardExperiment(const core::AppFactory &factory,
                                        const core::ExperimentConfig &config,

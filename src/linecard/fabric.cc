@@ -8,42 +8,22 @@ namespace clumsy::linecard
 {
 
 DramFabric::DramFabric(const dram::DramConfig &config, unsigned chips,
-                       unsigned tokens, Quanta flatQuanta)
-    : model_(config),
-      flat_(flatQuanta),
-      tokens_(std::max(1u, tokens)),
+                       Quanta flatQuanta)
+    : flat_(flatQuanta),
       bound_(chips, 0),
       lastCommit_(chips, 0),
-      done_(chips, 0)
+      state_(chips, ChipState::Unstarted)
 {
     CLUMSY_ASSERT(chips >= 1, "fabric needs at least one chip");
-}
-
-void
-DramFabric::start(unsigned chip)
-{
-    std::unique_lock<std::mutex> lk(m_);
-    CLUMSY_ASSERT(chip < bound_.size(), "chip index out of range");
-    while (running_ >= tokens_)
-        cv_.wait(lk);
-    ++running_;
-}
-
-void
-DramFabric::publish(unsigned chip, Quanta bound)
-{
-    std::lock_guard<std::mutex> lk(m_);
-    if (bound <= bound_[chip])
-        return;
-    bound_[chip] = bound;
-    cv_.notify_all();
+    if (config.banks > 0)
+        model_.emplace(config);
 }
 
 bool
-DramFabric::safeLocked(unsigned chip, Quanta p) const
+DramFabric::safe(unsigned chip, Quanta p) const
 {
     for (unsigned j = 0; j < bound_.size(); ++j) {
-        if (j == chip || done_[j])
+        if (j == chip || state_[j] == ChipState::Done)
             continue;
         if (bound_[j] < p || (bound_[j] == p && j < chip))
             return false;
@@ -51,54 +31,70 @@ DramFabric::safeLocked(unsigned chip, Quanta p) const
     return true;
 }
 
+void
+DramFabric::run(const std::function<void(unsigned)> &chipBody)
+{
+    const auto chips = static_cast<unsigned>(bound_.size());
+    for (unsigned c = 0; c < chips; ++c)
+        fibers_.push_back(
+            std::make_unique<Fiber>([&chipBody, c] { chipBody(c); }));
+
+    while (true) {
+        // The unfinished chip with the smallest (bound, chip).
+        unsigned next = chips;
+        for (unsigned c = 0; c < chips; ++c) {
+            if (state_[c] != ChipState::Done &&
+                (next == chips || bound_[c] < bound_[next]))
+                next = c;
+        }
+        if (next == chips)
+            break;
+
+        // Deadlock freedom: the pick is unstarted, or parked at its
+        // bound with its commit globally next — so it can always run.
+        CLUMSY_ASSERT(state_[next] == ChipState::Unstarted ||
+                          (state_[next] == ChipState::Parked &&
+                           lastCommit_[next] == bound_[next] &&
+                           safe(next, bound_[next])),
+                      "fabric picked chip %u, which cannot run", next);
+        state_[next] = ChipState::Running;
+        fibers_[next]->resume();
+        if (fibers_[next]->finished()) {
+            state_[next] = ChipState::Done;
+            fibers_[next].reset();
+        }
+        CLUMSY_ASSERT(state_[next] != ChipState::Running,
+                      "chip %u left the scheduler while running", next);
+    }
+}
+
 Quanta
 DramFabric::request(unsigned chip, std::uint64_t addr, Quanta reqTime)
 {
-    std::unique_lock<std::mutex> lk(m_);
-
     // The commit point. Clamping to the chip's own previous commit
     // keeps the per-chip sequence monotone (port slot times are not:
     // with MSHRs > 1 a later access can land on an earlier slot), so
     // the global (p, chip) order below is a genuine total order.
+    CLUMSY_ASSERT(state_[chip] == ChipState::Running,
+                  "DRAM request from chip %u outside its fiber", chip);
     const Quanta p = std::max(reqTime, lastCommit_[chip]);
     CLUMSY_ASSERT(p >= bound_[chip],
                   "DRAM request earlier than the chip's published bound");
     bound_[chip] = p;
     lastCommit_[chip] = p;
-    cv_.notify_all();
 
-    // Wait for the commit turn, lending out our execution token while
-    // blocked so the chips we wait on can run. Safety is monotone
-    // (bounds only rise, done only sets), so re-acquiring the token
-    // afterwards cannot invalidate it.
-    bool released = false;
-    while (!safeLocked(chip, p)) {
-        if (!released) {
-            released = true;
-            --running_;
-            cv_.notify_all();
-        }
-        cv_.wait(lk);
-    }
-    if (released) {
-        while (running_ >= tokens_)
-            cv_.wait(lk);
-        ++running_;
+    // Not yet next: park. The scheduler resumes this chip only once
+    // its (p, chip) is the smallest (bound, chip) left, i.e. once the
+    // commit is next.
+    if (!safe(chip, p)) {
+        state_[chip] = ChipState::Parked;
+        fibers_[chip]->yield();
     }
 
-    const Quanta done = model_.access(addr, p);
+    const Quanta done = model_->access(addr, p);
     const Quanta extra = done - reqTime - flat_;
     CLUMSY_ASSERT(extra >= 0, "DRAM completed before the flat penalty");
     return extra;
-}
-
-void
-DramFabric::finish(unsigned chip)
-{
-    std::lock_guard<std::mutex> lk(m_);
-    done_[chip] = 1;
-    --running_;
-    cv_.notify_all();
 }
 
 } // namespace clumsy::linecard

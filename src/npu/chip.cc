@@ -430,7 +430,7 @@ runChipOnce(const core::AppFactory &factory,
     // steps that drain a queue under backpressure go unpublished.
     // Publishing less often only delays other chips' DRAM commits
     // (each request advances this chip's bound by itself), and it
-    // keeps the fabric's lock out of the per-arrival path.
+    // keeps this O(P) scan out of the per-arrival path.
     auto publishHorizon = [&]() {
         Quanta minDt = 0;
         bool any = false;

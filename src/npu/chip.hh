@@ -89,11 +89,11 @@ struct ChipEnv
     unsigned engineSaltBase = 0;
 
     /**
-     * Horizon feed for the card's conservative parallelism: called
-     * before every engine step taken with no arrival due, with a
-     * monotone lower bound (chip quanta) on the time of any future
-     * DRAM request this chip can make. Null = not tracked (no
-     * per-step O(P) scan).
+     * Horizon feed for the card's DRAM commit order: called before
+     * every engine step taken with no arrival due, with a monotone
+     * lower bound (chip quanta) on the time of any future DRAM
+     * request this chip can make. Null = not tracked (no per-step
+     * O(P) scan).
      */
     std::function<void(Quanta)> progress;
 };

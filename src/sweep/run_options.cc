@@ -258,9 +258,10 @@ RunOptions::add(cli::ArgParser &parser, Tier tier)
                   "row-conflict latency, cycles (default 135)",
                   &k.dram.rowConflictCycles);
         parser.optUnsigned("--card-jobs", "N",
-                           "chips simulating concurrently; results are "
-                           "byte-identical for every value (default 1 "
-                           "= serial, 0 = hardware)",
+                           "worker threads for the golden run and "
+                           "trials; results are byte-identical for "
+                           "every value (default 1 = serial, 0 = "
+                           "hardware)",
                            &k.cardJobs);
         parser.optUnsigned("--ingress-cap", "N",
                            "per-chip ingress FIFO capacity, packets "

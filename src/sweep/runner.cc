@@ -76,15 +76,6 @@ runSweep(const SweepSpec &spec, unsigned jobs,
         return npuCfg;
     };
 
-    // The card-jobs= axis gets the same budget treatment; card runs
-    // are byte-identical across card-jobs values by contract.
-    auto cellCardConfig = [&](const SweepCell &cell) {
-        linecard::CardConfig cardCfg = makeCardConfig(cell);
-        cardCfg.cardJobs = WorkStealingPool::budgetedWorkers(
-            cardCfg.cardJobs, outcome.jobs);
-        return cardCfg;
-    };
-
     // Phase 1: one golden job per cell. The records are written once
     // here and only read afterwards, so phase 2 shares them freely.
     // Chip-model cells run the npu harness instead of the single-core
@@ -103,7 +94,7 @@ runSweep(const SweepSpec &spec, unsigned jobs,
                 std::make_unique<linecard::CardRunResult>(
                     linecard::runCard(apps::appFactory(cell.app), cfg,
                                       cellNpuConfig(cell),
-                                      cellCardConfig(cell), true, 0));
+                                      makeCardConfig(cell), true, 0));
         } else if (cell.isNpu()) {
             chipGoldens[k] = std::make_unique<npu::ChipRun>(
                 npu::runChipGolden(apps::appFactory(cell.app), cfg,
@@ -136,7 +127,7 @@ runSweep(const SweepSpec &spec, unsigned jobs,
         if (cell.isCard()) {
             const linecard::CardRunResult r = linecard::runCard(
                 apps::appFactory(cell.app), cfg, cellNpuConfig(cell),
-                cellCardConfig(cell), false, t);
+                makeCardConfig(cell), false, t);
             trialMetrics[j] = linecard::mergeCardRunMetrics(r);
             trialCards[j] = r.card;
         } else if (cell.isNpu()) {

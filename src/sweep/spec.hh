@@ -100,9 +100,11 @@ struct SweepSpec
      * Line-card dimensions (src/linecard/): chip counts behind the
      * inter-chip dispatcher, shared-DRAM bank counts (0 = analytical
      * DRAM model off, the historical flat-penalty behaviour) and
-     * card-jobs values (inter-chip worker threads, byte-identical
-     * across values like chip-jobs). The all-default column routes
-     * the cell through the chip or single-core harness unchanged.
+     * card-jobs values (run-level worker threads, byte-identical
+     * across values like chip-jobs; the sweep already runs each card
+     * run as its own job, so the value only names the cell). The
+     * all-default column routes the cell through the chip or
+     * single-core harness unchanged.
      */
     std::vector<unsigned> chips = {1};
     std::vector<unsigned> dramBanks = {0};
@@ -194,7 +196,7 @@ struct SweepCell
     unsigned chipJobs = 1;       ///< chip-run worker threads
     unsigned chips = 1;          ///< line-card chip count
     unsigned dramBanks = 0;      ///< shared-DRAM banks (0 = model off)
-    unsigned cardJobs = 1;       ///< inter-chip worker threads
+    unsigned cardJobs = 1;       ///< card run-level worker threads
     std::uint32_t flows = 0;     ///< flow override (0 = app default)
     std::uint64_t churn = 0;     ///< mean flow lifetime (0 = app's own)
     std::string faultMap = "off"; ///< "off", "spatial" or a map path
@@ -256,7 +258,7 @@ npu::NpuConfig makeNpuConfig(const SweepCell &cell);
 /**
  * The line-card configuration of a cell (meaningful when
  * cell.isCard()): chips behind a round-robin card dispatcher sharing
- * a dramBanks-bank DRAM, advanced by cardJobs workers.
+ * a dramBanks-bank DRAM.
  */
 linecard::CardConfig makeCardConfig(const SweepCell &cell);
 

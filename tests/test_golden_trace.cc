@@ -1,6 +1,7 @@
 /**
  * @file
- * Golden-trace regression corpus for the single-core and chip models.
+ * Golden-trace regression corpus for the single-core, chip and card
+ * models.
  *
  * Each corpus entry pins the exact numeric outcome of one small run —
  * recorder digests, cycles, energy, fault and recovery counts, and for
@@ -24,6 +25,14 @@
  * correction, map-mode draws with frame retirement, and per-PE DVS;
  * they were generated before the L1D path was reworked to price its
  * energy per clock change and probe its tags once per access.
+ * The card entries were generated by the thread-per-chip DRAM commit
+ * fabric (one blocking thread per chip, a mutex and a condvar) before
+ * it became a single-thread fiber scheduler, so they pin the global
+ * (time, chip) DRAM commit order — and everything downstream of it —
+ * across that rewrite: round-robin, flow and shortest card dispatch,
+ * a per-chip Cr spread, mapped faults with control churn, the
+ * card-dram benchmark shape, MSHR-reordered commits on a shared L2,
+ * and a faulty trial in which chips die mid-run.
  *
  * Regenerating (only when a change is *meant* to shift results):
  *   CLUMSY_REGEN_GOLDEN=1 ./build/tests/test_golden_trace
@@ -45,9 +54,12 @@
 
 #include "apps/app.hh"
 #include "core/experiment.hh"
+#include "ctrl/ctrl.hh"
 #include "fault/fault_map.hh"
+#include "linecard/card.hh"
 #include "npu/chip.hh"
 #include "npu/config.hh"
+#include "sweep/sink.hh"
 
 namespace
 {
@@ -61,6 +73,8 @@ enum class Harness
     CoreGolden,     ///< one single-core golden run
     CoreTrial,      ///< one single-core faulty trial vs its golden run
     ChipStream,     ///< one streaming chip run (golden, or trial 0)
+    CardExperiment, ///< golden + trials through runCardExperiment
+    CardTrial,      ///< one faulty card run (trial 0)
 };
 
 /**
@@ -93,6 +107,11 @@ struct GoldenCase
     const char *faultMap = "off"; ///< `--fault-map` value
     unsigned wayRetire = 0;       ///< way-disable retire threshold
     npu::DvsMode dvs = npu::DvsMode::Fault;
+    std::uint32_t ctrlRate = 0; ///< FIB updates per 1000 packets
+    unsigned chips = 1;         ///< card harnesses: chips on the card
+    npu::DispatchPolicy cardDispatch = npu::DispatchPolicy::RoundRobin;
+    unsigned dramBanks = 0;     ///< card harnesses: 0 = DRAM model off
+    const char *perChipCr = ""; ///< comma-separated; empty = uniform
 };
 
 /**
@@ -255,6 +274,87 @@ const GoldenCase kCases[] = {
      .golden = false,
      .dynamic = true,
      .dvs = npu::DvsMode::Queue},
+
+    // Line cards behind a shared DRAM: the three LineCard workloads
+    // (round-robin crc; flow-dispatched route on 2 banks with a
+    // per-chip Cr spread; shortest-dispatched lpm with mapped faults
+    // and FIB churn), golden + 2 trials at Cr 0.5, two-strike.
+    {.name = "card_crc",
+     .app = "crc",
+     .harness = Harness::CardExperiment,
+     .packets = 240,
+     .trials = 2,
+     .cr = 0.5,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .chips = 2,
+     .dramBanks = 4},
+    {.name = "card_route_cr_spread",
+     .app = "route",
+     .harness = Harness::CardExperiment,
+     .packets = 240,
+     .trials = 2,
+     .cr = 0.5,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .pes = 2,
+     .dispatch = npu::DispatchPolicy::FlowHash,
+     .chips = 4,
+     .cardDispatch = npu::DispatchPolicy::FlowHash,
+     .dramBanks = 2,
+     .perChipCr = "0.5,0.45,0.55,0.5"},
+    {.name = "card_lpm_mapped_ctrl",
+     .app = "lpm",
+     .harness = Harness::CardExperiment,
+     .packets = 240,
+     .trials = 2,
+     .cr = 0.5,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .faultMap = "spatial",
+     .ctrlRate = 100,
+     .chips = 3,
+     .cardDispatch = npu::DispatchPolicy::ShortestQueue,
+     .dramBanks = 4},
+    // The card-dram benchmark's shape: lpm under FIB churn on 4 chips
+    // x 2 PEs over 8 banks.
+    {.name = "card_dram_lpm",
+     .app = "lpm",
+     .harness = Harness::CardExperiment,
+     .packets = 600,
+     .trials = 2,
+     .cr = 0.5,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .pes = 2,
+     .ctrlRate = 100,
+     .chips = 4,
+     .dramBanks = 8},
+    // Four MSHRs on a shared L2: port slots are not monotone, so the
+    // fabric's clamp to each chip's previous commit point decides the
+    // commit order.
+    {.name = "card_shared_mshr4_nat",
+     .app = "nat",
+     .harness = Harness::CardExperiment,
+     .packets = 400,
+     .trials = 2,
+     .cr = 0.5,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .pes = 4,
+     .dispatch = npu::DispatchPolicy::FlowHash,
+     .l2 = npu::L2Mode::Shared,
+     .mshrs = 4,
+     .chips = 3,
+     .dramBanks = 4},
+    // A faulty card trial at a scaled fault rate without detection:
+    // chips die mid-run and drop out of the commit order while the
+    // survivors keep committing.
+    {.name = "card_faulty_deaths_route",
+     .app = "route",
+     .harness = Harness::CardTrial,
+     .packets = 600,
+     .cr = 0.45,
+     .faultScale = 20.0,
+     .pes = 2,
+     .dispatch = npu::DispatchPolicy::FlowHash,
+     .chips = 4,
+     .dramBanks = 4},
 };
 
 /**
@@ -301,6 +401,14 @@ PrintTo(const GoldenCase &gc, std::ostream *os)
             << npu::to_string(gc.dispatch)
             << " l2=" << npu::to_string(gc.l2);
         break;
+      case Harness::CardExperiment:
+      case Harness::CardTrial:
+        *os << " card "
+            << (gc.harness == Harness::CardTrial ? "trial" : "experiment")
+            << " chips=" << gc.chips << " dram-banks=" << gc.dramBanks
+            << " pes=" << gc.pes << " mshrs=" << gc.mshrs
+            << " l2=" << npu::to_string(gc.l2);
+        break;
     }
     *os << " packets=" << gc.packets;
     // Non-default knobs only, so older cases keep their names.
@@ -314,6 +422,10 @@ PrintTo(const GoldenCase &gc, std::ostream *os)
         *os << " way-retire=" << gc.wayRetire;
     if (gc.dvs != npu::DvsMode::Fault)
         *os << " dvs=" << npu::to_string(gc.dvs);
+    if (gc.ctrlRate != 0)
+        *os << " ctrl=" << gc.ctrlRate;
+    if (*gc.perChipCr != '\0')
+        *os << " per-chip-cr=" << gc.perChipCr;
 }
 
 /** Exact round-trip text for a double (%.17g re-reads bit-equal). */
@@ -473,6 +585,18 @@ digest(const GoldenCase &gc)
     npuCfg.dropWhenFull = gc.drop;
     npuCfg.arrivalGapCycles = gc.gap;
     npuCfg.dvs = gc.dvs;
+    if (gc.ctrlRate != 0) {
+        cfg.ctrl.rate = gc.ctrlRate;
+        cfg.ctrl.mix = ctrl::CtrlMix::Fib;
+    }
+
+    linecard::CardConfig card;
+    card.chips = gc.chips;
+    card.dispatch = gc.cardDispatch;
+    card.dram.banks = gc.dramBanks;
+    std::istringstream crs(gc.perChipCr);
+    for (std::string cr; std::getline(crs, cr, ',');)
+        card.perChipCr.push_back(std::stod(cr));
 
     const core::AppFactory factory = apps::appFactory(gc.app);
     DigestWriter w;
@@ -500,6 +624,36 @@ digest(const GoldenCase &gc)
                    res.peDigests[pe]);
         w.putRun(res.merged);
         w.putChip(res.chip);
+        break;
+      }
+      case Harness::CardExperiment: {
+        const linecard::CardExperimentResult res =
+            linecard::runCardExperiment(factory, cfg, npuCfg, card);
+        w.putS("golden_value_digest",
+               sweep::hexU64(res.golden.valueDigest));
+        w.putS("golden_card", sweep::cardMetricsJson(res.golden.card));
+        w.putS("faulty_card", sweep::cardMetricsJson(res.faultyCard));
+        w.put("fatal_fraction", res.fatalFraction);
+        for (std::size_t c = 0; c < res.golden.chips.size(); ++c)
+            w.put("chip" + std::to_string(c) + "_golden_makespan_cycles",
+                  res.golden.chips[c].chip.makespanCycles);
+        break;
+      }
+      case Harness::CardTrial: {
+        const linecard::CardRunResult run =
+            linecard::runCard(factory, cfg, npuCfg, card, false, 0);
+        w.putS("value_digest", sweep::hexU64(run.valueDigest));
+        w.putS("card", sweep::cardMetricsJson(run.card));
+        for (std::size_t c = 0; c < run.chips.size(); ++c) {
+            const npu::ChipStreamResult &r = run.chips[c];
+            const std::string chip = "chip" + std::to_string(c) + "_";
+            w.putU(chip + "value_digest", r.valueDigest);
+            w.putU(chip + "fatal", r.merged.fatal ? 1 : 0);
+            w.putU(chip + "packets_processed", r.merged.packetsProcessed);
+            w.put(chip + "makespan_cycles", r.chip.makespanCycles);
+            w.put(chip + "dram_stall_cycles", r.chip.dramStallCycles);
+        }
+        w.putRun(linecard::mergeCardRunMetrics(run));
         break;
       }
     }

@@ -4,19 +4,24 @@
  * byte-identity across workloads (including a mapped-fault +
  * control-churn cell), the one-chip anchor against the streaming chip
  * harness, dispatcher split invariants, metric merges, shared-DRAM
- * stat coherence and config validation.
+ * stat coherence, config validation, and the DRAM fabric's
+ * (bound, chip) fiber scheduler on hand-written chip bodies.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "apps/app.hh"
 #include "core/experiment.hh"
 #include "fault/fault_map.hh"
 #include "linecard/card.hh"
+#include "linecard/fabric.hh"
 #include "npu/chip.hh"
 #include "npu/config.hh"
 #include "sweep/sink.hh"
@@ -62,7 +67,9 @@ reprOf(const CardExperimentResult &res)
  * hardware default — produces byte-identical results, on three
  * workloads that between them cover round-robin/flow/shortest
  * dispatch, per-chip Cr spread, control-plane churn and a spatially
- * mapped fault cell.
+ * mapped fault cell. The job count fans the golden run and the trials
+ * out; the chips of one run always share one thread, and the golden
+ * corpus (tests/golden/card_*.golden) pins their commit order.
  */
 TEST(LineCard, CardJobsAreByteIdenticalAcrossWorkloads)
 {
@@ -287,5 +294,174 @@ TEST(LineCardConfig, ValidateRejectsNonsense)
         CardConfig card;
         card.dram.rowBytes = 100; // invalid geometry propagates
         EXPECT_DEATH(card.validate(), "power of two");
+    }
+}
+
+// --- the fabric's scheduler -------------------------------------------
+
+namespace
+{
+
+/** The flat penalty the fabric's tests subtract (the row-hit time). */
+Quanta
+flatOf(const dram::DramConfig &config)
+{
+    return cyclesToQuanta(config.rowHitCycles);
+}
+
+} // namespace
+
+/**
+ * A chip that never touches DRAM runs start to finish without parking
+ * anyone. It is the last chip, so the others first park behind its
+ * unstarted bound of 0; once it is picked and done, their commits
+ * land in (time, chip) order.
+ */
+TEST(DramFabric, ChipWithoutDramDoesNotStallTheOthers)
+{
+    dram::DramConfig config;
+    config.banks = 4;
+    DramFabric fabric(config, 3, flatOf(config));
+
+    const std::vector<std::vector<Quanta>> times = {
+        {10, 20, 30}, {15, 25}, {}};
+    std::vector<std::pair<unsigned, Quanta>> events;
+    fabric.run([&](unsigned c) {
+        for (const Quanta t : times[c]) {
+            fabric.request(c, 0x1000 * (c + 1), t);
+            events.emplace_back(c, t);
+        }
+        if (times[c].empty())
+            events.emplace_back(c, -1); // the quiet chip finished
+    });
+
+    const std::vector<std::pair<unsigned, Quanta>> want = {
+        {2, -1}, {0, 10}, {1, 15}, {0, 20}, {1, 25}, {0, 30}};
+    EXPECT_EQ(events, want);
+    EXPECT_EQ(fabric.model().stats().accesses, 5u);
+}
+
+/**
+ * Eight chips hammering one bank. With request times fixed in
+ * advance the model must see exactly the (time, chip)-sorted access
+ * sequence; with times that feed back from the returned stall, two
+ * runs of the same body must leave identical model stats.
+ */
+TEST(DramFabric, EightChipsOnOneBankAreReproducible)
+{
+    dram::DramConfig config;
+    config.banks = 1;
+    const unsigned chips = 8;
+    const Quanta flat = flatOf(config);
+
+    // Per-chip request streams: (time, address), time-ordered, with
+    // cross-chip ties so the chip index has to break them.
+    auto streamOf = [](unsigned c) {
+        std::vector<std::pair<Quanta, std::uint64_t>> s;
+        Quanta t = 0;
+        for (unsigned i = 0; i < 40; ++i) {
+            t += 1 + (c * 7 + i * 13) % 5;
+            s.emplace_back(t, (c * 97 + i * 31) % 6 * 4096);
+        }
+        return s;
+    };
+
+    { // Fixed times: the fabric's order is the sorted order.
+        DramFabric fabric(config, chips, flat);
+        fabric.run([&](unsigned c) {
+            for (const auto &[t, addr] : streamOf(c)) {
+                fabric.publish(c, t);
+                fabric.request(c, addr, t);
+            }
+        });
+
+        std::vector<std::tuple<Quanta, unsigned, std::uint64_t>> all;
+        for (unsigned c = 0; c < chips; ++c)
+            for (const auto &[t, addr] : streamOf(c))
+                all.emplace_back(t, c, addr);
+        std::sort(all.begin(), all.end());
+        dram::DramModel ref(config);
+        for (const auto &[t, c, addr] : all)
+            ref.access(addr, t);
+
+        const dram::DramStats &got = fabric.model().stats();
+        const dram::DramStats &want = ref.stats();
+        EXPECT_EQ(got.accesses, want.accesses);
+        EXPECT_EQ(got.rowHits, want.rowHits);
+        EXPECT_EQ(got.rowMisses, want.rowMisses);
+        EXPECT_EQ(got.rowConflicts, want.rowConflicts);
+    }
+
+    // Stall feeds back into each chip's next request time.
+    auto feedbackRun = [&] {
+        DramFabric fabric(config, chips, flat);
+        std::vector<Quanta> finish(chips, 0);
+        fabric.run([&](unsigned c) {
+            Quanta t = 0;
+            for (const auto &[gap, addr] : streamOf(c)) {
+                t += gap % 3;
+                fabric.publish(c, t);
+                t += flat + fabric.request(c, addr, t);
+            }
+            finish[c] = t;
+        });
+        const dram::DramStats &st = fabric.model().stats();
+        return std::make_tuple(st.accesses, st.rowHits, st.rowMisses,
+                               st.rowConflicts, finish);
+    };
+    const auto first = feedbackRun();
+    EXPECT_EQ(std::get<0>(first), 40u * chips);
+    EXPECT_EQ(feedbackRun(), first);
+}
+
+/**
+ * A finished chip's last bound stays where it was; it must drop out of
+ * the safety check, or the chip that parked behind it would never be
+ * picked (the scheduler's assert would fire).
+ */
+TEST(DramFabric, DoneChipsDropOutOfTheSafetyCheck)
+{
+    dram::DramConfig config;
+    config.banks = 2;
+    DramFabric fabric(config, 2, flatOf(config));
+
+    std::vector<unsigned> order;
+    fabric.run([&](unsigned c) {
+        // Chip 0 parks at 50 (chip 1 has not started), chip 1 parks
+        // at 100 behind it; chip 0 then commits and finishes with its
+        // bound left at 50, below chip 1's commit point.
+        fabric.request(c, 0x40 * c, c == 0 ? 50 : 100);
+        order.push_back(c);
+    });
+
+    EXPECT_EQ(order, (std::vector<unsigned>{0, 1}));
+    EXPECT_EQ(fabric.model().stats().accesses, 2u);
+}
+
+/**
+ * Every workload runs end to end on a 4-chip card with the DRAM model
+ * on, inside the fibers' fixed stacks (an overflow would fault on the
+ * guard page), and completes every packet.
+ */
+TEST(DramFabric, EveryAppCompletesOnFourChips)
+{
+    core::ExperimentConfig cfg = smallConfig();
+    cfg.numPackets = 120;
+    npu::NpuConfig npuCfg;
+    npuCfg.peCount = 2;
+    CardConfig card;
+    card.chips = 4;
+    card.dram.banks = 4;
+
+    std::vector<std::string> names = apps::allAppNames();
+    for (const std::string &ext : apps::extensionAppNames())
+        names.push_back(ext);
+    for (const std::string &app : names) {
+        const CardRunResult run =
+            runCard(apps::appFactory(app), cfg, npuCfg, card);
+        EXPECT_EQ(run.card.packetsProcessed,
+                  static_cast<double>(cfg.numPackets))
+            << app;
+        EXPECT_GT(run.card.dramAccesses, 0.0) << app;
     }
 }
