@@ -122,13 +122,14 @@ UrlApp::processPacket(ClumsyProcessor &proc, const net::Packet &pkt,
     // Untimed audits scoped to this packet: the URL entry and the
     // RouteTable entry it should switch to, identified from the wire
     // payload (host truth) so corrupted loads cannot skew the key.
-    const std::string wire(pkt.payload.begin(), pkt.payload.end());
-    const auto getPos = wire.find("GET ");
-    const auto spPos =
-        getPos == 0 ? wire.find(' ', 4) : std::string::npos;
-    if (spPos != std::string::npos) {
-        const std::string wireUrl = wire.substr(4, spPos - 4);
-        const auto it = urlIndex_.find(wireUrl);
+    const std::string_view wire(
+        reinterpret_cast<const char *>(pkt.payload.data()),
+        pkt.payload.size());
+    const auto spPos = wire.starts_with("GET ")
+                           ? wire.find(' ', 4)
+                           : std::string_view::npos;
+    if (spPos != std::string_view::npos) {
+        const auto it = urlIndex_.find(wire.substr(4, spPos - 4));
         if (it != urlIndex_.end()) {
             const std::uint32_t uIdx = it->second;
             const std::uint32_t goldenDest =

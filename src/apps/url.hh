@@ -12,7 +12,10 @@
 #ifndef CLUMSY_APPS_URL_HH
 #define CLUMSY_APPS_URL_HH
 
+#include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "apps/app.hh"
@@ -37,8 +40,21 @@ class UrlApp : public BaseApp
   private:
     std::unique_ptr<UrlTable> urls_;
     std::unique_ptr<RouteTable> routes_;
-    /// Host-side ground truth: URL string -> table index.
-    std::unordered_map<std::string, std::uint32_t> urlIndex_;
+    /** std::string_view-probeable hash (heterogeneous lookup). */
+    struct UrlHash
+    {
+        using is_transparent = void;
+        std::size_t operator()(std::string_view s) const noexcept
+        {
+            return std::hash<std::string_view>{}(s);
+        }
+    };
+
+    /// Host-side ground truth: URL string -> table index (probed with
+    /// a view of the wire payload, so no string is built per packet).
+    std::unordered_map<std::string, std::uint32_t, UrlHash,
+                       std::equal_to<>>
+        urlIndex_;
     /// Host-side copy of the destination pool (entry i's server).
     std::vector<std::uint32_t> destPool_;
 };

@@ -134,6 +134,21 @@ class StatGroup
         return &counters_[key];
     }
 
+    /**
+     * inc() through a lazily interned handle: the first call resolves
+     * @p key into @p handle (creating the counter, exactly as inc()
+     * would), every later call is one add. For counters a component
+     * must not create before their first event — the key set stays
+     * the string-keyed inc()'s.
+     */
+    void inc(std::uint64_t *&handle, const char *key,
+             std::uint64_t delta = 1)
+    {
+        if (handle == nullptr)
+            handle = slot(key);
+        *handle += delta;
+    }
+
     /** Overwrite the named counter. */
     void set(const std::string &key, std::uint64_t value);
 

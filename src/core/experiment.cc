@@ -63,7 +63,7 @@ ValueRecorder::beginPacket()
     digest_ = fnvBytes(digest_, &mark, sizeof mark);
     ++framesBegun_;
     if (mode_ == Mode::Full)
-        packets_.emplace_back();
+        frameStart_.push_back(marks_.size());
 }
 
 void
@@ -74,7 +74,7 @@ ValueRecorder::record(const std::string &key, std::uint64_t value)
     digest_ = fnvBytes(digest_, key.data(), key.size());
     digest_ = fnvBytes(digest_, &value, sizeof value);
     if (mode_ == Mode::Full)
-        packets_.back().emplace_back(key, value);
+        marks_.emplace_back(key, value);
 }
 
 void
@@ -85,7 +85,7 @@ ValueRecorder::record(const char *key, std::uint64_t value)
     digest_ = fnvBytes(digest_, key, std::strlen(key));
     digest_ = fnvBytes(digest_, &value, sizeof value);
     if (mode_ == Mode::Full)
-        packets_.back().emplace_back(key, value);
+        marks_.emplace_back(key, value);
 }
 
 std::vector<std::string>
@@ -95,25 +95,43 @@ ValueRecorder::comparePacket(std::size_t idx,
     return comparePacket(idx, other, idx);
 }
 
+std::span<const ValueRecorder::Mark>
+ValueRecorder::frame(std::size_t idx) const
+{
+    const std::size_t end =
+        idx + 1 < frameStart_.size() ? frameStart_[idx + 1] : marks_.size();
+    return std::span<const Mark>(marks_).subspan(frameStart_[idx],
+                                                 end - frameStart_[idx]);
+}
+
 std::vector<std::string>
 ValueRecorder::comparePacket(std::size_t idx, const ValueRecorder &other,
                              std::size_t otherIdx) const
 {
     CLUMSY_ASSERT(mode_ == Mode::Full && other.mode_ == Mode::Full,
                   "comparePacket() needs Full-mode recorders");
-    CLUMSY_ASSERT(idx < packets_.size() &&
-                      otherIdx < other.packets_.size(),
+    CLUMSY_ASSERT(idx < frameStart_.size() &&
+                      otherIdx < other.frameStart_.size(),
                   "packet frame out of range");
+    const std::span<const Mark> myFrame = frame(idx);
+    const std::span<const Mark> theirFrame = other.frame(otherIdx);
+    // Values first: they differ far more often than keys do.
+    if (std::equal(myFrame.begin(), myFrame.end(), theirFrame.begin(),
+                   theirFrame.end(), [](const Mark &a, const Mark &b) {
+                       return a.second == b.second && a.first == b.first;
+                   }))
+        return {};
+
     // Group the frame's values per key, preserving per-key order
     // (e.g. the sequence of radix-tree nodes traversed).
-    auto group = [](const Frame &frame) {
+    auto group = [](std::span<const Mark> marks) {
         std::map<std::string, std::vector<std::uint64_t>> m;
-        for (const auto &kv : frame)
-            m[kv.first].push_back(kv.second);
+        for (const auto &[key, value] : marks)
+            m[key].push_back(value);
         return m;
     };
-    const auto mine = group(packets_[idx]);
-    const auto theirs = group(other.packets_[otherIdx]);
+    const auto mine = group(myFrame);
+    const auto theirs = group(theirFrame);
 
     std::vector<std::string> mismatched;
     for (const auto &kv : mine) {
@@ -213,8 +231,9 @@ runOnce(const AppFactory &factory, const ExperimentConfig &config,
     proc.setInjectionEnabled(injectData);
     RunMetrics &m = run.metrics;
     m.packetsAttempted = config.numPackets;
+    net::Packet pkt; // redrawn in place: the payload storage is reused
     for (std::uint64_t i = 0; i < config.numPackets; ++i) {
-        const net::Packet pkt = src->next();
+        src->nextInto(pkt);
         if (proc.fatalOccurred())
             break;
         // Apply every update scheduled before this packet, through

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,13 @@ std::string to_string(FaultPlane plane);
  * memory independent of packet count. Both modes maintain the digest
  * over identical bytes, so a Full recorder's digest() equals the
  * Digest recorder's for the same run.
+ *
+ * Full mode keeps one flat log: every frame's (key, value) marks back
+ * to back in one vector, plus each frame's start offset. Recording a
+ * mark appends to it — no per-packet container — and the workloads'
+ * keys are short enough (<= 15 characters) to stay inside the
+ * std::string small-buffer, so the steady state allocates only when
+ * the log's capacity doubles.
  */
 class ValueRecorder
 {
@@ -94,7 +102,14 @@ class ValueRecorder
     /**
      * Compare one packet frame against another recorder's same frame.
      * @return the keys whose value sequences differ (missing keys and
-     * length mismatches count as differences).
+     * length mismatches count as differences), in key order: first
+     * this frame's differing keys, then the keys only @p other has.
+     *
+     * Frames that are equal mark for mark — almost every packet of a
+     * trial — return empty without grouping: equal frames group into
+     * equal per-key sequences under any grouping, so the answer is
+     * the one the full comparison would give. Only a frame that
+     * differs is grouped per key.
      */
     std::vector<std::string> comparePacket(std::size_t idx,
                                            const ValueRecorder &other)
@@ -111,8 +126,13 @@ class ValueRecorder
                                            std::size_t otherIdx) const;
 
   private:
-    using Frame = std::vector<std::pair<std::string, std::uint64_t>>;
-    std::vector<Frame> packets_;
+    using Mark = std::pair<std::string, std::uint64_t>;
+
+    /** Frame @p idx's marks (a view into marks_). */
+    std::span<const Mark> frame(std::size_t idx) const;
+
+    std::vector<Mark> marks_;             ///< Full mode: every frame's marks
+    std::vector<std::size_t> frameStart_; ///< marks_ offset of each frame
     Mode mode_ = Mode::Full;
     std::size_t framesBegun_ = 0;
     std::uint64_t digest_ = 0xcbf29ce484222325ull; ///< FNV offset basis

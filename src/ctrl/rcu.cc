@@ -30,10 +30,11 @@ RcuDomain::quiesce()
     // that could have seen them: move them to the free lists.
     for (const Block &b : retiredPrev_) {
         free_[b.size].push_back(b.addr);
-        freeSet_.insert(b.addr);
+        freeSet_.emplace(b.addr, true);
         ++reclaimed_;
     }
-    retiredPrev_ = std::move(retiredCurr_);
+    // Rotate the epochs; swapping keeps both lists' capacity.
+    retiredPrev_.swap(retiredCurr_);
     retiredCurr_.clear();
     ++epoch_;
 }

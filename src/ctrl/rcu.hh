@@ -25,6 +25,11 @@
  * identical reclamation decisions and the chip stays byte-identical at
  * every --chip-jobs value. Reuse order is LIFO per size class, which
  * is deterministic given a deterministic update schedule.
+ *
+ * The steady state allocates nothing: quiesce() rotates the two epoch
+ * lists by swapping them (both keep their capacity), the free lists
+ * only grow to their high-water mark, and the reclaimed-address set
+ * is a flat F14Table rather than a node-per-entry hash set.
  */
 
 #ifndef CLUMSY_CTRL_RCU_HH
@@ -32,9 +37,9 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/f14_table.hh"
 #include "common/types.hh"
 
 namespace clumsy::ctrl
@@ -71,7 +76,7 @@ class RcuDomain
      */
     bool isReclaimed(SimAddr addr) const
     {
-        return freeSet_.count(addr) != 0;
+        return freeSet_.contains(addr);
     }
 
     /** Blocks retired so far (lifetime counter). */
@@ -101,8 +106,8 @@ class RcuDomain
 
     std::vector<Block> retiredCurr_; ///< retired this epoch
     std::vector<Block> retiredPrev_; ///< retired last epoch
-    std::map<SimSize, std::vector<SimAddr>> free_;
-    std::unordered_set<SimAddr> freeSet_;
+    std::map<SimSize, std::vector<SimAddr>> free_; ///< LIFO per size
+    F14Table<SimAddr, bool> freeSet_; ///< every address on a free list
     std::uint64_t epoch_ = 0;
     std::uint64_t retired_ = 0;
     std::uint64_t reclaimed_ = 0;

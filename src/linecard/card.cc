@@ -38,17 +38,21 @@ class CardSplitSource final : public traffic::PacketSource
     {
     }
 
-    net::Packet next() override
+    void nextInto(net::Packet &pkt) override
     {
+        // Every card packet is drawn into one scratch packet whose
+        // payload storage the other chips' (discarded) packets reuse;
+        // only this chip's packets are copied out.
         while (true) {
-            net::Packet pkt = inner_->next();
-            const int choice = disp_.choose(pkt, depths_, alive_);
+            inner_->nextInto(scratch_);
+            const int choice = disp_.choose(scratch_, depths_, alive_);
             CLUMSY_ASSERT(choice >= 0,
                           "card dispatch failed with every chip alive");
             ++depths_[static_cast<unsigned>(choice)];
             if (static_cast<unsigned>(choice) == chip_) {
                 arrival_ = inner_->lastArrivalCycles();
-                return pkt;
+                pkt = scratch_;
+                return;
             }
         }
     }
@@ -67,6 +71,7 @@ class CardSplitSource final : public traffic::PacketSource
     std::vector<char> alive_;
     unsigned chip_;
     std::int64_t arrival_ = 0;
+    net::Packet scratch_; ///< the card packet being split
 };
 
 } // namespace
@@ -96,8 +101,9 @@ cardAssignCounts(const net::TraceConfig &trace, std::int64_t gapCycles,
     std::vector<unsigned> depths(card.chips, 0);
     const std::vector<char> alive(card.chips, 1);
     std::vector<std::uint64_t> counts(card.chips, 0);
+    net::Packet pkt; // redrawn in place: no allocation per packet
     for (std::uint64_t s = 0; s < numPackets; ++s) {
-        const net::Packet pkt = src->next();
+        src->nextInto(pkt);
         const int choice = disp.choose(pkt, depths, alive);
         CLUMSY_ASSERT(choice >= 0,
                       "card dispatch failed with every chip alive");

@@ -27,6 +27,7 @@ Cache::Cache(std::string name, CacheGeometry geom, CheckCodec codec)
     lru_.assign(lines, 0);
     data_.assign(lines * geom_.lineBytes, 0);
     check_.assign(lines * wordsPerLine_, 0);
+    victim_.assign(geom_.lineBytes, 0);
     hits_ = stats_.slot("hits");
     misses_ = stats_.slot("misses");
     fills_ = stats_.slot("fills");
@@ -71,8 +72,8 @@ Cache::fill(SimAddr addr, const std::uint8_t *data)
         evicted.base = (tags_[victim] << setShift_);
         if (dirty_[victim]) {
             ++*writebacks_;
-            evicted.data.assign(dataOf(victim),
-                                dataOf(victim) + geom_.lineBytes);
+            std::memcpy(victim_.data(), dataOf(victim), geom_.lineBytes);
+            evicted.data = victim_;
         }
     }
 

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,14 +83,23 @@ class LineRef
 class Cache
 {
   public:
-    /** What fill() did: the installed line and the evicted victim. */
+    /**
+     * What fill() did: the installed line and the evicted victim.
+     *
+     * Lifetime: @c data is a view of one victim line the cache owns
+     * and reuses on every dirty eviction, not a copy. It stays valid
+     * until this cache's next fill() — write a dirty victim back
+     * before filling the same cache again. Fills of other caches
+     * (the L2 behind an L1D) leave it intact.
+     */
     struct Evicted
     {
         std::size_t line = 0; ///< frame now holding the filled line
         bool valid = false;   ///< a valid victim was evicted
         bool dirty = false;
         SimAddr base = 0;
-        std::vector<std::uint8_t> data; ///< victim bytes (dirty only)
+        /** Victim bytes (dirty only; empty otherwise; see above). */
+        std::span<const std::uint8_t> data;
     };
 
     Cache(std::string name, CacheGeometry geom,
@@ -317,6 +327,7 @@ class Cache
     std::vector<std::uint64_t> lru_;
     std::vector<std::uint8_t> data_;  ///< lines * lineBytes blob
     std::vector<std::uint8_t> check_; ///< lines * wordsPerLine blob
+    std::vector<std::uint8_t> victim_; ///< last dirty victim (Evicted)
 
     // Retired frames (way-disable recovery). disabledFrames_ == 0 on
     // every path until a frame is retired, so the hot paths pay one

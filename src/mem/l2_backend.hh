@@ -111,6 +111,7 @@ class PrivateL2Backend final : public L2Backend
         store_ = store;
         energy_ = energy;
         stats_ = stats;
+        writebacksToMem_ = nullptr;
         flushBuf_.resize(l2_->lineBytes());
     }
 
@@ -128,7 +129,7 @@ class PrivateL2Backend final : public L2Backend
                            static_cast<SimSize>(victim.data.size()));
         if (energy_)
             energy_->addMemAccess();
-        stats_->inc("l2_writebacks_to_mem");
+        stats_->inc(writebacksToMem_, "l2_writebacks_to_mem");
     }
 
     bool contains(SimAddr addr) const override
@@ -169,6 +170,7 @@ class PrivateL2Backend final : public L2Backend
     BackingStore *store_ = nullptr;
     energy::EnergyAccount *energy_ = nullptr;
     StatGroup *stats_ = nullptr;
+    std::uint64_t *writebacksToMem_ = nullptr; ///< interned on first use
     std::vector<std::uint8_t> flushBuf_; ///< one L2 line, for flushLine
 };
 

@@ -1,6 +1,7 @@
 #include "net/trace_gen.hh"
 
 #include <cstdio>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "net/checksum.hh"
@@ -126,12 +127,12 @@ TraceGenerator::drawFlow(Rng &rng) const
     return f;
 }
 
-Packet
-TraceGenerator::emit(const FlowTuple &flow)
+void
+TraceGenerator::emit(const FlowTuple &flow, Packet &pkt)
 {
-    Packet pkt;
     pkt.seq = seq_++;
 
+    pkt.ip = Ipv4Header{};
     pkt.ip.src = flow.src;
     pkt.ip.dst = flow.dst;
     pkt.ip.protocol = flow.protocol;
@@ -143,8 +144,12 @@ TraceGenerator::emit(const FlowTuple &flow)
     if (config_.httpPayloads) {
         const auto urlIdx = urlZipf_.sample(rng_) - 1;
         const std::string &url = urlPool_[urlIdx];
-        std::string req = "GET " + url + " HTTP/1.0\r\nHost: h\r\n\r\n";
-        pkt.payload.assign(req.begin(), req.end());
+        static constexpr std::string_view kGet = "GET ";
+        static constexpr std::string_view kTail =
+            " HTTP/1.0\r\nHost: h\r\n\r\n";
+        pkt.payload.assign(kGet.begin(), kGet.end());
+        pkt.payload.insert(pkt.payload.end(), url.begin(), url.end());
+        pkt.payload.insert(pkt.payload.end(), kTail.begin(), kTail.end());
     } else {
         const std::uint32_t len =
             config_.minPayload +
@@ -160,16 +165,15 @@ TraceGenerator::emit(const FlowTuple &flow)
     pkt.ip.checksum = 0;
     const auto hdr = pkt.ip.toBytes();
     pkt.ip.checksum = internetChecksum(hdr.data(), hdr.size());
-    return pkt;
 }
 
-Packet
-TraceGenerator::next()
+void
+TraceGenerator::nextInto(Packet &pkt)
 {
     // Pick a flow with Zipf popularity (hot flows dominate, as in
     // real traces).
     const auto flowIdx = flowZipf_.sample(rng_) - 1;
-    return emit(flows_[flowIdx]);
+    emit(flows_[flowIdx], pkt);
 }
 
 std::vector<Packet>

@@ -119,7 +119,19 @@ class TraceGenerator
     explicit TraceGenerator(TraceConfig config);
 
     /** Generate the next packet of the stream. */
-    Packet next();
+    Packet next()
+    {
+        Packet pkt;
+        nextInto(pkt);
+        return pkt;
+    }
+
+    /**
+     * Generate the next packet into @p pkt, overwriting every field
+     * and reusing its payload storage (no allocation once the
+     * capacity suffices). The stream is next()'s, packet for packet.
+     */
+    void nextInto(Packet &pkt);
 
     /**
      * Materialize a whole trace of n packets. Test-only convenience:
@@ -131,11 +143,12 @@ class TraceGenerator
 
     /**
      * Build the next packet of the stream for an externally chosen
-     * flow (the churn model's entry point). Draws TTL, IP id and
-     * payload from the stream RNG exactly as next() does; next() is
-     * emit() over a Zipf-chosen static flow.
+     * flow into @p pkt (the churn model's entry point), overwriting
+     * every field and reusing the payload storage. Draws TTL, IP id
+     * and payload from the stream RNG exactly as next() does; next()
+     * is emit() over a Zipf-chosen static flow.
      */
-    Packet emit(const FlowTuple &flow);
+    void emit(const FlowTuple &flow, Packet &pkt);
 
     /**
      * Draw a fresh flow from @p rng with the constructor's recipe

@@ -96,6 +96,8 @@ runChipOnce(const core::AppFactory &factory,
             cyclesToQuanta(config.processor.hierarchy.memCycles));
 
     ChipRun run;
+    if (!stream)
+        run.completions.resize(config.numPackets);
     run.recorders.assign(
         npu.peCount,
         core::ValueRecorder(stream ? core::ValueRecorder::Mode::Digest
@@ -237,7 +239,7 @@ runChipOnce(const core::AppFactory &factory,
 
     std::uint64_t generated = 0;
     bool havePending = false;
-    net::Packet pending;
+    net::Packet pending; ///< the arrival being dispatched (no ingress)
     Quanta pendingArrival = 0;
 
     // Bounded ingress FIFO (NpuConfig::ingressCapacity > 0): due
@@ -251,6 +253,13 @@ runChipOnce(const core::AppFactory &factory,
     net::Packet look;
     Quanta lookArrival = 0;
     std::uint64_t ingressDrops = 0;
+
+    // The arrival the dispatch stage is placing: the FIFO head with a
+    // bounded ingress, else the pending slot. Referenced in place, not
+    // copied — a head that stalls is re-read on every pass.
+    auto pendingPacket = [&]() -> net::Packet & {
+        return ingressCap > 0 ? ingress.front().first : pending;
+    };
 
     core::RunMetrics &merged = run.merged;
     std::uint64_t completed = 0;
@@ -314,7 +323,7 @@ runChipOnce(const core::AppFactory &factory,
 
     auto processOne = [&](unsigned pe) {
         Engine &e = engines[pe];
-        const net::Packet pkt = e.queue.front();
+        const net::Packet pkt = std::move(e.queue.front());
         e.queue.pop_front();
         --depths[pe];
         samplePressure(e);
@@ -382,16 +391,16 @@ runChipOnce(const core::AppFactory &factory,
             return; // no per-sequence bookkeeping: O(1) memory
         // A trace sequence number must complete exactly once, no
         // matter how backpressure re-arbitration shuffles arrivals.
-        const bool freshSeq =
-            run.completions.emplace(pkt.seq, std::make_pair(pe, frame))
-                .second;
-        CLUMSY_ASSERT(freshSeq, "packet sequence completed twice");
-        if (goldenRef) {
-            const auto it = goldenRef->completions.find(pkt.seq);
-            if (it != goldenRef->completions.end()) {
+        CLUMSY_ASSERT(pkt.seq < run.completions.size(),
+                      "packet sequence outside the trace");
+        Completion &slot = run.completions[pkt.seq];
+        CLUMSY_ASSERT(!slot.done(), "packet sequence completed twice");
+        slot = Completion{pe, frame};
+        if (goldenRef && pkt.seq < goldenRef->completions.size()) {
+            const Completion &ref = goldenRef->completions[pkt.seq];
+            if (ref.done()) {
                 const auto bad = rec.comparePacket(
-                    frame, goldenRef->recorders[it->second.first],
-                    it->second.second);
+                    frame, goldenRef->recorders[ref.pe], ref.frame);
                 if (!bad.empty())
                     ++merged.packetsWithError;
                 for (const auto &key : bad)
@@ -408,10 +417,14 @@ runChipOnce(const core::AppFactory &factory,
             ingress.pop_front();
     };
 
-    // One successful placement.
+    // One successful placement. The packet leaves the dispatch stage
+    // here, so it is moved, never copied, into the engine queue: with
+    // a bounded ingress consumePending() pops the moved-from FIFO head
+    // in this same step. A pass that does not place the head (a
+    // backpressure stall) leaves it untouched for the next re-read.
     auto place = [&](unsigned pe) {
         Engine &e = engines[pe];
-        e.queue.push_back(pending);
+        e.queue.push_back(std::move(pendingPacket()));
         ++depths[pe];
         if (!events.contains(pe))
             events.push(pe, e.dataTime());
@@ -479,16 +492,14 @@ runChipOnce(const core::AppFactory &factory,
                 if (!due)
                     break;
                 if (ingress.size() < ingressCap)
-                    ingress.emplace_back(look, lookArrival);
+                    ingress.emplace_back(std::move(look), lookArrival);
                 else
                     ++ingressDrops;
                 haveLook = false;
             }
             havePending = !ingress.empty();
-            if (havePending) {
-                pending = ingress.front().first;
+            if (havePending)
                 pendingArrival = ingress.front().second;
-            }
         } else if (!havePending && generated < config.numPackets) {
             // Pull the next arrival eagerly: its timestamp comes from
             // the source (the churn model only knows a packet's
@@ -518,7 +529,7 @@ runChipOnce(const core::AppFactory &factory,
         // engine steps past it. With a bounded ingress the pending
         // packet is the FIFO head, and the next pass re-admits due
         // arrivals before dispatching.
-        const int pe = disp.choose(pending, depths, alive);
+        const int pe = disp.choose(pendingPacket(), depths, alive);
         if (pe < 0) {
             ++dropsDeadPe;
             consumePending();
@@ -727,7 +738,7 @@ runChipTrial(const core::AppFactory &factory,
     // Faulty trials don't need their frames again: comparison against
     // golden already happened per completion.
     run.recorders.clear();
-    run.completions.clear();
+    run.completions = std::vector<Completion>();
     return run;
 }
 

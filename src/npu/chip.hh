@@ -33,8 +33,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -176,6 +174,18 @@ struct ChipMetrics
     std::vector<double> peStepsDown; ///< clock-down decisions per engine
 };
 
+/** Where one completed packet's marked values were recorded. */
+struct Completion
+{
+    static constexpr unsigned kNotCompleted = ~0u;
+
+    unsigned pe = kNotCompleted; ///< engine that processed the packet
+    std::size_t frame = 0;       ///< frame index in pe's recorder
+
+    /** @return true when the packet completed. */
+    bool done() const { return pe != kNotCompleted; }
+};
+
 /** Everything one chip run (golden or one faulty trial) produced. */
 struct ChipRun
 {
@@ -195,9 +205,12 @@ struct ChipRun
     /** Per-engine marked-value frames (golden runs keep these). */
     std::vector<core::ValueRecorder> recorders;
 
-    /** trace seq -> (engine, frame index in that engine's recorder). */
-    std::map<std::uint64_t, std::pair<unsigned, std::size_t>>
-        completions;
+    /**
+     * Where each trace packet's marked values live, indexed by the
+     * packet's sequence number (one slot per generated packet; slots
+     * of dropped packets stay not done()).
+     */
+    std::vector<Completion> completions;
 };
 
 /** Run the chip fault-free; panics if any engine dies. */
@@ -247,7 +260,7 @@ struct ChipStreamResult
 
 /**
  * One chip run in streaming mode: recorders run in Digest mode and no
- * per-sequence completion map is kept, so peak memory is independent
+ * per-sequence completion index is kept, so peak memory is independent
  * of config.numPackets — the form bench/traffic_scale uses for
  * 10M-packet runs. The step loop, engine scheduling, metrics and the
  * packet stream are exactly runChipGolden/runChipTrial's; only the

@@ -19,8 +19,8 @@ SharedL2Port::requestPort(unsigned requester, Quanta endTime,
     const Quanta service =
         static_cast<Quanta>(l2Accesses - l2Misses) * hitService_ +
         static_cast<Quanta>(l2Misses) * missService_;
-    stats_.inc("requests");
-    stats_.inc("port_uses", l2Accesses);
+    stats_.inc(requests_, "requests");
+    stats_.inc(portUses_, "port_uses", l2Accesses);
     if (service == 0)
         return 0;
 
@@ -50,15 +50,16 @@ SharedL2Port::requestPort(unsigned requester, Quanta endTime,
             continue;
         if (it->second.end > begin) {
             begin = it->second.end;
-            stats_.inc("mshr_merges");
+            stats_.inc(mshrMerges_, "mshr_merges");
         }
     }
 
     const Quanta delay = begin - start;
     *slot = begin + service;
     if (delay > 0) {
-        stats_.inc("contended");
-        stats_.inc("wait_quanta", static_cast<std::uint64_t>(delay));
+        stats_.inc(contended_, "contended");
+        stats_.inc(waitQuanta_, "wait_quanta",
+                   static_cast<std::uint64_t>(delay));
     }
 
     // Modeled DRAM behind the port (line card): every miss line is one
@@ -82,15 +83,15 @@ SharedL2Port::requestPort(unsigned requester, Quanta endTime,
         if (dram_ != nullptr) {
             extra = dram_->request(dramSalt_ + lines[i].base, dramReq);
             dramExtra = std::max(dramExtra, extra);
-            stats_.inc("dram_requests");
+            stats_.inc(dramRequests_, "dram_requests");
         }
         if (!lines[i].shareable)
             continue;
         inflight_[lines[i].base] = Inflight{requester, *slot + extra};
     }
     if (dramExtra > 0)
-        stats_.inc("dram_extra_quanta",
-                    static_cast<std::uint64_t>(dramExtra));
+        stats_.inc(dramExtraQuanta_, "dram_extra_quanta",
+                   static_cast<std::uint64_t>(dramExtra));
 
     // Bound the table: entries whose transfer has completed relative
     // to the current window can never merge again.
@@ -293,10 +294,10 @@ SharedL2Cache::lookup(unsigned pe, SimAddr addr)
     }
     ++engineStats_[pe].hits;
     if (!diverged(base)) {
-        const auto it = fillOwner_.find(base);
-        CLUMSY_ASSERT(it != fillOwner_.end(),
+        const unsigned *owner = fillOwner_.find(base);
+        CLUMSY_ASSERT(owner != nullptr,
                       "shared frame without a fill owner");
-        if (it->second != pe)
+        if (*owner != pe)
             ++engineStats_[pe].crossHits;
     }
     return true;
@@ -313,12 +314,12 @@ SharedL2Cache::handleVictim(unsigned pe,
         // Shared frame: always clean (every engine's store already
         // holds the bytes), so eviction is free.
         CLUMSY_ASSERT(!victim.dirty, "dirty shared frame");
-        const auto it = fillOwner_.find(victim.base);
-        CLUMSY_ASSERT(it != fillOwner_.end(),
+        const unsigned *owner = fillOwner_.find(victim.base);
+        CLUMSY_ASSERT(owner != nullptr,
                       "evicted shared frame without a fill owner");
-        if (it->second != pe)
-            ++engineStats_[it->second].evictedByOther;
-        fillOwner_.erase(it);
+        if (*owner != pe)
+            ++engineStats_[*owner].evictedByOther;
+        fillOwner_.erase(victim.base);
         return;
     }
     // Colored line: route the writeback to the OWNER's store — the
@@ -332,7 +333,7 @@ SharedL2Cache::handleVictim(unsigned pe,
             static_cast<SimSize>(victim.data.size()));
         if (energies_[owner])
             energies_[owner]->addMemAccess();
-        stats_.inc("writebacks_to_mem");
+        stats_.inc(writebacksToMem_, "writebacks_to_mem");
     }
     if (owner != pe)
         ++engineStats_[owner].evictedByOther;
@@ -345,7 +346,7 @@ SharedL2Cache::fill(unsigned pe, SimAddr base, const std::uint8_t *data)
         cache_.fill(keyFor(pe, base), data);
     handleVictim(pe, victim);
     if (!diverged(base))
-        fillOwner_[base] = pe;
+        fillOwner_.insertOrAssign(base, pe);
 }
 
 bool

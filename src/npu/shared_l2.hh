@@ -58,6 +58,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/f14_table.hh"
 #include "common/pool.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -149,6 +150,16 @@ class SharedL2Port : public mem::L2PortArbiter
     std::uint64_t dramSalt_ = 0;        ///< chip offset into DRAM space
     Quanta dramFlat_ = 0; ///< flat penalty already inside endTime
     StatGroup stats_{"l2port"};
+
+    // Counter handles, interned on first increment (StatGroup::inc):
+    // the warm path bumps them with no string key or map lookup.
+    std::uint64_t *requests_ = nullptr;
+    std::uint64_t *portUses_ = nullptr;
+    std::uint64_t *mshrMerges_ = nullptr;
+    std::uint64_t *contended_ = nullptr;
+    std::uint64_t *waitQuanta_ = nullptr;
+    std::uint64_t *dramRequests_ = nullptr;
+    std::uint64_t *dramExtraQuanta_ = nullptr;
 
     /** Line base -> in-flight shareable transfer (merge window). */
     std::unordered_map<SimAddr, Inflight> inflight_;
@@ -340,9 +351,13 @@ class SharedL2Cache
     std::vector<EngineStats> engineStats_;
     std::vector<char> diverged_; ///< per-DRAM-line, monotone
     std::vector<std::uint8_t> flushBuf_; ///< one line, for flushLine
-    /** Shared-frame line base -> engine whose refill installed it. */
-    std::unordered_map<SimAddr, unsigned> fillOwner_;
+    /**
+     * Shared-frame line base -> engine whose refill installed it
+     * (flat: a fill or eviction allocates nothing).
+     */
+    F14Table<SimAddr, unsigned> fillOwner_;
     StatGroup stats_{"shared_l2"};
+    std::uint64_t *writebacksToMem_ = nullptr; ///< interned on first use
     std::uint64_t divergedCount_ = 0;
 
     SimAddr lineBase(SimAddr addr) const

@@ -104,8 +104,8 @@ ChurnSource::rampFactor(std::uint64_t seq) const
     return c.rampStartFactor + (1.0 - c.rampStartFactor) * t;
 }
 
-net::Packet
-ChurnSource::next()
+void
+ChurnSource::nextInto(net::Packet &pkt)
 {
     const net::ChurnConfig &churn = gen_.config().churn;
 
@@ -135,11 +135,10 @@ ChurnSource::next()
             static_cast<double>(nominalGap_) * factor));
     }
 
-    net::Packet pkt = gen_.emit(flows_.tuple(slot));
+    gen_.emit(flows_.tuple(slot), pkt);
     ++slotPackets_[slot];
     ++counters_.packets;
     flows_.consume(slot, gen_, churnRng_, churn);
-    return pkt;
 }
 
 std::unique_ptr<PacketSource>

@@ -46,11 +46,24 @@ class PacketSource
     virtual ~PacketSource() = default;
 
     /** Produce the next packet of the stream. */
-    virtual net::Packet next() = 0;
+    net::Packet next()
+    {
+        net::Packet pkt;
+        nextInto(pkt);
+        return pkt;
+    }
 
     /**
-     * Arrival time, in base cycles, of the packet the last next()
-     * returned (0 before the first call). Non-decreasing.
+     * Produce the next packet into @p pkt, overwriting every field and
+     * reusing its payload storage: a consumer that draws packets only
+     * to discard most of them (the line card's per-chip split) makes
+     * no heap allocation per discarded packet.
+     */
+    virtual void nextInto(net::Packet &pkt) = 0;
+
+    /**
+     * Arrival time, in base cycles, of the packet the last next() or
+     * nextInto() produced (0 before the first call). Non-decreasing.
      */
     virtual std::int64_t lastArrivalCycles() const = 0;
 
@@ -68,11 +81,10 @@ class StaticSource final : public PacketSource
     {
     }
 
-    net::Packet next() override
+    void nextInto(net::Packet &pkt) override
     {
-        net::Packet pkt = gen_.next();
+        gen_.nextInto(pkt);
         arrival_ = static_cast<std::int64_t>(pkt.seq) * gap_;
-        return pkt;
     }
 
     std::int64_t lastArrivalCycles() const override { return arrival_; }
@@ -157,7 +169,7 @@ class ChurnSource final : public PacketSource
     ChurnSource(const net::TraceConfig &config,
                 std::int64_t nominalGapCycles);
 
-    net::Packet next() override;
+    void nextInto(net::Packet &pkt) override;
 
     std::int64_t lastArrivalCycles() const override { return arrival_; }
 

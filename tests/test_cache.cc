@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <random>
 #include <vector>
 
@@ -399,4 +400,57 @@ TEST(Cache, SoaMatchesNaiveModelUnderRandomOps)
     EXPECT_EQ(cache.stats().get("fills"), fills);
     EXPECT_EQ(cache.stats().get("evictions"), evictions);
     EXPECT_EQ(cache.stats().get("writebacks"), writebacks);
+}
+
+/**
+ * Cache::Evicted::data is a view of a cache-owned victim line, not a
+ * copy: a dirty victim's bytes must equal the line's contents just
+ * before the fill, and must survive fills of *another* cache — the
+ * L1D's writeback path refills the L2 before it reads the victim.
+ */
+TEST(Cache, DirtyVictimViewHoldsPreFillBytes)
+{
+    Cache upper("l1d", CacheGeometry{256, 2, 32, 22});
+    Cache lower("l2", CacheGeometry{1024, 2, 32, 22});
+    std::mt19937_64 rng(0x71c7);
+    // Host copy of every line resident in `upper`.
+    std::map<SimAddr, std::vector<std::uint8_t>> resident;
+    unsigned dirtyVictims = 0;
+    for (unsigned op = 0; op < 20000; ++op) {
+        const SimAddr base = static_cast<SimAddr>(rng() % 16) * 32;
+        std::vector<std::uint8_t> bytes(32);
+        for (std::uint8_t &b : bytes)
+            b = static_cast<std::uint8_t>(rng());
+        if (upper.contains(base)) {
+            const unsigned off = rng() % 25; // off+8 <= 32
+            upper.writeRange(upper.lineOf(base), base + off, bytes.data(),
+                             8, true);
+            std::memcpy(resident.at(base).data() + off, bytes.data(), 8);
+            continue;
+        }
+        const Cache::Evicted ev = upper.fill(base, bytes.data());
+        if (ev.valid) {
+            const std::vector<std::uint8_t> &before = resident.at(ev.base);
+            if (ev.dirty) {
+                ++dirtyVictims;
+                ASSERT_EQ(ev.data.size(), 32u);
+                ASSERT_TRUE(std::equal(ev.data.begin(), ev.data.end(),
+                                       before.begin()))
+                    << "op " << op;
+                const SimAddr other =
+                    static_cast<SimAddr>(rng() % 64) * 32;
+                if (!lower.contains(other))
+                    lower.fill(other, bytes.data());
+                ASSERT_TRUE(std::equal(ev.data.begin(), ev.data.end(),
+                                       before.begin()))
+                    << "op " << op << ": a fill of another cache moved "
+                    << "the victim view";
+            } else {
+                EXPECT_TRUE(ev.data.empty());
+            }
+            resident.erase(ev.base);
+        }
+        resident[base] = bytes;
+    }
+    EXPECT_GT(dirtyVictims, 1000u);
 }

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "apps/app.hh"
@@ -228,6 +231,65 @@ TEST(RcuDomain, TakeFreeMatchesSizeClassLifo)
     EXPECT_EQ(rcu.takeFree(16), 0u);
     EXPECT_EQ(rcu.takeFree(32), 0x3000u);
     EXPECT_EQ(rcu.reused(), 3u);
+}
+
+/**
+ * takeFree()'s exact per-size LIFO order decides the simulated address
+ * of every reclaimed node, and so every lpm digest. A seeded mix of
+ * allocations (reclaimed or fresh), retires and quiescent points over
+ * three size classes must hand blocks out in the order recorded from
+ * the original node-based (std::unordered_set) domain: the first takes
+ * verbatim, the whole sequence as an FNV-1a fold.
+ */
+TEST(RcuDomain, TakeOrderMatchesRecordedReference)
+{
+    RcuDomain rcu;
+    std::mt19937_64 rng(0x7c0de);
+    std::vector<std::pair<SimAddr, SimSize>> live;
+    SimAddr fresh = 0x10000;
+    std::uint64_t fold = 0xcbf29ce484222325ull;
+    std::vector<SimAddr> firstReuses;
+    std::uint64_t takes = 0;
+    for (unsigned op = 0; op < 20000; ++op) {
+        switch (rng() % 4) {
+          case 0:
+          case 1: { // allocate: a reclaimed block, else bump
+            const SimSize size = 16u << (rng() % 3);
+            SimAddr addr = rcu.takeFree(size);
+            if (addr != 0) {
+                ++takes;
+                fold = (fold ^ addr) * 1099511628211ull;
+                if (firstReuses.size() < 12)
+                    firstReuses.push_back(addr);
+            } else {
+                addr = fresh;
+                fresh += size;
+            }
+            EXPECT_FALSE(rcu.isReclaimed(addr));
+            live.emplace_back(addr, size);
+            break;
+          }
+          case 2: { // unlink and retire a random live block
+            if (live.empty())
+                break;
+            const std::size_t i = rng() % live.size();
+            rcu.retire(live[i].first, live[i].second);
+            live[i] = live.back();
+            live.pop_back();
+            break;
+          }
+          default:
+            rcu.quiesce();
+            break;
+        }
+    }
+    const std::vector<SimAddr> wantFirst = {
+        0x10000, 0x10050, 0x10050, 0x10010, 0x10060, 0x10100,
+        0x100b0, 0x100a0, 0x10050, 0x10090, 0x10060, 0x100f0};
+    EXPECT_EQ(firstReuses, wantFirst);
+    EXPECT_EQ(takes, 5025u);
+    EXPECT_EQ(fold, 0x7c305efe083fcb8full);
+    EXPECT_EQ(rcu.reused(), takes);
 }
 
 TEST(RcuDomain, EpochCounterAdvances)

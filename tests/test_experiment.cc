@@ -5,11 +5,104 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "apps/app.hh"
 #include "core/experiment.hh"
 
 using namespace clumsy;
 using namespace clumsy::core;
+
+namespace
+{
+
+using Frame = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/**
+ * The per-key grouping comparison exactly as ValueRecorder computed it
+ * for every packet before the equal-frame shortcut: the reference the
+ * recorder's answer must match in content and order.
+ */
+std::vector<std::string>
+referenceCompare(const Frame &a, const Frame &b)
+{
+    auto group = [](const Frame &frame) {
+        std::map<std::string, std::vector<std::uint64_t>> m;
+        for (const auto &kv : frame)
+            m[kv.first].push_back(kv.second);
+        return m;
+    };
+    const auto mine = group(a);
+    const auto theirs = group(b);
+    std::vector<std::string> mismatched;
+    for (const auto &kv : mine) {
+        auto it = theirs.find(kv.first);
+        if (it == theirs.end() || it->second != kv.second)
+            mismatched.push_back(kv.first);
+    }
+    for (const auto &kv : theirs) {
+        if (!mine.count(kv.first))
+            mismatched.push_back(kv.first);
+    }
+    return mismatched;
+}
+
+/** A random frame over a small key alphabet (so keys repeat). */
+Frame
+randomFrame(std::mt19937_64 &rng)
+{
+    static const char *const kKeys[] = {
+        "x", "ttl", "checksum", "radix_path", "session_evicted"};
+    Frame f(rng() % 9);
+    for (auto &kv : f) {
+        kv.first = kKeys[rng() % std::size(kKeys)];
+        kv.second = rng() % 4; // small values: accidental equality too
+    }
+    return f;
+}
+
+/** @p f perturbed the ways a faulty run's frame can differ. */
+Frame
+mutate(Frame f, std::mt19937_64 &rng)
+{
+    switch (rng() % 7) {
+      case 0: // identical: the common case
+        break;
+      case 1: // reordered across keys (per-key order may survive)
+        std::shuffle(f.begin(), f.end(), rng);
+        break;
+      case 2: // a mark repeated
+        if (!f.empty())
+            f.insert(f.begin() + static_cast<std::ptrdiff_t>(
+                                     rng() % f.size()),
+                     f[rng() % f.size()]);
+        break;
+      case 3: // a mark missing (shorter frame)
+        if (!f.empty())
+            f.erase(f.begin() +
+                    static_cast<std::ptrdiff_t>(rng() % f.size()));
+        break;
+      case 4: // a value corrupted
+        if (!f.empty())
+            f[rng() % f.size()].second ^= 1 + rng() % 3;
+        break;
+      case 5: // an extra mark (longer frame, maybe a new key)
+        f.emplace_back(rng() % 2 ? "extra" : "x", rng() % 4);
+        break;
+      case 6: // unrelated frame
+        f = randomFrame(rng);
+        break;
+    }
+    return f;
+}
+
+} // namespace
 
 TEST(ValueRecorder, ComparesByKeyedSequences)
 {
@@ -49,6 +142,57 @@ TEST(ValueRecorder, PerKeyOrderMatters)
     b.record("x", 2);
     b.record("x", 1);
     EXPECT_FALSE(a.comparePacket(0, b).empty());
+}
+
+/**
+ * The equal-frame shortcut and the flat frame log answer exactly what
+ * the per-key grouping did, in content and order: random frame pairs
+ * with reordered, repeated, missing and corrupted marks and length
+ * mismatches, stored at different frame indices in the two recorders
+ * so frame boundaries in the flat log are exercised too.
+ */
+TEST(ValueRecorder, CompareMatchesPerKeyGroupingReference)
+{
+    std::mt19937_64 rng(20041204);
+    ValueRecorder mine, theirs;
+    std::vector<Frame> myFrames, theirFrames;
+    std::vector<std::size_t> theirIndex; ///< my frame i -> their frame
+    for (unsigned i = 0; i < 3000; ++i) {
+        // Interleave unrelated frames on the other side so the paired
+        // frames sit at different indices.
+        if (rng() % 3 == 0) {
+            theirFrames.push_back(randomFrame(rng));
+            theirs.beginPacket();
+            for (const auto &[key, value] : theirFrames.back())
+                theirs.record(key, value);
+        }
+        myFrames.push_back(randomFrame(rng));
+        theirFrames.push_back(mutate(myFrames.back(), rng));
+        theirIndex.push_back(theirFrames.size() - 1);
+        mine.beginPacket();
+        for (const auto &[key, value] : myFrames.back())
+            mine.record(key.c_str(), value); // the literal-key overload
+        theirs.beginPacket();
+        for (const auto &[key, value] : theirFrames.back())
+            theirs.record(key, value);
+    }
+    unsigned equal = 0, differing = 0;
+    for (std::size_t i = 0; i < myFrames.size(); ++i) {
+        const std::size_t j = theirIndex[i];
+        const auto want = referenceCompare(myFrames[i], theirFrames[j]);
+        ASSERT_EQ(mine.comparePacket(i, theirs, j), want) << "frame " << i;
+        ASSERT_EQ(theirs.comparePacket(j, mine, i),
+                  referenceCompare(theirFrames[j], myFrames[i]))
+            << "frame " << i;
+        (want.empty() ? equal : differing) += 1;
+    }
+    // Both outcomes are well represented.
+    EXPECT_GT(equal, 500u);
+    EXPECT_GT(differing, 500u);
+    // The one-index form compares frame i with frame i.
+    for (std::size_t i = 0; i < 50; ++i)
+        EXPECT_EQ(mine.comparePacket(i, theirs),
+                  referenceCompare(myFrames[i], theirFrames[i]));
 }
 
 TEST(Experiment, ZeroFaultScaleYieldsNoErrors)

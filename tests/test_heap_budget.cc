@@ -1,0 +1,265 @@
+/**
+ * @file
+ * Heap-traffic budget of the steady-state packet path.
+ *
+ * The simulator allocates its structures at set-up and is meant to
+ * make (almost) no host heap allocation per simulated packet: the
+ * recorder keeps one flat frame log, the chip moves packets through
+ * its queues, cache evictions hand out views instead of copies, and
+ * the RCU domain recycles its epoch lists. This test replaces the
+ * global operator new/delete with counting versions — which is why it
+ * is its own executable — and bounds the *marginal* allocations per
+ * simulated packet of three paths:
+ *
+ *   (allocs of a run pair at 2N packets - allocs at N) / packets added
+ *
+ * The set-up cost (tables, caches, processors) is the same at N and
+ * 2N and cancels; what is left is what each further packet costs.
+ * Every run of a pair counts its packets, so a golden + trial pair at
+ * N packets simulates 2N packets. The one allocation a packet cannot
+ * avoid is its payload, which PacketSource::next() returns by value.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdio>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "apps/app.hh"
+#include "core/experiment.hh"
+#include "linecard/card.hh"
+#include "npu/chip.hh"
+
+namespace
+{
+
+std::atomic<std::uint64_t> gAllocs{0};
+
+void *
+countedAlloc(std::size_t n)
+{
+    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n == 0 ? 1 : n);
+}
+
+void *
+countedAlignedAlloc(std::size_t n, std::align_val_t al)
+{
+    gAllocs.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t a = static_cast<std::size_t>(al);
+    // aligned_alloc wants a size that is a multiple of the alignment.
+    return std::aligned_alloc(a, ((n == 0 ? 1 : n) + a - 1) / a * a);
+}
+
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    if (void *p = countedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n)
+{
+    if (void *p = countedAlloc(n))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &) noexcept
+{
+    return countedAlloc(n);
+}
+
+void *
+operator new(std::size_t n, std::align_val_t al)
+{
+    if (void *p = countedAlignedAlloc(n, al))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n, std::align_val_t al)
+{
+    if (void *p = countedAlignedAlloc(n, al))
+        return p;
+    throw std::bad_alloc();
+}
+
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+namespace clumsy
+{
+namespace
+{
+
+/**
+ * Allocation budgets per simulated packet, each a little above what
+ * the path measures (x86-64, libstdc++): the core loop redraws one
+ * packet in place (~0.01: amortized growth of the recorder log), a
+ * chip moves each packet — one payload allocation — through its
+ * queues (~1.2 with the queue blocks), and a card chip draws the
+ * other chips' packets into scratch storage (~1.1). A design with
+ * per-packet frame vectors, compare maps, packet copies and victim
+ * copies makes 8 / 20 / 23 on these paths.
+ */
+constexpr double kCoreBudget = 1.0;
+constexpr double kChipBudget = 2.0;
+constexpr double kCardBudget = 2.0;
+
+/** Heap allocations made while running @p body. */
+template <typename Body>
+std::uint64_t
+allocsDuring(Body &&body)
+{
+    const std::uint64_t before =
+        gAllocs.load(std::memory_order_relaxed);
+    body();
+    return gAllocs.load(std::memory_order_relaxed) - before;
+}
+
+/**
+ * Marginal allocations per simulated packet of @p runPair, which runs
+ * @p runs runs of the given packet count each.
+ */
+template <typename RunPair>
+double
+marginalPerPacket(std::uint64_t packets, unsigned runs, RunPair &&runPair)
+{
+    const std::uint64_t atN =
+        allocsDuring([&] { runPair(packets); });
+    const std::uint64_t at2N =
+        allocsDuring([&] { runPair(2 * packets); });
+    return (static_cast<double>(at2N) - static_cast<double>(atN)) /
+           static_cast<double>(runs * packets);
+}
+
+/** Report @p perPkt and hold it to @p budget. */
+void
+expectWithinBudget(double perPkt, double budget)
+{
+    std::printf("marginal heap allocations per simulated packet: %.3f "
+                "(budget %.1f)\n",
+                perPkt, budget);
+    ::testing::Test::RecordProperty("allocs_per_packet",
+                                    std::to_string(perPkt));
+    EXPECT_LE(perPkt, budget);
+}
+
+core::ExperimentConfig
+faultyConfig()
+{
+    core::ExperimentConfig cfg;
+    cfg.cr = 0.5;
+    cfg.scheme = mem::RecoveryScheme::TwoStrike;
+    cfg.processor.hierarchy.scheme = cfg.scheme;
+    cfg.traceSeed = 11;
+    cfg.faultSeed = 0x5eed11;
+    return cfg;
+}
+
+TEST(HeapBudget, CountingAllocatorSeesAllocations)
+{
+    // Through a volatile pointer the block escapes, so the compiler
+    // may not elide the new/delete pair.
+    static std::uint64_t *volatile block = nullptr;
+    const std::uint64_t n = allocsDuring([] {
+        block = new std::uint64_t[4];
+        delete[] block;
+    });
+    EXPECT_EQ(n, 1u);
+}
+
+TEST(HeapBudget, CoreGoldenAndTrialPerPacket)
+{
+    const core::AppFactory factory = apps::appFactory("md5");
+    const double perPkt = marginalPerPacket(200, 2, [&](std::uint64_t n) {
+        core::ExperimentConfig cfg = faultyConfig();
+        cfg.numPackets = n;
+        const core::GoldenRecord golden = core::runGolden(factory, cfg);
+        const core::RunMetrics trial =
+            core::runFaultyTrial(factory, cfg, 0, golden);
+        ASSERT_EQ(golden.metrics.packetsProcessed, n);
+        ASSERT_EQ(trial.packetsProcessed, n);
+    });
+    expectWithinBudget(perPkt, kCoreBudget);
+}
+
+TEST(HeapBudget, SharedL2ChipTrialPerPacket)
+{
+    const core::AppFactory factory = apps::appFactory("nat");
+    npu::NpuConfig npu;
+    npu.peCount = 4;
+    npu.dispatch = npu::DispatchPolicy::FlowHash;
+    npu.mshrs = 4;
+    npu.dvs = npu::DvsMode::Queue;
+    npu.l2 = npu::L2Mode::Shared;
+    npu.chipJobs = 1;
+    const double perPkt = marginalPerPacket(200, 2, [&](std::uint64_t n) {
+        core::ExperimentConfig cfg = faultyConfig();
+        cfg.numPackets = n;
+        const npu::ChipRun golden = npu::runChipGolden(factory, cfg, npu);
+        const npu::ChipRun trial =
+            npu::runChipTrial(factory, cfg, npu, 0, golden);
+        ASSERT_EQ(golden.merged.packetsProcessed, n);
+        ASSERT_FALSE(trial.merged.fatal);
+    });
+    expectWithinBudget(perPkt, kChipBudget);
+}
+
+TEST(HeapBudget, DramCardWithCtrlChurnPerPacket)
+{
+    const core::AppFactory factory = apps::appFactory("lpm");
+    npu::NpuConfig npu;
+    npu.peCount = 2;
+    linecard::CardConfig card;
+    card.chips = 4;
+    card.dram.banks = 8;
+    const double perPkt = marginalPerPacket(300, 2, [&](std::uint64_t n) {
+        core::ExperimentConfig cfg = faultyConfig();
+        cfg.numPackets = n;
+        cfg.ctrl.rate = 100; // FIB updates per 1000 packets
+        cfg.ctrl.mix = ctrl::CtrlMix::Fib;
+        const linecard::CardRunResult golden =
+            linecard::runCard(factory, cfg, npu, card, true, 0);
+        const linecard::CardRunResult trial =
+            linecard::runCard(factory, cfg, npu, card, false, 0);
+        ASSERT_EQ(golden.card.packetsProcessed, static_cast<double>(n));
+        for (const npu::ChipStreamResult &chip : trial.chips)
+            ASSERT_FALSE(chip.merged.fatal);
+    });
+    expectWithinBudget(perPkt, kCardBudget);
+}
+
+} // namespace
+} // namespace clumsy

@@ -78,6 +78,42 @@ TEST(PacketSource, StaticStreamMatchesBatchGenerate)
     }
 }
 
+/**
+ * nextInto() over one reused packet replays next()'s stream field for
+ * field — static and churn models, random and HTTP payloads — so the
+ * harness loops and the line card's split may redraw in place. The
+ * reused packet starts dirty (a long payload, odd header fields) to
+ * catch any field the in-place draw forgets to overwrite.
+ */
+TEST(PacketSource, InPlaceDrawsMatchByValueStream)
+{
+    for (const bool churn : {false, true}) {
+        for (const bool http : {false, true}) {
+            net::TraceConfig tc = churn ? churnyConfig() : net::TraceConfig{};
+            tc.httpPayloads = http;
+            const auto byValue = traffic::makeSource(tc, 7);
+            const auto inPlace = traffic::makeSource(tc, 7);
+            net::Packet pkt;
+            pkt.ip.tos = 0x5a;
+            pkt.ip.fragOff = 0x1234;
+            pkt.ip.ihl = 9;
+            pkt.payload.assign(2048, 0xee);
+            for (int i = 0; i < 2000; ++i) {
+                const net::Packet want = byValue->next();
+                inPlace->nextInto(pkt);
+                ASSERT_EQ(pkt.seq, want.seq);
+                ASSERT_EQ(pkt.ip.toBytes(), want.ip.toBytes())
+                    << "churn " << churn << " http " << http << " #" << i;
+                ASSERT_EQ(pkt.srcPort, want.srcPort);
+                ASSERT_EQ(pkt.dstPort, want.dstPort);
+                ASSERT_EQ(pkt.payload, want.payload);
+                ASSERT_EQ(inPlace->lastArrivalCycles(),
+                          byValue->lastArrivalCycles());
+            }
+        }
+    }
+}
+
 TEST(PacketSource, MakeSourcePicksModelFromConfig)
 {
     net::TraceConfig tc;
