@@ -48,6 +48,16 @@ parseU32(const std::string &opt, const std::string &value)
     return static_cast<std::uint32_t>(v);
 }
 
+std::int64_t
+parseNonNegI64(const std::string &opt, const std::string &value)
+{
+    const std::uint64_t v = parseU64(opt, value);
+    if (v > static_cast<std::uint64_t>(
+                std::numeric_limits<std::int64_t>::max()))
+        fatal("%s: '%s' is out of range", opt.c_str(), value.c_str());
+    return static_cast<std::int64_t>(v);
+}
+
 std::vector<std::string>
 split(const std::string &text, char sep)
 {

@@ -113,6 +113,10 @@ std::uint64_t parseU64(const std::string &opt, const std::string &value);
  */
 std::uint32_t parseU32(const std::string &opt, const std::string &value);
 
+/** parseU64 narrowed to std::int64_t: fatal()s above INT64_MAX. */
+std::int64_t parseNonNegI64(const std::string &opt,
+                            const std::string &value);
+
 /**
  * Split @p text on @p sep, trimming surrounding spaces from each
  * piece; empty pieces are dropped.

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/logging.hh"
 
@@ -181,6 +182,215 @@ JsonWriter::raw(const std::string &json)
     out_ += json;
     needComma_ = true;
     return *this;
+}
+
+// --- reader ----------------------------------------------------------
+
+namespace
+{
+
+struct JsonParser
+{
+    const std::string &text;
+    std::size_t pos = 0;
+
+    [[noreturn]] void die(const char *what) const
+    {
+        fatal("sweep JSON parse error at byte %zu: %s", pos, what);
+    }
+
+    void skipWs()
+    {
+        while (pos < text.size() &&
+               (text[pos] == ' ' || text[pos] == '\n' ||
+                text[pos] == '\t' || text[pos] == '\r'))
+            ++pos;
+    }
+
+    char peek()
+    {
+        skipWs();
+        if (pos >= text.size())
+            die("unexpected end of input");
+        return text[pos];
+    }
+
+    void expect(char c)
+    {
+        if (peek() != c)
+            die("unexpected character");
+        ++pos;
+    }
+
+    bool consume(char c)
+    {
+        if (peek() != c)
+            return false;
+        ++pos;
+        return true;
+    }
+
+    std::string parseString()
+    {
+        expect('"');
+        std::string out;
+        while (pos < text.size() && text[pos] != '"') {
+            char c = text[pos++];
+            if (c != '\\') {
+                out += c;
+                continue;
+            }
+            if (pos >= text.size())
+                die("dangling escape");
+            const char esc = text[pos++];
+            switch (esc) {
+              case '"':
+                out += '"';
+                break;
+              case '\\':
+                out += '\\';
+                break;
+              case '/':
+                out += '/';
+                break;
+              case 'n':
+                out += '\n';
+                break;
+              case 't':
+                out += '\t';
+                break;
+              case 'r':
+                out += '\r';
+                break;
+              case 'u': {
+                if (pos + 4 > text.size())
+                    die("short \\u escape");
+                const std::string hex = text.substr(pos, 4);
+                pos += 4;
+                out += static_cast<char>(
+                    std::strtoul(hex.c_str(), nullptr, 16));
+                break;
+              }
+              default:
+                die("unsupported escape");
+            }
+        }
+        if (pos >= text.size())
+            die("unterminated string");
+        ++pos; // closing quote
+        return out;
+    }
+
+    JVal parseValue()
+    {
+        JVal v;
+        const char c = peek();
+        if (c == '{') {
+            ++pos;
+            v.kind = JVal::Kind::Obj;
+            if (consume('}'))
+                return v;
+            for (;;) {
+                std::string key = parseString();
+                expect(':');
+                v.obj.emplace_back(std::move(key), parseValue());
+                if (consume('}'))
+                    return v;
+                expect(',');
+            }
+        }
+        if (c == '[') {
+            ++pos;
+            v.kind = JVal::Kind::Arr;
+            if (consume(']'))
+                return v;
+            for (;;) {
+                v.arr.push_back(parseValue());
+                if (consume(']'))
+                    return v;
+                expect(',');
+            }
+        }
+        if (c == '"') {
+            v.kind = JVal::Kind::Str;
+            v.str = parseString();
+            return v;
+        }
+        if (c == 't' || c == 'f') {
+            const std::string word = c == 't' ? "true" : "false";
+            if (text.compare(pos, word.size(), word) != 0)
+                die("bad literal");
+            pos += word.size();
+            v.kind = JVal::Kind::Bool;
+            v.b = c == 't';
+            return v;
+        }
+        if (c == 'n') {
+            if (text.compare(pos, 4, "null") != 0)
+                die("bad literal");
+            pos += 4;
+            return v;
+        }
+        // number
+        char *end = nullptr;
+        v.num = std::strtod(text.c_str() + pos, &end);
+        if (end == text.c_str() + pos)
+            die("expected a value");
+        pos = static_cast<std::size_t>(end - text.c_str());
+        v.kind = JVal::Kind::Num;
+        return v;
+    }
+};
+
+} // namespace
+
+JVal
+parseJson(const std::string &text)
+{
+    JsonParser parser{text};
+    return parser.parseValue();
+}
+
+const JVal &
+field(const JVal &obj, const char *key)
+{
+    const JVal *v = obj.find(key);
+    if (!v)
+        fatal("sweep JSON: missing field '%s'", key);
+    return *v;
+}
+
+double
+numField(const JVal &obj, const char *key)
+{
+    const JVal &v = field(obj, key);
+    if (v.kind != JVal::Kind::Num)
+        fatal("sweep JSON: field '%s' is not a number", key);
+    return v.num;
+}
+
+std::uint64_t
+u64Field(const JVal &obj, const char *key)
+{
+    return static_cast<std::uint64_t>(numField(obj, key));
+}
+
+std::string
+strField(const JVal &obj, const char *key)
+{
+    const JVal &v = field(obj, key);
+    if (v.kind != JVal::Kind::Str)
+        fatal("sweep JSON: field '%s' is not a string", key);
+    return v.str;
+}
+
+bool
+boolField(const JVal &obj, const char *key)
+{
+    const JVal &v = field(obj, key);
+    if (v.kind != JVal::Kind::Bool)
+        fatal("sweep JSON: field '%s' is not a bool", key);
+    return v.b;
 }
 
 } // namespace clumsy::sweep

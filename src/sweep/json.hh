@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal deterministic JSON emitter.
+ * Minimal deterministic JSON emitter, and the reader --resume uses.
  *
  * The sweep sinks (and clumsy_sim --json) need JSON output that is
  * byte-for-byte reproducible: doubles are printed in their shortest
@@ -16,6 +16,8 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace clumsy::sweep
 {
@@ -69,6 +71,38 @@ class JsonWriter
     void separate();
     void newlineIndent();
 };
+
+/** A parsed JSON value; only what the sweep's own documents contain. */
+struct JVal
+{
+    enum class Kind { Null, Bool, Num, Str, Arr, Obj };
+    Kind kind = Kind::Null;
+    bool b = false;
+    double num = 0.0;
+    std::string str;
+    std::vector<JVal> arr;
+    std::vector<std::pair<std::string, JVal>> obj;
+
+    const JVal *find(const std::string &key) const
+    {
+        for (const auto &kv : obj) {
+            if (kv.first == key)
+                return &kv.second;
+        }
+        return nullptr;
+    }
+};
+
+/** Parse the JSON value at the start of @p text; fatal()s on junk. */
+JVal parseJson(const std::string &text);
+
+// Typed members of a parsed object; each fatal()s when the member is
+// missing or has another type.
+const JVal &field(const JVal &obj, const char *key);
+double numField(const JVal &obj, const char *key);
+std::uint64_t u64Field(const JVal &obj, const char *key);
+std::string strField(const JVal &obj, const char *key);
+bool boolField(const JVal &obj, const char *key);
 
 } // namespace clumsy::sweep
 

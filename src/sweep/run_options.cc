@@ -1,6 +1,5 @@
 #include "sweep/run_options.hh"
 
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -10,6 +9,7 @@
 #include "fault/fault_map.hh"
 #include "sweep/json.hh"
 #include "sweep/spec.hh"
+#include "traffic/traffic.hh"
 
 namespace clumsy::sweep
 {
@@ -23,11 +23,7 @@ optCycles(cli::ArgParser &parser, const std::string &name,
           const std::string &help, std::int64_t *target)
 {
     parser.option(name, "N", help, [name, target](const std::string &v) {
-        const std::uint64_t n = cli::parseU64(name, v);
-        if (n > static_cast<std::uint64_t>(
-                    std::numeric_limits<std::int64_t>::max()))
-            fatal("%s: '%s' is out of range", name.c_str(), v.c_str());
-        *target = static_cast<std::int64_t>(n);
+        *target = cli::parseNonNegI64(name, v);
     });
 }
 
@@ -287,8 +283,11 @@ RunOptions::finish()
     if (app.empty())
         fatal("--app is required (try --help)");
     cfg.validate();
-    if (tier_ != Tier::Core)
+    if (tier_ != Tier::Core) {
         npuCfg.validate(cfg.processor.hierarchy);
+        traffic::checkArrivalSpan("--arrival-gap", npuCfg.arrivalGapCycles,
+                                  cfg.numPackets);
+    }
     if (tier_ == Tier::Card)
         cardCfg.validate();
 }

@@ -1,7 +1,6 @@
 #include "sweep/sink.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -137,54 +136,7 @@ cellJson(const CellOutcome &out, bool provenance)
     JsonWriter w;
     w.beginObject();
     w.key("key").value(out.cell.key());
-    w.key("app").value(out.cell.app);
-    w.key("cr").value(out.cell.point.cr);
-    w.key("dynamic").value(out.cell.point.dynamic);
-    w.key("scheme").value(schemeName(out.cell.scheme));
-    w.key("codec").value(codecName(out.cell.codec));
-    w.key("plane").value(planeName(out.cell.plane));
-    w.key("fault_scale").value(out.cell.faultScale);
-    w.key("pes").value(static_cast<std::uint64_t>(out.cell.peCount));
-    w.key("dispatch").value(npu::to_string(out.cell.dispatch));
-    w.key("per_pe_cr")
-        .value(out.cell.perPeCr.empty() ? std::string("uniform")
-                                        : out.cell.perPeCr);
-    w.key("dvs").value(npu::to_string(out.cell.dvs));
-    w.key("mshrs").value(static_cast<std::uint64_t>(out.cell.mshrs));
-    w.key("l2").value(npu::to_string(out.cell.l2));
-    // Gaps are parsed non-negative; the uint cast is lossless.
-    w.key("gap").value(static_cast<std::uint64_t>(out.cell.arrivalGap));
-    w.key("chip_jobs")
-        .value(static_cast<std::uint64_t>(out.cell.chipJobs));
-    // Line-card dimensions only at non-default values, so documents
-    // from before the card tier existed parse and resume unchanged.
-    if (out.cell.chips != 1)
-        w.key("chips").value(
-            static_cast<std::uint64_t>(out.cell.chips));
-    if (out.cell.dramBanks != 0)
-        w.key("dram_banks").value(
-            static_cast<std::uint64_t>(out.cell.dramBanks));
-    if (out.cell.cardJobs != 1)
-        w.key("card_jobs").value(
-            static_cast<std::uint64_t>(out.cell.cardJobs));
-    // Traffic and control-plane dimensions only at non-default values:
-    // parseCell must reconstruct the exact cell key, and the elision
-    // keeps documents from before these axes byte-stable.
-    if (out.cell.flows != 0)
-        w.key("flows").value(
-            static_cast<std::uint64_t>(out.cell.flows));
-    if (out.cell.churn != 0)
-        w.key("churn").value(out.cell.churn);
-    if (out.cell.ctrlRate != 0) {
-        w.key("ctrl").value(
-            static_cast<std::uint64_t>(out.cell.ctrlRate));
-        w.key("updates").value(ctrl::to_string(out.cell.updates));
-    }
-    if (out.cell.faultMap != "off" && !out.cell.faultMap.empty())
-        w.key("faultmap").value(out.cell.faultMap);
-    if (out.cell.retire != 0)
-        w.key("retire").value(
-            static_cast<std::uint64_t>(out.cell.retire));
+    writeAxisFields(w, out.cell);
     w.key("result").raw(experimentResultJson(out.result));
     if (out.hasNpu) {
         w.key("npu").beginObject();
@@ -206,232 +158,6 @@ cellJson(const CellOutcome &out, bool provenance)
         w.key("wall_ms").value(out.wallMs);
     w.endObject();
     return w.str();
-}
-
-// --- minimal JSON parser (for --resume) ------------------------------
-
-/** Parsed JSON value; only what our own documents contain. */
-struct JVal
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Num,
-        Str,
-        Arr,
-        Obj
-    };
-    Kind kind = Kind::Null;
-    bool b = false;
-    double num = 0.0;
-    std::string str;
-    std::vector<JVal> arr;
-    std::vector<std::pair<std::string, JVal>> obj;
-
-    const JVal *find(const std::string &key) const
-    {
-        for (const auto &kv : obj) {
-            if (kv.first == key)
-                return &kv.second;
-        }
-        return nullptr;
-    }
-};
-
-struct JsonParser
-{
-    const std::string &text;
-    std::size_t pos = 0;
-
-    [[noreturn]] void die(const char *what) const
-    {
-        fatal("sweep JSON parse error at byte %zu: %s", pos, what);
-    }
-
-    void skipWs()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\n' ||
-                text[pos] == '\t' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    char peek()
-    {
-        skipWs();
-        if (pos >= text.size())
-            die("unexpected end of input");
-        return text[pos];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c)
-            die("unexpected character");
-        ++pos;
-    }
-
-    bool consume(char c)
-    {
-        if (peek() != c)
-            return false;
-        ++pos;
-        return true;
-    }
-
-    std::string parseString()
-    {
-        expect('"');
-        std::string out;
-        while (pos < text.size() && text[pos] != '"') {
-            char c = text[pos++];
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos >= text.size())
-                die("dangling escape");
-            const char esc = text[pos++];
-            switch (esc) {
-              case '"':
-                out += '"';
-                break;
-              case '\\':
-                out += '\\';
-                break;
-              case '/':
-                out += '/';
-                break;
-              case 'n':
-                out += '\n';
-                break;
-              case 't':
-                out += '\t';
-                break;
-              case 'r':
-                out += '\r';
-                break;
-              case 'u': {
-                if (pos + 4 > text.size())
-                    die("short \\u escape");
-                const std::string hex = text.substr(pos, 4);
-                pos += 4;
-                out += static_cast<char>(
-                    std::strtoul(hex.c_str(), nullptr, 16));
-                break;
-              }
-              default:
-                die("unsupported escape");
-            }
-        }
-        if (pos >= text.size())
-            die("unterminated string");
-        ++pos; // closing quote
-        return out;
-    }
-
-    JVal parseValue()
-    {
-        JVal v;
-        const char c = peek();
-        if (c == '{') {
-            ++pos;
-            v.kind = JVal::Kind::Obj;
-            if (consume('}'))
-                return v;
-            for (;;) {
-                std::string key = parseString();
-                expect(':');
-                v.obj.emplace_back(std::move(key), parseValue());
-                if (consume('}'))
-                    return v;
-                expect(',');
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            v.kind = JVal::Kind::Arr;
-            if (consume(']'))
-                return v;
-            for (;;) {
-                v.arr.push_back(parseValue());
-                if (consume(']'))
-                    return v;
-                expect(',');
-            }
-        }
-        if (c == '"') {
-            v.kind = JVal::Kind::Str;
-            v.str = parseString();
-            return v;
-        }
-        if (c == 't' || c == 'f') {
-            const std::string word = c == 't' ? "true" : "false";
-            if (text.compare(pos, word.size(), word) != 0)
-                die("bad literal");
-            pos += word.size();
-            v.kind = JVal::Kind::Bool;
-            v.b = c == 't';
-            return v;
-        }
-        if (c == 'n') {
-            if (text.compare(pos, 4, "null") != 0)
-                die("bad literal");
-            pos += 4;
-            return v;
-        }
-        // number
-        char *end = nullptr;
-        v.num = std::strtod(text.c_str() + pos, &end);
-        if (end == text.c_str() + pos)
-            die("expected a value");
-        pos = static_cast<std::size_t>(end - text.c_str());
-        v.kind = JVal::Kind::Num;
-        return v;
-    }
-};
-
-const JVal &
-field(const JVal &obj, const char *key)
-{
-    const JVal *v = obj.find(key);
-    if (!v)
-        fatal("sweep JSON: missing field '%s'", key);
-    return *v;
-}
-
-double
-numField(const JVal &obj, const char *key)
-{
-    const JVal &v = field(obj, key);
-    if (v.kind != JVal::Kind::Num)
-        fatal("sweep JSON: field '%s' is not a number", key);
-    return v.num;
-}
-
-std::uint64_t
-u64Field(const JVal &obj, const char *key)
-{
-    return static_cast<std::uint64_t>(numField(obj, key));
-}
-
-std::string
-strField(const JVal &obj, const char *key)
-{
-    const JVal &v = field(obj, key);
-    if (v.kind != JVal::Kind::Str)
-        fatal("sweep JSON: field '%s' is not a string", key);
-    return v.str;
-}
-
-bool
-boolField(const JVal &obj, const char *key)
-{
-    const JVal &v = field(obj, key);
-    if (v.kind != JVal::Kind::Bool)
-        fatal("sweep JSON: field '%s' is not a bool", key);
-    return v.b;
 }
 
 core::RunMetrics
@@ -544,66 +270,7 @@ CellOutcome
 parseCell(const JVal &o)
 {
     CellOutcome out;
-    out.cell.app = strField(o, "app");
-    out.cell.point.cr = numField(o, "cr");
-    out.cell.point.dynamic = boolField(o, "dynamic");
-    out.cell.scheme = schemeFromName(strField(o, "scheme"));
-    out.cell.codec = codecFromString(strField(o, "codec"));
-    out.cell.plane = planeFromString(strField(o, "plane"));
-    out.cell.faultScale = numField(o, "fault_scale");
-    // Chip dimensions: absent in documents written before the npu
-    // subsystem, which described plain single-engine cells.
-    if (o.find("pes"))
-        out.cell.peCount = static_cast<unsigned>(numField(o, "pes"));
-    if (o.find("dispatch"))
-        out.cell.dispatch =
-            npu::dispatchFromString(strField(o, "dispatch"));
-    if (o.find("per_pe_cr")) {
-        const std::string ppc = strField(o, "per_pe_cr");
-        out.cell.perPeCr = ppc == "uniform" ? "" : ppc;
-    }
-    // dvs/mshrs: absent in documents written before those knobs.
-    if (o.find("dvs"))
-        out.cell.dvs = npu::dvsFromString(strField(o, "dvs"));
-    if (o.find("mshrs"))
-        out.cell.mshrs = static_cast<unsigned>(numField(o, "mshrs"));
-    if (o.find("l2"))
-        out.cell.l2 = npu::l2ModeFromString(strField(o, "l2"));
-    // gap/chip_jobs: absent in documents written before those axes.
-    if (o.find("gap"))
-        out.cell.arrivalGap =
-            static_cast<std::int64_t>(numField(o, "gap"));
-    if (o.find("chip_jobs"))
-        out.cell.chipJobs =
-            static_cast<unsigned>(numField(o, "chip_jobs"));
-    // chips/dram_banks/card_jobs: written only at non-default values
-    // (and absent in documents from before the card tier existed).
-    if (o.find("chips"))
-        out.cell.chips = static_cast<unsigned>(numField(o, "chips"));
-    if (o.find("dram_banks"))
-        out.cell.dramBanks =
-            static_cast<unsigned>(numField(o, "dram_banks"));
-    if (o.find("card_jobs"))
-        out.cell.cardJobs =
-            static_cast<unsigned>(numField(o, "card_jobs"));
-    // flows/churn/ctrl/updates: written only at non-default values
-    // (and absent in documents from before those axes existed).
-    if (o.find("flows"))
-        out.cell.flows =
-            static_cast<std::uint32_t>(numField(o, "flows"));
-    if (o.find("churn"))
-        out.cell.churn =
-            static_cast<std::uint64_t>(numField(o, "churn"));
-    if (o.find("ctrl"))
-        out.cell.ctrlRate =
-            static_cast<std::uint32_t>(numField(o, "ctrl"));
-    if (o.find("updates"))
-        out.cell.updates = ctrl::mixFromString(strField(o, "updates"));
-    if (o.find("faultmap"))
-        out.cell.faultMap = strField(o, "faultmap");
-    if (o.find("retire"))
-        out.cell.retire =
-            static_cast<unsigned>(numField(o, "retire"));
+    readAxisFields(o, out.cell);
     if (const JVal *chip = o.find("npu")) {
         out.hasNpu = true;
         out.npuGolden = parseChipMetrics(field(*chip, "golden"));
@@ -718,45 +385,18 @@ renderJson(const SweepOutcome &outcome, bool provenance)
 }
 
 std::string
-renderCsv(const SweepOutcome &outcome)
+renderCsv(const SweepOutcome &outcome, bool provenance)
 {
     std::string out =
-        "app,cr,dynamic,scheme,codec,plane,fault_scale,pes,dispatch,"
-        "per_pe_cr,dvs,mshrs,l2,gap,chip_jobs,chips,dram_banks,"
-        "card_jobs,flows,churn,ctrl,"
-        "updates,faultmap,retire,fallibility,"
-        "any_error_prob,fatal_prob,fatal_fraction,cycles_per_packet,"
-        "energy_per_packet_pj,l1d_energy_per_packet_pj,edf,"
-        "golden_cycles_per_packet,golden_energy_per_packet_pj,"
-        "golden_dcache_miss_rate,wall_ms\n";
+        axisCsvHeader() +
+        "fallibility,any_error_prob,fatal_prob,fatal_fraction,"
+        "cycles_per_packet,energy_per_packet_pj,l1d_energy_per_packet_pj,"
+        "edf,golden_cycles_per_packet,golden_energy_per_packet_pj,"
+        "golden_dcache_miss_rate";
+    out += provenance ? ",wall_ms\n" : "\n";
     for (const CellOutcome &c : outcome.cells) {
         const core::ExperimentResult &r = c.result;
-        out += c.cell.app;
-        out += "," + formatDouble(c.cell.point.cr);
-        out += c.cell.point.dynamic ? ",1" : ",0";
-        out += "," + schemeName(c.cell.scheme);
-        out += "," + codecName(c.cell.codec);
-        out += "," + planeName(c.cell.plane);
-        out += "," + formatDouble(c.cell.faultScale);
-        out += "," + std::to_string(c.cell.peCount);
-        out += "," + npu::to_string(c.cell.dispatch);
-        out += ",";
-        out += c.cell.perPeCr.empty() ? "uniform" : c.cell.perPeCr;
-        out += "," + npu::to_string(c.cell.dvs);
-        out += "," + std::to_string(c.cell.mshrs);
-        out += "," + npu::to_string(c.cell.l2);
-        out += "," + std::to_string(c.cell.arrivalGap);
-        out += "," + std::to_string(c.cell.chipJobs);
-        out += "," + std::to_string(c.cell.chips);
-        out += "," + std::to_string(c.cell.dramBanks);
-        out += "," + std::to_string(c.cell.cardJobs);
-        out += "," + std::to_string(c.cell.flows);
-        out += "," + std::to_string(c.cell.churn);
-        out += "," + std::to_string(c.cell.ctrlRate);
-        out += "," + ctrl::to_string(c.cell.updates);
-        out += "," + (c.cell.faultMap.empty() ? "off" : c.cell.faultMap);
-        out += "," + std::to_string(c.cell.retire);
-        out += "," + formatDouble(r.fallibility);
+        out += axisCsvFields(c.cell) + formatDouble(r.fallibility);
         out += "," + formatDouble(r.anyErrorProb);
         out += "," + formatDouble(r.fatalProb);
         out += "," + formatDouble(r.fatalFraction);
@@ -767,7 +407,8 @@ renderCsv(const SweepOutcome &outcome)
         out += "," + formatDouble(r.golden.cyclesPerPacket);
         out += "," + formatDouble(r.golden.energyPerPacketPj);
         out += "," + formatDouble(r.golden.dcacheMissRate);
-        out += "," + formatDouble(c.wallMs);
+        if (provenance)
+            out += "," + formatDouble(c.wallMs);
         out += "\n";
     }
     return out;
@@ -783,8 +424,7 @@ loadCompletedCells(const std::string &path)
     buf << in.rdbuf();
     const std::string text = buf.str();
 
-    JsonParser parser{text};
-    const JVal doc = parser.parseValue();
+    const JVal doc = parseJson(text);
     if (doc.kind != JVal::Kind::Obj)
         fatal("%s: not a JSON object", path.c_str());
     const JVal *format = doc.find("format");

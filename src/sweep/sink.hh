@@ -47,8 +47,12 @@ namespace clumsy::sweep
  */
 std::string renderJson(const SweepOutcome &outcome, bool provenance);
 
-/** Render a flat CSV table, one row per cell, same cell order. */
-std::string renderCsv(const SweepOutcome &outcome);
+/**
+ * Render a flat CSV table, one row per cell, same cell order. With
+ * @p provenance off the wall_ms column is left out, so the table, like
+ * the JSON, depends only on the spec and the simulation.
+ */
+std::string renderCsv(const SweepOutcome &outcome, bool provenance = true);
 
 /**
  * Serialize one ExperimentResult as a compact JSON object (golden

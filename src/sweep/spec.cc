@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
+#include <limits>
+#include <tuple>
+#include <type_traits>
 
 #include "apps/app.hh"
 #include "common/cli.hh"
 #include "common/logging.hh"
 #include "fault/fault_map.hh"
+#include "sweep/json.hh"
+#include "traffic/traffic.hh"
 
 namespace clumsy::sweep
 {
@@ -25,35 +31,6 @@ schemeFromName(const std::string &name)
     return mem::recoverySchemeFromString(
         name == "no-detection" ? "no detection" : name);
 }
-
-namespace
-{
-
-/** All app names the grid accepts (paper set + extensions). */
-std::vector<std::string>
-knownApps()
-{
-    std::vector<std::string> names = apps::allAppNames();
-    const auto &ext = apps::extensionAppNames();
-    names.insert(names.end(), ext.begin(), ext.end());
-    return names;
-}
-
-template <typename T>
-std::string
-joinDim(const std::vector<T> &values,
-        std::string (*format)(const T &))
-{
-    std::string out;
-    for (std::size_t i = 0; i < values.size(); ++i) {
-        if (i)
-            out += ",";
-        out += format(values[i]);
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 formatDouble(double v)
@@ -114,6 +91,388 @@ planeFromString(const std::string &name)
           name.c_str());
 }
 
+// --- the axis table --------------------------------------------------
+//
+// Every grid axis is one row of axisTable(), in expansion order, and
+// everything below the table walks it. Adding an axis takes its
+// SweepSpec and SweepCell fields and one row.
+
+namespace
+{
+
+/** The cells a key part or JSON field is written for. */
+enum class Gate { Always, Npu, Card, Ctrl /* ctrl != 0 */ };
+
+/**
+ * Where an axis's value is written, in the cell key and in its JSON
+ * record: for cells the gate admits, and at the axis default only when
+ * the AtDefault flag is set. Each axis got the elision that kept the
+ * result files written before it byte-stable, so the two differ.
+ */
+struct Elision
+{
+    Gate keyGate;
+    bool keyAtDefault;
+    Gate jsonGate;
+    bool jsonAtDefault;
+};
+
+// The base axes are in every key and record; the chip and card groups
+// are keyed only for cells of their tier; later axes elide at their
+// defaults; a ctrl mix means nothing without a ctrl rate.
+constexpr Elision kBase{Gate::Always, true, Gate::Always, true};
+constexpr Elision kChip{Gate::Npu, true, Gate::Always, true};
+constexpr Elision kChipKnob{Gate::Npu, false, Gate::Always, true};
+constexpr Elision kCard{Gate::Card, true, Gate::Always, false};
+constexpr Elision kCardKnob{Gate::Card, false, Gate::Always, false};
+constexpr Elision kOptional{Gate::Always, false, Gate::Always, false};
+constexpr Elision kCtrlMix{Gate::Ctrl, false, Gate::Ctrl, true};
+
+/**
+ * One axis. Its JSON form follows T: integers and doubles are numbers,
+ * enums and strings their canonical text, and an operating point is
+ * two fields (cr, dynamic), as it is two CSV columns.
+ */
+template <typename T, typename Config = core::ExperimentConfig>
+struct Row
+{
+    using Value = T;
+    using Target = Config;
+
+    const char *name;   ///< grid and key name
+    const char *column; ///< JSON and CSV name
+    std::vector<T> SweepSpec::*values;
+    T SweepCell::*field;
+    Elision elision;
+    /** One grid value (also a JSON string); fatal()s on junk. */
+    T (*parse)(const std::string &name, const std::string &value);
+    std::string (*text)(T value);
+    /** Carries the value into the config it belongs to. */
+    void (*apply)(const T &value, Config &cfg) = nullptr;
+    /** What the lone grid value "all" expands to (nullptr: no "all"). */
+    std::vector<T> (*all)() = nullptr;
+    /** Written after the ctrl axes in JSON and CSV (added before them). */
+    bool lateColumn = false;
+};
+
+/** A name parser as a row parser. */
+template <auto fromName>
+auto
+named(const std::string &, const std::string &value)
+{
+    return fromName(value);
+}
+
+unsigned
+positive(const std::string &name, const std::string &value)
+{
+    const std::uint32_t n = cli::parseU32(name, value);
+    if (n == 0)
+        fatal("%s must be >= 1", name.c_str());
+    return n;
+}
+
+template <typename T>
+std::string
+decimal(T v)
+{
+    return std::to_string(v);
+}
+
+using Run = core::ExperimentConfig;
+using Chip = npu::NpuConfig;
+using Card = linecard::CardConfig;
+using std::string;
+
+const auto &
+axisTable()
+{
+    static const auto table = std::make_tuple(
+        Row<string>{.name = "app", .column = "app",
+            .values = &SweepSpec::apps, .field = &SweepCell::app,
+            .elision = kBase,
+            .parse = [](const string &, const string &v) {
+                std::vector<string> known = apps::allAppNames();
+                const auto &ext = apps::extensionAppNames();
+                known.insert(known.end(), ext.begin(), ext.end());
+                if (std::find(known.begin(), known.end(), v) == known.end())
+                    fatal("unknown app '%s' in grid", v.c_str());
+                return v;
+            },
+            .text = [](string v) { return v; },
+            .all = [] { return apps::allAppNames(); }},
+        Row<OperatingPoint>{.name = "cr", .column = "cr",
+            .values = &SweepSpec::points, .field = &SweepCell::point,
+            .elision = kBase,
+            .parse = [](const string &name, const string &v) {
+                if (v == "dynamic")
+                    return OperatingPoint{1.0, true};
+                const double cr = cli::parseDouble(name, v);
+                if (cr <= 0.0)
+                    fatal("cr must be positive, got %s", v.c_str());
+                return OperatingPoint{cr, false};
+            },
+            .text = [](OperatingPoint p) { return to_string(p); },
+            .apply = [](const OperatingPoint &p, Run &c) {
+                c.cr = p.cr;
+                c.dynamicFrequency = p.dynamic;
+            }},
+        Row<mem::RecoveryScheme>{.name = "scheme", .column = "scheme",
+            .values = &SweepSpec::schemes, .field = &SweepCell::scheme,
+            .elision = kBase, .parse = named<schemeFromName>,
+            .text = schemeName,
+            .apply = [](const mem::RecoveryScheme &s, Run &c) {
+                c.scheme = c.processor.hierarchy.scheme = s;
+            },
+            .all = [] {
+                return std::vector<mem::RecoveryScheme>(
+                    std::begin(mem::kAllRecoverySchemes),
+                    std::end(mem::kAllRecoverySchemes));
+            }},
+        Row<mem::CheckCodec>{.name = "codec", .column = "codec",
+            .values = &SweepSpec::codecs, .field = &SweepCell::codec,
+            .elision = kBase, .parse = named<codecFromString>,
+            .text = codecName,
+            .apply = [](const mem::CheckCodec &k, Run &c) {
+                c.processor.hierarchy.codec = k;
+            }},
+        Row<core::FaultPlane>{.name = "plane", .column = "plane",
+            .values = &SweepSpec::planes, .field = &SweepCell::plane,
+            .elision = kBase, .parse = named<planeFromString>,
+            .text = planeName,
+            .apply = [](const core::FaultPlane &p, Run &c) { c.plane = p; }},
+        Row<double>{.name = "fault-scale", .column = "fault_scale",
+            .values = &SweepSpec::faultScales,
+            .field = &SweepCell::faultScale, .elision = kBase,
+            .parse = cli::parseDouble, .text = formatDouble,
+            .apply = [](const double &s, Run &c) { c.faultScale = s; }},
+        Row<unsigned, Chip>{.name = "pes", .column = "pes",
+            .values = &SweepSpec::peCounts, .field = &SweepCell::peCount,
+            .elision = kChip, .parse = positive, .text = decimal,
+            .apply = [](const unsigned &n, Chip &c) { c.peCount = n; }},
+        Row<npu::DispatchPolicy, Chip>{.name = "dispatch", .column = "dispatch",
+            .values = &SweepSpec::dispatches,
+            .field = &SweepCell::dispatch, .elision = kChip,
+            .parse = named<npu::dispatchFromString>,
+            .text = npu::to_string,
+            .apply = [](const npu::DispatchPolicy &d, Chip &c) {
+                c.dispatch = d;
+            }},
+        // A colon-separated Cr list, or "" (spelled "uniform") for
+        // every engine at the cell's Cr.
+        Row<string, Chip>{.name = "per-pe-cr", .column = "per_pe_cr",
+            .values = &SweepSpec::perPeCrs, .field = &SweepCell::perPeCr,
+            .elision = kChip,
+            .parse = [](const string &name, const string &v) {
+                if (v == "uniform")
+                    return string();
+                for (const string &cr : cli::split(v, ':')) {
+                    const double x = cli::parseDouble(name, cr);
+                    if (x <= 0.0 || x > 1.0)
+                        fatal("per-pe-cr entry %s outside (0, 1]",
+                              cr.c_str());
+                }
+                return v;
+            },
+            .text = [](string v) { return v.empty() ? "uniform" : v; },
+            .apply = [](const string &v, Chip &c) {
+                for (const string &cr : cli::split(v, ':'))
+                    c.perPeCr.push_back(cli::parseDouble("per-pe-cr", cr));
+            }},
+        Row<npu::DvsMode, Chip>{.name = "dvs", .column = "dvs",
+            .values = &SweepSpec::dvsModes, .field = &SweepCell::dvs,
+            .elision = kChipKnob, .parse = named<npu::dvsFromString>,
+            .text = npu::to_string,
+            .apply = [](const npu::DvsMode &m, Chip &c) { c.dvs = m; }},
+        Row<unsigned, Chip>{.name = "mshrs", .column = "mshrs",
+            .values = &SweepSpec::mshrs, .field = &SweepCell::mshrs,
+            .elision = kChipKnob, .parse = positive, .text = decimal,
+            .apply = [](const unsigned &n, Chip &c) { c.mshrs = n; }},
+        Row<npu::L2Mode, Chip>{.name = "l2", .column = "l2",
+            .values = &SweepSpec::l2Modes, .field = &SweepCell::l2,
+            .elision = kChipKnob, .parse = named<npu::l2ModeFromString>,
+            .text = npu::to_string,
+            .apply = [](const npu::L2Mode &m, Chip &c) { c.l2 = m; }},
+        Row<std::int64_t, Chip>{.name = "gap", .column = "gap",
+            .values = &SweepSpec::arrivalGaps,
+            .field = &SweepCell::arrivalGap, .elision = kChipKnob,
+            .parse = cli::parseNonNegI64, .text = decimal,
+            .apply = [](const std::int64_t &g, Chip &c) {
+                c.arrivalGapCycles = g;
+            }},
+        Row<unsigned, Chip>{.name = "chip-jobs", .column = "chip_jobs",
+            .values = &SweepSpec::chipJobs, .field = &SweepCell::chipJobs,
+            .elision = kChipKnob, .parse = cli::parseU32, .text = decimal,
+            .apply = [](const unsigned &n, Chip &c) { c.chipJobs = n; }},
+        Row<unsigned, Card>{.name = "chips", .column = "chips",
+            .values = &SweepSpec::chips, .field = &SweepCell::chips,
+            .elision = kCard, .parse = positive, .text = decimal,
+            .apply = [](const unsigned &n, Card &c) { c.chips = n; }},
+        Row<unsigned, Card>{.name = "dram-banks", .column = "dram_banks",
+            .values = &SweepSpec::dramBanks,
+            .field = &SweepCell::dramBanks, .elision = kCardKnob,
+            .parse = cli::parseU32, .text = decimal,
+            .apply = [](const unsigned &n, Card &c) { c.dram.banks = n; }},
+        Row<unsigned, Card>{.name = "card-jobs", .column = "card_jobs",
+            .values = &SweepSpec::cardJobs, .field = &SweepCell::cardJobs,
+            .elision = kCardKnob,
+            .parse = [](const string &name, const string &v) {
+                const std::uint32_t n = cli::parseU32(name, v);
+                if (n != 1)
+                    fatal("card-jobs=%u: the sweep runs every card run "
+                          "as its own job, so run-level threads would "
+                          "only rename the cell; use clumsy_card "
+                          "--card-jobs",
+                          n);
+                return n;
+            },
+            .text = decimal,
+            .apply = [](const unsigned &n, Card &c) { c.cardJobs = n; }},
+        Row<std::uint32_t>{.name = "flows", .column = "flows",
+            .values = &SweepSpec::flows, .field = &SweepCell::flows,
+            .elision = kOptional, .parse = cli::parseU32, .text = decimal,
+            .apply = [](const std::uint32_t &n, Run &c) { c.traceFlows = n; }},
+        Row<std::uint64_t>{.name = "churn", .column = "churn",
+            .values = &SweepSpec::churns, .field = &SweepCell::churn,
+            .elision = kOptional, .parse = cli::parseU64, .text = decimal,
+            .apply = [](const std::uint64_t &n, Run &c) {
+                c.churnLifetime = n;
+            }},
+        // "off" and "" both spell the uniform eq. (4) model.
+        Row<string>{.name = "faultmap", .column = "faultmap",
+            .values = &SweepSpec::faultMaps, .field = &SweepCell::faultMap,
+            .elision = kOptional,
+            .parse = [](const string &, const string &v) { return v; },
+            .text = [](string v) { return v.empty() ? "off" : v; },
+            .apply = [](const string &v, Run &c) {
+                c.processor.faultMap = fault::faultMapSpecFromString(v);
+            },
+            .lateColumn = true},
+        Row<unsigned>{.name = "retire", .column = "retire",
+            .values = &SweepSpec::retires, .field = &SweepCell::retire,
+            .elision = kOptional, .parse = cli::parseU32, .text = decimal,
+            .apply = [](const unsigned &n, Run &c) {
+                c.processor.hierarchy.wayDisable.retireThreshold = n;
+            },
+            .lateColumn = true},
+        Row<std::uint32_t>{.name = "ctrl", .column = "ctrl",
+            .values = &SweepSpec::ctrlRates, .field = &SweepCell::ctrlRate,
+            .elision = kOptional, .parse = cli::parseU32, .text = decimal,
+            .apply = [](const std::uint32_t &n, Run &c) { c.ctrl.rate = n; }},
+        Row<ctrl::CtrlMix>{.name = "updates", .column = "updates",
+            .values = &SweepSpec::updateMixes,
+            .field = &SweepCell::updates, .elision = kCtrlMix,
+            .parse = named<ctrl::mixFromString>,
+            .text = ctrl::to_string,
+            .apply = [](const ctrl::CtrlMix &m, Run &c) { c.ctrl.mix = m; }});
+    return table;
+}
+
+/** Call @p f on every row, in expansion order. */
+template <typename F>
+void
+forEachAxis(F &&f)
+{
+    std::apply([&](const auto &...row) { (f(row), ...); }, axisTable());
+}
+
+/** Call @p f on every row, in JSON and CSV column order. */
+template <typename F>
+void
+forEachColumn(F &&f)
+{
+    for (const bool late : {false, true}) {
+        forEachAxis([&](const auto &row) {
+            if (row.lateColumn == late)
+                f(row);
+        });
+    }
+}
+
+/** The cell holds the axis default (compared as canonical text). */
+template <typename R>
+bool
+atDefault(const R &row, const SweepCell &cell)
+{
+    static const SweepCell defaults;
+    return row.text(cell.*row.field) == row.text(defaults.*row.field);
+}
+
+/** The cell passes @p gate and, unless @p atDefaultToo, is off default. */
+template <typename R>
+bool
+shown(const R &row, const SweepCell &cell, Gate gate, bool atDefaultToo)
+{
+    const bool open = gate == Gate::Always ||
+                      (gate == Gate::Npu && cell.isNpu()) ||
+                      (gate == Gate::Card && cell.isCard()) ||
+                      (gate == Gate::Ctrl && cell.ctrlRate != 0);
+    return open && (atDefaultToo || !atDefault(row, cell));
+}
+
+/** Any axis keyed behind @p gate is off its default. */
+bool
+groupActive(Gate gate, const SweepCell &cell)
+{
+    bool active = false;
+    forEachAxis([&](const auto &row) {
+        active = active ||
+                 (row.elision.keyGate == gate && !atDefault(row, cell));
+    });
+    return active;
+}
+
+/** A default @p Config with every axis that targets it applied. */
+template <typename Config>
+Config
+applyAxes(const SweepCell &cell)
+{
+    Config cfg;
+    forEachAxis([&](const auto &row) {
+        using Target = typename std::decay_t<decltype(row)>::Target;
+        if constexpr (std::is_same_v<Target, Config>) {
+            if (row.apply)
+                row.apply(cell.*row.field, cfg);
+        }
+    });
+    return cfg;
+}
+
+} // namespace
+
+bool
+SweepCell::isNpu() const
+{
+    return groupActive(Gate::Npu, *this);
+}
+
+bool
+SweepCell::isCard() const
+{
+    return groupActive(Gate::Card, *this);
+}
+
+std::string
+SweepCell::key() const
+{
+    std::string k;
+    forEachAxis([&](const auto &row) {
+        const Elision &e = row.elision;
+        if (shown(row, *this, e.keyGate, e.keyAtDefault))
+            k += (k.empty() ? "" : ";") + std::string(row.name) + "=" +
+                 row.text(this->*row.field);
+    });
+    return k;
+}
+
+std::string
+gridKeys()
+{
+    std::string out;
+    forEachAxis([&](const auto &row) { out += row.name + string(" "); });
+    return out + "packets trials seed fault-seed map-seed";
+}
+
 SweepSpec
 SweepSpec::parse(const std::string &grid)
 {
@@ -136,157 +495,23 @@ SweepSpec::parse(const std::string &grid)
             return values[0];
         };
 
-        if (key == "app") {
-            if (values.size() == 1 && values[0] == "all") {
-                spec.apps = apps::allAppNames();
-            } else {
-                const auto known = knownApps();
-                for (const std::string &v : values) {
-                    if (std::find(known.begin(), known.end(), v) ==
-                        known.end())
-                        fatal("unknown app '%s' in grid", v.c_str());
-                }
-                spec.apps = values;
+        bool isAxis = false;
+        forEachAxis([&](const auto &row) {
+            if (key != row.name)
+                return;
+            isAxis = true;
+            auto &out = spec.*row.values;
+            if (row.all && values.size() == 1 && values[0] == "all") {
+                out = row.all();
+                return;
             }
-        } else if (key == "cr") {
-            spec.points.clear();
-            for (const std::string &v : values) {
-                if (v == "dynamic") {
-                    spec.points.push_back({1.0, true});
-                } else {
-                    const double cr = cli::parseDouble("cr", v);
-                    if (cr <= 0.0)
-                        fatal("cr must be positive, got %s", v.c_str());
-                    spec.points.push_back({cr, false});
-                }
-            }
-        } else if (key == "scheme") {
-            spec.schemes.clear();
-            if (values.size() == 1 && values[0] == "all") {
-                spec.schemes.assign(
-                    std::begin(mem::kAllRecoverySchemes),
-                    std::end(mem::kAllRecoverySchemes));
-            } else {
-                for (const std::string &v : values)
-                    spec.schemes.push_back(schemeFromName(v));
-            }
-        } else if (key == "codec") {
-            spec.codecs.clear();
+            out.clear();
             for (const std::string &v : values)
-                spec.codecs.push_back(codecFromString(v));
-        } else if (key == "plane") {
-            spec.planes.clear();
-            for (const std::string &v : values)
-                spec.planes.push_back(planeFromString(v));
-        } else if (key == "fault-scale") {
-            spec.faultScales.clear();
-            for (const std::string &v : values)
-                spec.faultScales.push_back(
-                    cli::parseDouble("fault-scale", v));
-        } else if (key == "pes") {
-            spec.peCounts.clear();
-            for (const std::string &v : values) {
-                const std::uint32_t n = cli::parseU32("pes", v);
-                if (n == 0)
-                    fatal("pes must be >= 1");
-                spec.peCounts.push_back(n);
-            }
-        } else if (key == "dispatch") {
-            spec.dispatches.clear();
-            for (const std::string &v : values)
-                spec.dispatches.push_back(npu::dispatchFromString(v));
-        } else if (key == "per-pe-cr") {
-            spec.perPeCrs.clear();
-            for (const std::string &v : values) {
-                if (v == "uniform") {
-                    spec.perPeCrs.push_back("");
-                    continue;
-                }
-                for (const std::string &cr : cli::split(v, ':')) {
-                    const double x = cli::parseDouble("per-pe-cr", cr);
-                    if (x <= 0.0 || x > 1.0)
-                        fatal("per-pe-cr entry %s outside (0, 1]",
-                              cr.c_str());
-                }
-                spec.perPeCrs.push_back(v);
-            }
-        } else if (key == "dvs") {
-            spec.dvsModes.clear();
-            for (const std::string &v : values)
-                spec.dvsModes.push_back(npu::dvsFromString(v));
-        } else if (key == "mshrs") {
-            spec.mshrs.clear();
-            for (const std::string &v : values) {
-                const std::uint32_t n = cli::parseU32("mshrs", v);
-                if (n == 0)
-                    fatal("mshrs must be >= 1");
-                spec.mshrs.push_back(n);
-            }
-        } else if (key == "l2") {
-            spec.l2Modes.clear();
-            for (const std::string &v : values)
-                spec.l2Modes.push_back(npu::l2ModeFromString(v));
-        } else if (key == "gap") {
-            spec.arrivalGaps.clear();
-            for (const std::string &v : values)
-                spec.arrivalGaps.push_back(
-                    static_cast<std::int64_t>(cli::parseU64("gap", v)));
-        } else if (key == "chip-jobs") {
-            spec.chipJobs.clear();
-            for (const std::string &v : values)
-                spec.chipJobs.push_back(cli::parseU32("chip-jobs", v));
-        } else if (key == "chips") {
-            spec.chips.clear();
-            for (const std::string &v : values) {
-                const std::uint32_t n = cli::parseU32("chips", v);
-                if (n == 0)
-                    fatal("chips must be >= 1");
-                spec.chips.push_back(n);
-            }
-        } else if (key == "dram-banks") {
-            // 0 is the model-off sentinel (what toGridString prints
-            // for an unswept axis), so grids round-trip.
-            spec.dramBanks.clear();
-            for (const std::string &v : values)
-                spec.dramBanks.push_back(cli::parseU32("dram-banks", v));
-        } else if (key == "card-jobs") {
-            spec.cardJobs.clear();
-            for (const std::string &v : values)
-                spec.cardJobs.push_back(cli::parseU32("card-jobs", v));
-        } else if (key == "flows") {
-            // 0 is the app-default sentinel (what toGridString prints
-            // for an unswept axis), so grids round-trip; the tools'
-            // --flows flag still rejects 0 outright.
-            spec.flows.clear();
-            for (const std::string &v : values)
-                spec.flows.push_back(cli::parseU32("flows", v));
-        } else if (key == "churn") {
-            spec.churns.clear();
-            for (const std::string &v : values)
-                spec.churns.push_back(cli::parseU64("churn", v));
-        } else if (key == "faultmap") {
-            // "off" is the uniform-model sentinel (what toGridString
-            // prints for an unswept axis), so grids round-trip.
-            spec.faultMaps.clear();
-            for (const std::string &v : values) {
-                (void)fault::faultMapSpecFromString(v); // validates
-                spec.faultMaps.push_back(v);
-            }
-        } else if (key == "retire") {
-            spec.retires.clear();
-            for (const std::string &v : values)
-                spec.retires.push_back(cli::parseU32("retire", v));
-        } else if (key == "ctrl") {
-            // 0 is the no-control-plane sentinel (what toGridString
-            // prints for an unswept axis), so grids round-trip.
-            spec.ctrlRates.clear();
-            for (const std::string &v : values)
-                spec.ctrlRates.push_back(cli::parseU32("ctrl", v));
-        } else if (key == "updates") {
-            spec.updateMixes.clear();
-            for (const std::string &v : values)
-                spec.updateMixes.push_back(ctrl::mixFromString(v));
-        } else if (key == "packets") {
+                out.push_back(row.parse(key, v));
+        });
+        if (isAxis)
+            continue;
+        if (key == "packets") {
             spec.packets = cli::parseU64("packets", scalar());
         } else if (key == "trials") {
             spec.trials = cli::parseU32("trials", scalar());
@@ -300,7 +525,8 @@ SweepSpec::parse(const std::string &grid)
             fatal("unknown grid key '%s'", key.c_str());
         }
     }
-    // Run sizes and fault scales get the same checks as the CLIs'.
+    // Run sizes, fault scales and arrival gaps get the same checks as
+    // the CLIs'.
     core::ExperimentConfig probe;
     probe.numPackets = spec.packets;
     probe.trials = spec.trials;
@@ -308,106 +534,23 @@ SweepSpec::parse(const std::string &grid)
         probe.faultScale = scale;
         probe.validate();
     }
+    for (const std::int64_t gap : spec.arrivalGaps)
+        traffic::checkArrivalSpan("gap", gap, spec.packets);
     return spec;
 }
 
 std::string
 SweepSpec::toGridString() const
 {
-    std::string out = "app=";
-    for (std::size_t i = 0; i < apps.size(); ++i)
-        out += (i ? "," : "") + apps[i];
-    out += ";cr=" +
-           joinDim<OperatingPoint>(points,
-                                   [](const OperatingPoint &p) {
-                                       return to_string(p);
-                                   });
-    out += ";scheme=" +
-           joinDim<mem::RecoveryScheme>(
-               schemes,
-               [](const mem::RecoveryScheme &s) {
-                   return schemeName(s);
-               });
-    out += ";codec=" +
-           joinDim<mem::CheckCodec>(codecs,
-                                    [](const mem::CheckCodec &c) {
-                                        return codecName(c);
-                                    });
-    out += ";plane=" +
-           joinDim<core::FaultPlane>(planes,
-                                     [](const core::FaultPlane &p) {
-                                         return planeName(p);
-                                     });
-    out += ";fault-scale=" +
-           joinDim<double>(faultScales, [](const double &s) {
-               return formatDouble(s);
-           });
-    out += ";pes=" + joinDim<unsigned>(peCounts, [](const unsigned &n) {
-               return std::to_string(n);
-           });
-    out += ";dispatch=" +
-           joinDim<npu::DispatchPolicy>(
-               dispatches, [](const npu::DispatchPolicy &d) {
-                   return npu::to_string(d);
-               });
-    out += ";per-pe-cr=" +
-           joinDim<std::string>(perPeCrs, [](const std::string &s) {
-               return s.empty() ? std::string("uniform") : s;
-           });
-    out += ";dvs=" +
-           joinDim<npu::DvsMode>(dvsModes, [](const npu::DvsMode &m) {
-               return npu::to_string(m);
-           });
-    out += ";mshrs=" + joinDim<unsigned>(mshrs, [](const unsigned &n) {
-               return std::to_string(n);
-           });
-    out += ";l2=" +
-           joinDim<npu::L2Mode>(l2Modes, [](const npu::L2Mode &m) {
-               return npu::to_string(m);
-           });
-    out += ";gap=" +
-           joinDim<std::int64_t>(arrivalGaps, [](const std::int64_t &g) {
-               return std::to_string(g);
-           });
-    out += ";chip-jobs=" +
-           joinDim<unsigned>(chipJobs, [](const unsigned &j) {
-               return std::to_string(j);
-           });
-    out += ";chips=" + joinDim<unsigned>(chips, [](const unsigned &n) {
-               return std::to_string(n);
-           });
-    out += ";dram-banks=" +
-           joinDim<unsigned>(dramBanks, [](const unsigned &n) {
-               return std::to_string(n);
-           });
-    out += ";card-jobs=" +
-           joinDim<unsigned>(cardJobs, [](const unsigned &j) {
-               return std::to_string(j);
-           });
-    out += ";flows=" +
-           joinDim<std::uint32_t>(flows, [](const std::uint32_t &n) {
-               return std::to_string(n);
-           });
-    out += ";churn=" +
-           joinDim<std::uint64_t>(churns, [](const std::uint64_t &n) {
-               return std::to_string(n);
-           });
-    out += ";faultmap=" +
-           joinDim<std::string>(faultMaps, [](const std::string &s) {
-               return s;
-           });
-    out += ";retire=" + joinDim<unsigned>(retires, [](const unsigned &n) {
-               return std::to_string(n);
-           });
-    out += ";ctrl=" +
-           joinDim<std::uint32_t>(ctrlRates, [](const std::uint32_t &n) {
-               return std::to_string(n);
-           });
-    out += ";updates=" +
-           joinDim<ctrl::CtrlMix>(updateMixes, [](const ctrl::CtrlMix &m) {
-               return ctrl::to_string(m);
-           });
-    out += ";packets=" + std::to_string(packets);
+    std::string out;
+    forEachAxis([&](const auto &row) {
+        const auto &values = this->*row.values;
+        out += row.name + string("=");
+        for (std::size_t i = 0; i < values.size(); ++i)
+            out += (i ? "," : "") + row.text(values[i]);
+        out += ";";
+    });
+    out += "packets=" + std::to_string(packets);
     out += ";trials=" + std::to_string(trials);
     out += ";seed=" + std::to_string(traceSeed);
     out += ";fault-seed=" + std::to_string(faultSeed);
@@ -418,213 +561,131 @@ SweepSpec::toGridString() const
 std::size_t
 SweepSpec::cellCount() const
 {
-    return apps.size() * points.size() * schemes.size() *
-           codecs.size() * planes.size() * faultScales.size() *
-           peCounts.size() * dispatches.size() * perPeCrs.size() *
-           dvsModes.size() * mshrs.size() * l2Modes.size() *
-           arrivalGaps.size() * chipJobs.size() * chips.size() *
-           dramBanks.size() * cardJobs.size() * flows.size() *
-           churns.size() * faultMaps.size() * retires.size() *
-           ctrlRates.size() * updateMixes.size();
-}
-
-std::string
-SweepCell::key() const
-{
-    std::string k = "app=" + app + ";cr=" + to_string(point) +
-                    ";scheme=" + schemeName(scheme) +
-                    ";codec=" + codecName(codec) +
-                    ";plane=" + planeName(plane) +
-                    ";fault-scale=" + formatDouble(faultScale);
-    // Chip dimensions appear only when non-default so pre-npu result
-    // files keep resuming against the unchanged historical keys; dvs
-    // and mshrs elide at their defaults for the same reason (chip
-    // result files written before those knobs existed).
-    if (isNpu()) {
-        k += ";pes=" + std::to_string(peCount) +
-             ";dispatch=" + npu::to_string(dispatch) + ";per-pe-cr=" +
-             (perPeCr.empty() ? std::string("uniform") : perPeCr);
-        if (dvs != npu::DvsMode::Fault)
-            k += ";dvs=" + npu::to_string(dvs);
-        if (mshrs != 1)
-            k += ";mshrs=" + std::to_string(mshrs);
-        if (l2 != npu::L2Mode::Private)
-            k += ";l2=" + npu::to_string(l2);
-        if (arrivalGap != 0)
-            k += ";gap=" + std::to_string(arrivalGap);
-        if (chipJobs != 1)
-            k += ";chip-jobs=" + std::to_string(chipJobs);
-    }
-    // Line-card dimensions appear only when the cell uses the card
-    // tier, so every pre-linecard result file keeps resuming against
-    // unchanged keys; within a card key, dram-banks and card-jobs
-    // elide at their 0/1 defaults.
-    if (isCard()) {
-        k += ";chips=" + std::to_string(chips);
-        if (dramBanks != 0)
-            k += ";dram-banks=" + std::to_string(dramBanks);
-        if (cardJobs != 1)
-            k += ";card-jobs=" + std::to_string(cardJobs);
-    }
-    // Traffic dimensions apply to both harnesses; they elide at their
-    // 0 (= app default) values so every pre-traffic result file keeps
-    // resuming against unchanged keys.
-    if (flows != 0)
-        k += ";flows=" + std::to_string(flows);
-    if (churn != 0)
-        k += ";churn=" + std::to_string(churn);
-    // Fault-map dimensions elide at their off/0 defaults so every
-    // pre-faultmap result file keeps resuming against unchanged keys.
-    if (faultMap != "off" && !faultMap.empty())
-        k += ";faultmap=" + faultMap;
-    if (retire != 0)
-        k += ";retire=" + std::to_string(retire);
-    // Control-plane dimensions elide entirely at rate 0 (the mix is
-    // meaningless without a stream), so every pre-ctrl result file
-    // keeps resuming against unchanged keys; the mix also elides at
-    // its "all" default.
-    if (ctrlRate != 0) {
-        k += ";ctrl=" + std::to_string(ctrlRate);
-        if (updates != ctrl::CtrlMix::All)
-            k += ";updates=" + ctrl::to_string(updates);
-    }
-    return k;
+    std::size_t n = 1;
+    forEachAxis([&](const auto &row) { n *= (this->*row.values).size(); });
+    return n;
 }
 
 std::vector<SweepCell>
 expand(const SweepSpec &spec)
 {
-    CLUMSY_ASSERT(!spec.apps.empty() && !spec.points.empty() &&
-                      !spec.schemes.empty() && !spec.codecs.empty() &&
-                      !spec.planes.empty() &&
-                      !spec.faultScales.empty() &&
-                      !spec.peCounts.empty() &&
-                      !spec.dispatches.empty() &&
-                      !spec.perPeCrs.empty() &&
-                      !spec.dvsModes.empty() && !spec.mshrs.empty() &&
-                      !spec.l2Modes.empty() &&
-                      !spec.arrivalGaps.empty() &&
-                      !spec.chipJobs.empty() && !spec.chips.empty() &&
-                      !spec.dramBanks.empty() &&
-                      !spec.cardJobs.empty() && !spec.flows.empty() &&
-                      !spec.churns.empty() && !spec.faultMaps.empty() &&
-                      !spec.retires.empty() && !spec.ctrlRates.empty() &&
-                      !spec.updateMixes.empty(),
+    std::vector<SweepCell> cells(spec.cellCount());
+    CLUMSY_ASSERT(!cells.empty(),
                   "every grid dimension needs at least one value");
-    std::vector<SweepCell> cells;
-    cells.reserve(spec.cellCount());
-    // Cartesian product in the canonical nesting order (outermost
-    // first); the stacked loops keep fourteen dimensions readable.
-    // clang-format off
-    for (const std::string &app : spec.apps)
-    for (const OperatingPoint &point : spec.points)
-    for (const mem::RecoveryScheme scheme : spec.schemes)
-    for (const mem::CheckCodec codec : spec.codecs)
-    for (const core::FaultPlane plane : spec.planes)
-    for (const double scale : spec.faultScales)
-    for (const unsigned pes : spec.peCounts)
-    for (const npu::DispatchPolicy dis : spec.dispatches)
-    for (const std::string &ppc : spec.perPeCrs)
-    for (const npu::DvsMode dvs : spec.dvsModes)
-    for (const unsigned msh : spec.mshrs)
-    for (const npu::L2Mode l2m : spec.l2Modes)
-    for (const std::int64_t gap : spec.arrivalGaps)
-    for (const unsigned cjobs : spec.chipJobs)
-    for (const unsigned nchips : spec.chips)
-    for (const unsigned banks : spec.dramBanks)
-    for (const unsigned kjobs : spec.cardJobs)
-    for (const std::uint32_t nflows : spec.flows)
-    for (const std::uint64_t life : spec.churns)
-    for (const std::string &fmap : spec.faultMaps)
-    for (const unsigned ret : spec.retires)
-    for (const std::uint32_t crate : spec.ctrlRates)
-    for (const ctrl::CtrlMix cmix : spec.updateMixes) {
-        SweepCell cell;
-        cell.index = cells.size();
-        cell.app = app;
-        cell.point = point;
-        cell.scheme = scheme;
-        cell.codec = codec;
-        cell.plane = plane;
-        cell.faultScale = scale;
-        cell.peCount = pes;
-        cell.dispatch = dis;
-        cell.perPeCr = ppc;
-        cell.dvs = dvs;
-        cell.mshrs = msh;
-        cell.l2 = l2m;
-        cell.arrivalGap = gap;
-        cell.chipJobs = cjobs;
-        cell.chips = nchips;
-        cell.dramBanks = banks;
-        cell.cardJobs = kjobs;
-        cell.flows = nflows;
-        cell.churn = life;
-        cell.faultMap = fmap;
-        cell.retire = ret;
-        cell.ctrlRate = crate;
-        cell.updates = cmix;
-        cells.push_back(std::move(cell));
-    }
-    // clang-format on
+    // Cell i's value on each axis: i in mixed radix, the last axis the
+    // least significant digit, so the first axis is the outermost loop.
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        cells[i].index = i;
+    std::size_t stride = cells.size();
+    forEachAxis([&](const auto &row) {
+        const auto &values = spec.*row.values;
+        stride /= values.size();
+        for (SweepCell &cell : cells)
+            cell.*row.field = values[cell.index / stride % values.size()];
+    });
     return cells;
 }
 
 core::ExperimentConfig
 makeConfig(const SweepSpec &spec, const SweepCell &cell)
 {
-    core::ExperimentConfig cfg;
+    core::ExperimentConfig cfg = applyAxes<core::ExperimentConfig>(cell);
     cfg.numPackets = spec.packets;
     cfg.trials = spec.trials;
     cfg.traceSeed = spec.traceSeed;
     cfg.faultSeed = spec.faultSeed;
-    cfg.cr = cell.point.cr;
-    cfg.dynamicFrequency = cell.point.dynamic;
-    cfg.scheme = cell.scheme;
-    cfg.plane = cell.plane;
-    cfg.faultScale = cell.faultScale;
-    cfg.processor.hierarchy.scheme = cell.scheme;
-    cfg.processor.hierarchy.codec = cell.codec;
-    cfg.traceFlows = cell.flows;
-    cfg.churnLifetime = cell.churn;
-    cfg.processor.faultMap = fault::faultMapSpecFromString(cell.faultMap);
     cfg.processor.faultMap.seed = spec.mapSeed;
-    cfg.processor.hierarchy.wayDisable.retireThreshold = cell.retire;
-    cfg.ctrl.rate = cell.ctrlRate;
-    cfg.ctrl.mix = cell.updates;
     return cfg;
 }
 
 npu::NpuConfig
 makeNpuConfig(const SweepCell &cell)
 {
-    npu::NpuConfig npuCfg;
-    npuCfg.peCount = cell.peCount;
-    npuCfg.dispatch = cell.dispatch;
-    npuCfg.dvs = cell.dvs;
-    npuCfg.mshrs = cell.mshrs;
-    npuCfg.l2 = cell.l2;
-    npuCfg.arrivalGapCycles = cell.arrivalGap;
-    npuCfg.chipJobs = cell.chipJobs;
-    if (!cell.perPeCr.empty()) {
-        for (const std::string &cr : cli::split(cell.perPeCr, ':'))
-            npuCfg.perPeCr.push_back(cli::parseDouble("per-pe-cr", cr));
-        if (npuCfg.perPeCr.size() != cell.peCount)
-            fatal("per-pe-cr '%s' names %zu engines but pes=%u",
-                  cell.perPeCr.c_str(), npuCfg.perPeCr.size(),
-                  cell.peCount);
-    }
+    const npu::NpuConfig npuCfg = applyAxes<npu::NpuConfig>(cell);
+    if (!npuCfg.perPeCr.empty() && npuCfg.perPeCr.size() != cell.peCount)
+        fatal("per-pe-cr '%s' names %zu engines but pes=%u",
+              cell.perPeCr.c_str(), npuCfg.perPeCr.size(), cell.peCount);
     return npuCfg;
 }
 
 linecard::CardConfig
 makeCardConfig(const SweepCell &cell)
 {
-    linecard::CardConfig cardCfg;
-    cardCfg.chips = cell.chips;
-    cardCfg.dram.banks = cell.dramBanks;
-    cardCfg.cardJobs = cell.cardJobs;
-    return cardCfg;
+    return applyAxes<linecard::CardConfig>(cell);
+}
+
+void
+writeAxisFields(JsonWriter &w, const SweepCell &cell)
+{
+    forEachColumn([&](const auto &row) {
+        using T = typename std::decay_t<decltype(row)>::Value;
+        const T &v = cell.*row.field;
+        if (!shown(row, cell, row.elision.jsonGate,
+                   row.elision.jsonAtDefault))
+            return;
+        w.key(row.column);
+        if constexpr (std::is_same_v<T, OperatingPoint>)
+            w.value(v.cr).key("dynamic").value(v.dynamic);
+        else if constexpr (std::is_integral_v<T>)
+            w.value(static_cast<std::uint64_t>(v));
+        else if constexpr (std::is_floating_point_v<T>)
+            w.value(v);
+        else
+            w.value(row.text(v));
+    });
+}
+
+void
+readAxisFields(const JVal &record, SweepCell &cell)
+{
+    forEachColumn([&](const auto &row) {
+        using T = typename std::decay_t<decltype(row)>::Value;
+        const Elision &e = row.elision;
+        if (!(e.keyGate == Gate::Always && e.keyAtDefault) &&
+            !record.find(row.column))
+            return;
+        T &v = cell.*row.field;
+        if constexpr (std::is_same_v<T, OperatingPoint>) {
+            v = {numField(record, row.column), boolField(record, "dynamic")};
+        } else if constexpr (std::is_integral_v<T>) {
+            const double n = numField(record, row.column);
+            if (!(n >= 0.0 &&
+                  n < std::ldexp(1.0, std::numeric_limits<T>::digits)))
+                fatal("sweep JSON: field '%s' is out of range", row.column);
+            v = static_cast<T>(n);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            v = numField(record, row.column);
+        } else {
+            v = row.parse(row.name, strField(record, row.column));
+        }
+    });
+}
+
+std::string
+axisCsvHeader()
+{
+    std::string out;
+    forEachColumn([&](const auto &row) {
+        using T = typename std::decay_t<decltype(row)>::Value;
+        out += row.column;
+        out += std::is_same_v<T, OperatingPoint> ? ",dynamic," : ",";
+    });
+    return out;
+}
+
+std::string
+axisCsvFields(const SweepCell &cell)
+{
+    std::string out;
+    forEachColumn([&](const auto &row) {
+        using T = typename std::decay_t<decltype(row)>::Value;
+        const T &v = cell.*row.field;
+        if constexpr (std::is_same_v<T, OperatingPoint>)
+            out += formatDouble(v.cr) + (v.dynamic ? ",1," : ",0,");
+        else
+            out += row.text(v) + ",";
+    });
+    return out;
 }
 
 } // namespace clumsy::sweep

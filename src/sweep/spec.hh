@@ -2,20 +2,24 @@
  * @file
  * Declarative experiment-grid specification for the sweep engine.
  *
- * A SweepSpec is the cartesian product of up to six swept dimensions
- * (application, operating point, recovery scheme, check codec, fault
- * plane, fault-rate scale) plus the scalar knobs shared by every cell
- * (packets, trials, trace seed, fault seed). It round-trips through a
- * compact grid string:
+ * A SweepSpec is the cartesian product of its grid axes (application,
+ * operating point, recovery scheme, check codec, fault plane, fault
+ * scale, the chip, line-card, traffic, fault-map and control-plane
+ * axes) plus the scalar knobs shared by every cell (packets, trials,
+ * seeds). It round-trips through a compact grid string:
  *
  *   app=route,md5;cr=1,0.5,dynamic;scheme=two-strike;trials=8
  *
- * Dimensions omitted from the string keep their single-value
- * defaults, so the paper's full Table I / Figures 9-12 grids and a
- * one-cell smoke run are expressed in the same language. Expansion
- * order is fixed (the nesting order of the fields below), which gives
- * every cell a stable index and canonical key — the anchor for the
- * deterministic reduction and for --resume.
+ * Axes omitted from the string keep their single-value defaults, so
+ * the paper's full Table I / Figures 9-12 grids and a one-cell smoke
+ * run are expressed in the same language.
+ *
+ * Each axis is declared once, as one row of the axis table in
+ * spec.cc: grid parsing, the grid string, expansion, cell keys,
+ * the config builders and the sink's JSON and CSV columns all walk
+ * it. Expansion order is the table order, which gives every cell a
+ * stable index and canonical key — the anchor for the deterministic
+ * reduction and for --resume.
  */
 
 #ifndef CLUMSY_SWEEP_SPEC_HH
@@ -50,7 +54,8 @@ std::string to_string(const OperatingPoint &point);
 /** The declarative grid. */
 struct SweepSpec
 {
-    // Swept dimensions, in expansion-nesting order (outermost first).
+    // Axis values, in expansion order (outermost first). Each axis's
+    // spelling, elision and config target is its row in spec.cc.
     std::vector<std::string> apps; ///< parse() defaults to all apps
     std::vector<OperatingPoint> points = {OperatingPoint{}};
     std::vector<mem::RecoveryScheme> schemes = {
@@ -59,86 +64,45 @@ struct SweepSpec
     std::vector<core::FaultPlane> planes = {core::FaultPlane::Both};
     std::vector<double> faultScales = {1.0};
 
-    // Chip dimensions (src/npu/). The defaults describe a plain
-    // single-engine chip, which the runner executes through the
-    // single-core harness — identical results to a pre-npu sweep.
+    // Chip axes (src/npu/). At their defaults the runner executes the
+    // cell through the single-core harness.
     std::vector<unsigned> peCounts = {1};
     std::vector<npu::DispatchPolicy> dispatches = {
         npu::DispatchPolicy::RoundRobin};
-    /**
-     * Per-engine Cr assignments: each entry is a colon-separated Cr
-     * list ("1:0.5:0.5:0.25"), or "" (spelled "uniform" in grid
-     * strings) for every engine at the cell's Cr.
-     */
+    /** Colon-separated per-engine Cr lists; "" (grid "uniform") = none. */
     std::vector<std::string> perPeCrs = {""};
-
-    /** Per-engine frequency adaptation modes (static/fault/queue). */
     std::vector<npu::DvsMode> dvsModes = {npu::DvsMode::Fault};
-
-    /** Shared-L2 port MSHR counts. */
-    std::vector<unsigned> mshrs = {1};
-
-    /** L2 contents models (private / shared). */
+    std::vector<unsigned> mshrs = {1}; ///< shared-L2 port MSHRs
     std::vector<npu::L2Mode> l2Modes = {npu::L2Mode::Private};
-
-    /**
-     * Offered-load inter-arrival gaps, base cycles per packet
-     * (NpuConfig::arrivalGapCycles). 0 = saturated input. A non-zero
-     * gap routes the cell through the chip model.
-     */
+    /** Inter-arrival gaps, base cycles (0 = saturated input). */
     std::vector<std::int64_t> arrivalGaps = {0};
-
     /**
-     * Chip-jobs values (NpuConfig::chipJobs): worker threads one chip
-     * run may use, clamped by the runner so sweep jobs times chip
-     * jobs never oversubscribes. Results are byte-identical across
-     * values — this axis moves wall-clock, not physics.
+     * Chip-run worker threads, clamped by the runner so sweep jobs
+     * times chip jobs never oversubscribes; results are byte-identical
+     * across values.
      */
     std::vector<unsigned> chipJobs = {1};
 
-    /**
-     * Line-card dimensions (src/linecard/): chip counts behind the
-     * inter-chip dispatcher, shared-DRAM bank counts (0 = analytical
-     * DRAM model off, the historical flat-penalty behaviour) and
-     * card-jobs values (run-level worker threads, byte-identical
-     * across values like chip-jobs; the sweep already runs each card
-     * run as its own job, so the value only names the cell). The
-     * all-default column routes the cell through the chip or
-     * single-core harness unchanged.
-     */
+    // Line-card axes (src/linecard/). At their defaults the cell runs
+    // through the chip or single-core harness.
     std::vector<unsigned> chips = {1};
-    std::vector<unsigned> dramBanks = {0};
+    std::vector<unsigned> dramBanks = {0}; ///< 0 = DRAM model off
+    /**
+     * Only 1 is accepted: the sweep runs every card run as its own
+     * job, so other values would only rename a cell. The axis stays so
+     * grid strings still name it and older documents still load.
+     */
     std::vector<unsigned> cardJobs = {1};
 
-    /**
-     * Traffic-model dimensions (src/traffic/): flow-population
-     * overrides (0 = the app's own default) and churn mean flow
-     * lifetimes in packets (0 = the app's own churn setting; nonzero
-     * forces the churn model on). Orthogonal to the harness choice —
-     * both the single-core and chip paths stream from the same
-     * traffic::PacketSource.
-     */
+    // Traffic axes (src/traffic/); 0 = the app's own setting.
     std::vector<std::uint32_t> flows = {0};
-    std::vector<std::uint64_t> churns = {0};
+    std::vector<std::uint64_t> churns = {0}; ///< mean flow lifetimes
 
-    /**
-     * Fault-map dimensions (src/fault/fault_map.hh): map selections
-     * ("off" = uniform eq. (4) faults, "spatial" = the seeded
-     * generation model, anything else = a map-file path) and
-     * way-disable retire thresholds (0 = off). Both default to the
-     * historical uniform/no-retire behaviour so every pre-faultmap
-     * result stays byte-identical.
-     */
+    /** Fault maps: "off" (uniform eq. (4)), "spatial" or a map path. */
     std::vector<std::string> faultMaps = {"off"};
-    std::vector<unsigned> retires = {0};
+    std::vector<unsigned> retires = {0}; ///< way-disable threshold
 
-    /**
-     * Control-plane churn dimensions (src/ctrl/): update rates in
-     * events per 1000 packets (0 = no control plane, the default that
-     * keeps every run bit-identical to a pre-ctrl sweep) and the event
-     * mix each rate draws from. Both harnesses interleave the same
-     * stream, so the axes compose with every chip dimension.
-     */
+    /** Control-plane events per 1000 packets (0 = none) and mixes. */
     std::vector<std::uint32_t> ctrlRates = {0};
     std::vector<ctrl::CtrlMix> updateMixes = {ctrl::CtrlMix::All};
 
@@ -157,12 +121,9 @@ struct SweepSpec
 
     /**
      * Parse a grid string (semicolon-separated key=value,value,...
-     * pairs). Keys: app, cr, scheme, codec, plane, fault-scale,
-     * pes, dispatch, per-pe-cr, dvs, mshrs, l2, gap, chip-jobs,
-     * chips, dram-banks, card-jobs, flows, churn, faultmap, retire,
-     * ctrl, updates, packets, trials, seed, fault-seed, map-seed.
-     * "app=all" / "scheme=all" expand to the full sets. fatal()s on
-     * unknown keys or values.
+     * pairs; keys are listed by gridKeys()). "app=all" / "scheme=all"
+     * expand to the full sets. fatal()s on unknown keys or values,
+     * and on gaps whose arrivals would overflow the simulated clock.
      */
     static SweepSpec parse(const std::string &grid);
 
@@ -205,43 +166,49 @@ struct SweepCell
     ctrl::CtrlMix updates = ctrl::CtrlMix::All; ///< event mix at ctrl>0
 
     /**
-     * @return true when the cell needs the chip model: anything but
-     * the default single-engine round-robin uniform fault-mode
-     * single-MSHR private-L2 saturated-serial configuration.
+     * @return true when the cell needs the chip model: any chip axis
+     * (pes through chip-jobs) off its default.
      */
-    bool isNpu() const
-    {
-        return peCount != 1 ||
-               dispatch != npu::DispatchPolicy::RoundRobin ||
-               !perPeCr.empty() || dvs != npu::DvsMode::Fault ||
-               mshrs != 1 || l2 != npu::L2Mode::Private ||
-               arrivalGap != 0 || chipJobs != 1;
-    }
+    bool isNpu() const;
 
     /**
-     * @return true when the cell needs the line-card tier: more than
-     * one chip, the DRAM model on, or a non-serial card-jobs value.
+     * @return true when the cell needs the line-card tier: any card
+     * axis (chips, dram-banks, card-jobs) off its default.
      */
-    bool isCard() const
-    {
-        return chips != 1 || dramBanks != 0 || cardJobs != 1;
-    }
+    bool isCard() const;
 
     /**
      * Stable identity of the cell within any spec that contains it:
      * "app=crc;cr=0.5;scheme=two-strike;codec=parity;plane=both;
-     * fault-scale=1". Cells using the chip model append
-     * ";pes=N;dispatch=D;per-pe-cr=X", plus ";dvs=M", ";mshrs=K",
-     * ";l2=shared", ";gap=G" and ";chip-jobs=J" only at non-default
-     * values; plain single-engine cells keep the historical
-     * six-dimension key. The elisions let result files written before
-     * the newer dimensions existed resume cleanly. Used as the JSON
-     * result key and by --resume.
+     * fault-scale=1", then each other axis its key elision admits
+     * (see the axis table). Plain single-engine cells keep the
+     * historical six-axis key, so result files written before the
+     * newer axes existed resume cleanly. Used as the JSON result key
+     * and by --resume.
      */
     std::string key() const;
 };
 
-/** Expand the grid in canonical nesting order. */
+class JsonWriter;
+struct JVal;
+
+/** Write the cell's axis fields into its JSON record, as elided. */
+void writeAxisFields(JsonWriter &w, const SweepCell &cell);
+
+/**
+ * Read them back. The axes every key spells out must be present; the
+ * others keep their defaults when absent, as in older documents.
+ */
+void readAxisFields(const JVal &record, SweepCell &cell);
+
+// The CSV axis columns: header and a cell's values, each ending in ','.
+std::string axisCsvHeader();
+std::string axisCsvFields(const SweepCell &cell);
+
+/** Every key a grid string accepts, space-separated. */
+std::string gridKeys();
+
+/** Expand the grid in axis-table order (the last axis varies fastest). */
 std::vector<SweepCell> expand(const SweepSpec &spec);
 
 /** The ExperimentConfig a cell runs under. */

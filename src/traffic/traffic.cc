@@ -1,8 +1,11 @@
 #include "traffic/traffic.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.hh"
+#include "common/types.hh"
 
 namespace clumsy::traffic
 {
@@ -148,6 +151,25 @@ makeSource(const net::TraceConfig &config, std::int64_t nominalGapCycles)
     if (config.churn.enabled)
         return std::make_unique<ChurnSource>(config, nominalGapCycles);
     return std::make_unique<StaticSource>(config, nominalGapCycles);
+}
+
+void
+checkArrivalSpan(const std::string &option, std::int64_t gapCycles,
+                 std::uint64_t packets)
+{
+    // The churn model stretches a gap at most by its OFF factor (its
+    // ramp starts at 1), so the last arrival is within
+    // (packets - 1) * gap * stretch base cycles.
+    const auto stretch = static_cast<std::uint64_t>(
+        std::ceil(std::max(1.0, net::ChurnConfig{}.offGapFactor)));
+    const auto maxSpan = static_cast<std::uint64_t>(
+        std::numeric_limits<Quanta>::max() / kQuantaPerCycle) / stretch;
+    if (packets > 1 &&
+        static_cast<std::uint64_t>(gapCycles) > maxSpan / (packets - 1))
+        fatal("%s: '%lld' is out of range: %llu packets that far apart "
+              "arrive past the simulated clock's limit",
+              option.c_str(), static_cast<long long>(gapCycles),
+              static_cast<unsigned long long>(packets));
 }
 
 } // namespace clumsy::traffic

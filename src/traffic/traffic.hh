@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.hh"
@@ -221,6 +222,14 @@ class ChurnSource final : public PacketSource
  */
 std::unique_ptr<PacketSource> makeSource(const net::TraceConfig &config,
                                          std::int64_t nominalGapCycles);
+
+/**
+ * fatal()s, naming @p option, unless @p packets arrivals @p gapCycles
+ * apart, each gap stretched as far as the churn model stretches one,
+ * end within INT64_MAX quanta. Call before any simulation.
+ */
+void checkArrivalSpan(const std::string &option, std::int64_t gapCycles,
+                      std::uint64_t packets);
 
 } // namespace clumsy::traffic
 

@@ -344,6 +344,30 @@ TEST(SweepSpec, RejectsDegenerateRunsAndWrappingCounts)
                 ::testing::ExitedWithCode(1), "out of range");
 }
 
+TEST(SweepSpec, RejectsOverflowingGapsAndRetiredCardJobs)
+{
+    // A gap past INT64_MAX used to wrap negative; one whose last
+    // arrival passes INT64_MAX quanta (16x churn stretch, 12 quanta
+    // per cycle) used to overflow the arrival arithmetic. Both die
+    // with the CLI's message, whichever order packets= comes in.
+    EXPECT_EXIT(SweepSpec::parse("app=crc;gap=18446744073709551615"),
+                ::testing::ExitedWithCode(1),
+                "gap: '18446744073709551615' is out of range");
+    EXPECT_EXIT(SweepSpec::parse("app=crc;gap=980375429087455;packets=50"),
+                ::testing::ExitedWithCode(1),
+                "gap: '980375429087455' is out of range");
+    EXPECT_EQ(SweepSpec::parse("packets=50;app=crc;gap=980375429087454")
+                  .arrivalGaps,
+              (std::vector<std::int64_t>{980375429087454}));
+
+    // card-jobs only renamed a cell; 1 still parses so every grid
+    // string round-trips.
+    EXPECT_EXIT(SweepSpec::parse("app=crc;chips=2;card-jobs=1,4"),
+                ::testing::ExitedWithCode(1), "clumsy_card --card-jobs");
+    EXPECT_EQ(SweepSpec::parse("app=crc;card-jobs=1").cardJobs,
+              (std::vector<unsigned>{1}));
+}
+
 // --- the single-run CLI option set -----------------------------------
 
 namespace
@@ -515,6 +539,27 @@ TEST(SweepSink, LoadCompletedCellsRoundTrips)
         EXPECT_EQ(a.golden.cyclesPerPacket, b.golden.cyclesPerPacket);
         EXPECT_EQ(a.faulty.fatalReason, b.faulty.fatalReason);
     }
+}
+
+TEST(SweepSink, UntimedCsvDropsTheWallColumn)
+{
+    // --no-timing promises output that depends only on the grid.
+    const SweepOutcome outcome = runSweep(smallSpec(), 2);
+    const std::string timed = renderCsv(outcome, true);
+    EXPECT_NE(timed.find(",wall_ms\n"), std::string::npos);
+    EXPECT_EQ(renderCsv(outcome, false), stripWallColumn(timed));
+}
+
+TEST(SweepSink, RejectsOutOfRangeAxisFields)
+{
+    // A negative count would convert to an integer field as UB.
+    std::string doc = renderJson(runSweep(smallSpec(), 2), false);
+    const std::string pes = "\"pes\": 1,";
+    doc.replace(doc.find(pes), pes.size(), "\"pes\": -1,");
+    const std::string path = tempPath("sweep_bad_pes.json");
+    writeFile(path, doc);
+    EXPECT_EXIT(loadCompletedCells(path), ::testing::ExitedWithCode(1),
+                "field 'pes' is out of range");
 }
 
 TEST(SweepSink, MissingFileYieldsEmptyMap)

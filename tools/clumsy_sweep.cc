@@ -2,12 +2,12 @@
  * @file
  * clumsy_sweep: parallel experiment-grid driver.
  *
- * Expands a declarative grid over {app, Cr, scheme, codec, plane,
- * fault-scale, pes, dispatch, per-pe-cr}, runs every cell's golden
- * pass and faulty trials as
- * independent jobs on a work-stealing pool, and writes JSON (and
- * optionally CSV) with full provenance. Aggregates are bit-identical
- * for any --jobs value; see EXPERIMENTS.md for the schema.
+ * Expands a declarative grid over the axes of sweep/spec.hh (app, Cr,
+ * scheme, ... control-plane mix), runs every cell's golden pass and
+ * faulty trials as independent jobs on a work-stealing pool, and
+ * writes JSON (and optionally CSV) with full provenance. Aggregates
+ * are bit-identical for any --jobs value; see EXPERIMENTS.md for the
+ * schema.
  *
  *   clumsy_sweep --grid 'app=route,md5;cr=1,0.5,0.25;scheme=two-strike' \
  *                --jobs 8 --out sweep.json
@@ -40,11 +40,8 @@ main(int argc, char **argv)
     parser.section("grid");
     parser.optString(
         "--grid", "SPEC",
-        "semicolon-separated key=value,value,... dimensions; keys: "
-        "app cr scheme codec plane fault-scale pes dispatch per-pe-cr "
-        "dvs mshrs l2 gap chip-jobs chips dram-banks card-jobs flows "
-        "churn faultmap retire ctrl updates packets trials seed "
-        "fault-seed map-seed",
+        "semicolon-separated key=value,value,... dimensions; keys: " +
+            sweep::gridKeys(),
         &grid);
     parser.section("execution");
     parser.optUnsigned("--jobs", "N",
@@ -59,7 +56,7 @@ main(int argc, char **argv)
                      &csvPath);
     parser.flag("--no-timing",
                 "omit run-environment provenance (git, jobs, wall "
-                "times) so the output depends only on the grid",
+                "times) so the JSON and CSV depend only on the grid",
                 &noTiming);
     parser.flag("--quiet", "suppress per-cell progress on stderr",
                 &quietProgress);
@@ -95,7 +92,7 @@ main(int argc, char **argv)
 
     sweep::writeFile(outPath, sweep::renderJson(outcome, !noTiming));
     if (!csvPath.empty())
-        sweep::writeFile(csvPath, sweep::renderCsv(outcome));
+        sweep::writeFile(csvPath, sweep::renderCsv(outcome, !noTiming));
 
     std::fprintf(stderr,
                  "%zu cells (%zu resumed), %u jobs, %.0f ms -> %s\n",
