@@ -23,6 +23,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/metrics.hh"
@@ -257,6 +258,25 @@ struct ExperimentResult
     double edf = 0.0; ///< energy*delay^2*fallibility^2, trial-avg
     std::map<std::string, double> errorProbByType;
 };
+
+/**
+ * The trial-averaged ExperimentResult fields, in document order (the
+ * "aggregate" object; golden and faulty_last are RunMetrics).
+ */
+inline constexpr auto kExperimentAggregateFields = [] {
+    using R = ExperimentResult;
+    return std::tuple{
+        Field{"any_error_prob", &R::anyErrorProb},
+        Field{"fatal_prob", &R::fatalProb},
+        Field{"fatal_fraction", &R::fatalFraction},
+        Field{"fallibility", &R::fallibility},
+        Field{"cycles_per_packet", &R::cyclesPerPacket},
+        Field{"energy_per_packet_pj", &R::energyPerPacketPj},
+        Field{"l1d_energy_per_packet_pj", &R::l1dEnergyPerPacketPj},
+        Field{"edf", &R::edf},
+        Field{"error_prob_by_type", &R::errorProbByType},
+    };
+}();
 
 /**
  * The fault-free reference run: its metrics plus the per-packet marked

@@ -17,6 +17,9 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
+
+#include "common/fields.hh"
 
 namespace clumsy::core
 {
@@ -57,6 +60,34 @@ struct RunMetrics
     /** Packets whose named marked value mismatched the golden run. */
     std::map<std::string, std::uint64_t> errorsByType;
 };
+
+/** RunMetrics' fields in document order (common/fields.hh). */
+inline constexpr auto kRunMetricsFields = [] {
+    using M = RunMetrics;
+    return std::tuple{
+        Field{"packets_attempted", &M::packetsAttempted},
+        Field{"packets_processed", &M::packetsProcessed},
+        Field{"packets_with_error", &M::packetsWithError},
+        Field{"fatal", &M::fatal},
+        Field{"fatal_reason", &M::fatalReason},
+        Field{"cycles_per_packet", &M::cyclesPerPacket},
+        Field{"energy_per_packet_pj", &M::energyPerPacketPj},
+        Field{"total_energy_pj", &M::totalEnergyPj},
+        Field{"l1d_energy_pj", &M::l1dEnergyPj},
+        Field{"instructions", &M::instructions},
+        Field{"dcache_accesses", &M::dcacheAccesses},
+        Field{"dcache_miss_rate", &M::dcacheMissRate},
+        Field{"faults_injected", &M::faultsInjected},
+        Field{"parity_trips", &M::parityTrips},
+        Field{"ecc_corrections", &M::eccCorrections},
+        Field{"freq_switches", &M::freqSwitches},
+        // Elided at zero: pre-ctrl documents and rate-0 runs keep the
+        // bytes earlier versions wrote.
+        Field{"ctrl_events_applied", &M::ctrlEventsApplied,
+              Presence::ElidedAtZero},
+        Field{"errors_by_type", &M::errorsByType},
+    };
+}();
 
 /** Fraction of processed packets with at least one error. */
 double anyErrorProb(const RunMetrics &m);

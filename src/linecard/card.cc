@@ -237,46 +237,7 @@ runCard(const core::AppFactory &factory,
 CardMetrics
 averageCardMetrics(const std::vector<CardMetrics> &runs)
 {
-    CLUMSY_ASSERT(!runs.empty(), "need at least one card run");
-    CardMetrics avg;
-    avg.loadImbalance = 0.0;
-    avg.chipPackets.assign(runs.front().chipPackets.size(), 0.0);
-    avg.chipMakespanCycles.assign(
-        runs.front().chipMakespanCycles.size(), 0.0);
-    for (const CardMetrics &m : runs) {
-        avg.makespanCycles += m.makespanCycles;
-        avg.throughputPps += m.throughputPps;
-        avg.loadImbalance += m.loadImbalance;
-        avg.packetsProcessed += m.packetsProcessed;
-        avg.ingressDrops += m.ingressDrops;
-        avg.dramAccesses += m.dramAccesses;
-        avg.dramRowHits += m.dramRowHits;
-        avg.dramRowMisses += m.dramRowMisses;
-        avg.dramRowConflicts += m.dramRowConflicts;
-        avg.dramRowHitFraction += m.dramRowHitFraction;
-        avg.dramStallCycles += m.dramStallCycles;
-        for (std::size_t i = 0; i < avg.chipPackets.size(); ++i)
-            avg.chipPackets[i] += m.chipPackets[i];
-        for (std::size_t i = 0; i < avg.chipMakespanCycles.size(); ++i)
-            avg.chipMakespanCycles[i] += m.chipMakespanCycles[i];
-    }
-    const double n = static_cast<double>(runs.size());
-    avg.makespanCycles /= n;
-    avg.throughputPps /= n;
-    avg.loadImbalance /= n;
-    avg.packetsProcessed /= n;
-    avg.ingressDrops /= n;
-    avg.dramAccesses /= n;
-    avg.dramRowHits /= n;
-    avg.dramRowMisses /= n;
-    avg.dramRowConflicts /= n;
-    avg.dramRowHitFraction /= n;
-    avg.dramStallCycles /= n;
-    for (double &v : avg.chipPackets)
-        v /= n;
-    for (double &v : avg.chipMakespanCycles)
-        v /= n;
-    return avg;
+    return fieldMean(runs, kCardMetricsFields);
 }
 
 core::RunMetrics

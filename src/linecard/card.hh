@@ -39,8 +39,10 @@
 #define CLUMSY_LINECARD_CARD_HH
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
+#include "common/fields.hh"
 #include "core/experiment.hh"
 #include "dram/dram.hh"
 #include "npu/chip.hh"
@@ -111,6 +113,26 @@ struct CardMetrics
     std::vector<double> chipPackets;        ///< completed per chip
     std::vector<double> chipMakespanCycles; ///< makespan per chip
 };
+
+/** CardMetrics' fields in document order (common/fields.hh). */
+inline constexpr auto kCardMetricsFields = [] {
+    using M = CardMetrics;
+    return std::tuple{
+        Field{"makespan_cycles", &M::makespanCycles},
+        Field{"throughput_pps", &M::throughputPps},
+        Field{"load_imbalance", &M::loadImbalance},
+        Field{"packets_processed", &M::packetsProcessed},
+        Field{"ingress_drops", &M::ingressDrops},
+        Field{"dram_accesses", &M::dramAccesses},
+        Field{"dram_row_hits", &M::dramRowHits},
+        Field{"dram_row_misses", &M::dramRowMisses},
+        Field{"dram_row_conflicts", &M::dramRowConflicts},
+        Field{"dram_row_hit_fraction", &M::dramRowHitFraction},
+        Field{"dram_stall_cycles", &M::dramStallCycles},
+        Field{"chip_packets", &M::chipPackets},
+        Field{"chip_makespan_cycles", &M::chipMakespanCycles},
+    };
+}();
 
 /** Everything one card run (golden or one faulty trial) produced. */
 struct CardRunResult

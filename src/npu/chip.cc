@@ -776,94 +776,7 @@ runChipStream(const core::AppFactory &factory,
 ChipMetrics
 averageChipMetrics(const std::vector<ChipMetrics> &runs)
 {
-    CLUMSY_ASSERT(!runs.empty(), "need at least one chip run");
-    ChipMetrics avg;
-    avg.loadImbalance = 0.0;
-    avg.peUtilization.assign(runs.front().peUtilization.size(), 0.0);
-    avg.pePackets.assign(runs.front().pePackets.size(), 0.0);
-    avg.peL2Hits.assign(runs.front().peL2Hits.size(), 0.0);
-    avg.peL2Misses.assign(runs.front().peL2Misses.size(), 0.0);
-    avg.peCrFinal.assign(runs.front().peCrFinal.size(), 0.0);
-    avg.peCrMean.assign(runs.front().peCrMean.size(), 0.0);
-    avg.peEpochs.assign(runs.front().peEpochs.size(), 0.0);
-    avg.peStepsUp.assign(runs.front().peStepsUp.size(), 0.0);
-    avg.peStepsDown.assign(runs.front().peStepsDown.size(), 0.0);
-    for (const ChipMetrics &m : runs) {
-        avg.makespanCycles += m.makespanCycles;
-        avg.throughputPps += m.throughputPps;
-        avg.loadImbalance += m.loadImbalance;
-        avg.queueOccMean += m.queueOccMean;
-        avg.queueOccMax += m.queueOccMax;
-        avg.dropsQueueFull += m.dropsQueueFull;
-        avg.dropsDeadPe += m.dropsDeadPe;
-        avg.backpressureStalls += m.backpressureStalls;
-        avg.l2PortWaits += m.l2PortWaits;
-        avg.l2PortWaitCycles += m.l2PortWaitCycles;
-        avg.crossEngineHits += m.crossEngineHits;
-        avg.crossEngineHitFraction += m.crossEngineHitFraction;
-        avg.l2EvictionsByOther += m.l2EvictionsByOther;
-        avg.mshrMerges += m.mshrMerges;
-        avg.ingressDrops += m.ingressDrops;
-        avg.dramRequests += m.dramRequests;
-        avg.dramStallCycles += m.dramStallCycles;
-        avg.chipEdf += m.chipEdf;
-        for (std::size_t i = 0; i < avg.peUtilization.size(); ++i)
-            avg.peUtilization[i] += m.peUtilization[i];
-        for (std::size_t i = 0; i < avg.pePackets.size(); ++i)
-            avg.pePackets[i] += m.pePackets[i];
-        for (std::size_t i = 0; i < avg.peL2Hits.size(); ++i)
-            avg.peL2Hits[i] += m.peL2Hits[i];
-        for (std::size_t i = 0; i < avg.peL2Misses.size(); ++i)
-            avg.peL2Misses[i] += m.peL2Misses[i];
-        for (std::size_t i = 0; i < avg.peCrFinal.size(); ++i)
-            avg.peCrFinal[i] += m.peCrFinal[i];
-        for (std::size_t i = 0; i < avg.peCrMean.size(); ++i)
-            avg.peCrMean[i] += m.peCrMean[i];
-        for (std::size_t i = 0; i < avg.peEpochs.size(); ++i)
-            avg.peEpochs[i] += m.peEpochs[i];
-        for (std::size_t i = 0; i < avg.peStepsUp.size(); ++i)
-            avg.peStepsUp[i] += m.peStepsUp[i];
-        for (std::size_t i = 0; i < avg.peStepsDown.size(); ++i)
-            avg.peStepsDown[i] += m.peStepsDown[i];
-    }
-    const double n = static_cast<double>(runs.size());
-    avg.makespanCycles /= n;
-    avg.throughputPps /= n;
-    avg.loadImbalance /= n;
-    avg.queueOccMean /= n;
-    avg.queueOccMax /= n;
-    avg.dropsQueueFull /= n;
-    avg.dropsDeadPe /= n;
-    avg.backpressureStalls /= n;
-    avg.l2PortWaits /= n;
-    avg.l2PortWaitCycles /= n;
-    avg.crossEngineHits /= n;
-    avg.crossEngineHitFraction /= n;
-    avg.l2EvictionsByOther /= n;
-    avg.mshrMerges /= n;
-    avg.ingressDrops /= n;
-    avg.dramRequests /= n;
-    avg.dramStallCycles /= n;
-    avg.chipEdf /= n;
-    for (double &v : avg.peUtilization)
-        v /= n;
-    for (double &v : avg.pePackets)
-        v /= n;
-    for (double &v : avg.peL2Hits)
-        v /= n;
-    for (double &v : avg.peL2Misses)
-        v /= n;
-    for (double &v : avg.peCrFinal)
-        v /= n;
-    for (double &v : avg.peCrMean)
-        v /= n;
-    for (double &v : avg.peEpochs)
-        v /= n;
-    for (double &v : avg.peStepsUp)
-        v /= n;
-    for (double &v : avg.peStepsDown)
-        v /= n;
-    return avg;
+    return fieldMean(runs, kChipMetricsFields);
 }
 
 ChipExperimentResult

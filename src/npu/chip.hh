@@ -33,8 +33,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/stats.hh"
 #include "core/experiment.hh"
 #include "npu/config.hh"
@@ -173,6 +175,49 @@ struct ChipMetrics
     std::vector<double> peStepsUp;   ///< clock-up decisions per engine
     std::vector<double> peStepsDown; ///< clock-down decisions per engine
 };
+
+/**
+ * ChipMetrics' fields in document order (common/fields.hh). The
+ * shared-L2 counters and the per-engine L2 and DVS arrays are absent
+ * in chip documents written before they existed; the ingress and DRAM
+ * counters are nonzero only on a line card, so chip documents omit
+ * them.
+ */
+inline constexpr auto kChipMetricsFields = [] {
+    using M = ChipMetrics;
+    constexpr Presence older = Presence::OptionalOnRead;
+    constexpr Presence card = Presence::ElidedAtZero;
+    return std::tuple{
+        Field{"makespan_cycles", &M::makespanCycles},
+        Field{"throughput_pps", &M::throughputPps},
+        Field{"load_imbalance", &M::loadImbalance},
+        Field{"queue_occ_mean", &M::queueOccMean},
+        Field{"queue_occ_max", &M::queueOccMax},
+        Field{"drops_queue_full", &M::dropsQueueFull},
+        Field{"drops_dead_pe", &M::dropsDeadPe},
+        Field{"backpressure_stalls", &M::backpressureStalls},
+        Field{"l2_port_waits", &M::l2PortWaits},
+        Field{"l2_port_wait_cycles", &M::l2PortWaitCycles},
+        Field{"ingress_drops", &M::ingressDrops, card},
+        Field{"dram_requests", &M::dramRequests, card},
+        Field{"dram_stall_cycles", &M::dramStallCycles, card},
+        Field{"cross_engine_hits", &M::crossEngineHits, older},
+        Field{"cross_engine_hit_fraction", &M::crossEngineHitFraction,
+              older},
+        Field{"l2_evictions_by_other", &M::l2EvictionsByOther, older},
+        Field{"mshr_merges", &M::mshrMerges, older},
+        Field{"chip_edf", &M::chipEdf},
+        Field{"pe_utilization", &M::peUtilization},
+        Field{"pe_packets", &M::pePackets},
+        Field{"pe_l2_hits", &M::peL2Hits, older},
+        Field{"pe_l2_misses", &M::peL2Misses, older},
+        Field{"pe_cr_final", &M::peCrFinal, older},
+        Field{"pe_cr_mean", &M::peCrMean, older},
+        Field{"pe_epochs", &M::peEpochs, older},
+        Field{"pe_steps_up", &M::peStepsUp, older},
+        Field{"pe_steps_down", &M::peStepsDown, older},
+    };
+}();
 
 /** Where one completed packet's marked values were recorded. */
 struct Completion

@@ -360,37 +360,49 @@ field(const JVal &obj, const char *key)
     return *v;
 }
 
-double
-numField(const JVal &obj, const char *key)
+const JVal &
+ofKind(const JVal &v, JVal::Kind kind, const char *key)
 {
-    const JVal &v = field(obj, key);
-    if (v.kind != JVal::Kind::Num)
-        fatal("sweep JSON: field '%s' is not a number", key);
-    return v.num;
+    static const char *const kKinds[] = {
+        "null", "a bool", "a number", "a string", "an array", "an object"};
+    if (v.kind != kind)
+        fatal("sweep JSON: field '%s' is not %s", key,
+              kKinds[static_cast<int>(kind)]);
+    return v;
 }
 
 std::uint64_t
-u64Field(const JVal &obj, const char *key)
+asU64(const JVal &v, const char *key, unsigned bits)
 {
-    return static_cast<std::uint64_t>(numField(obj, key));
+    // Negative, NaN and too-large values would convert as UB.
+    const double n = ofKind(v, JVal::Kind::Num, key).num;
+    if (!(n >= 0.0 && n < std::ldexp(1.0, static_cast<int>(bits))))
+        fatal("sweep JSON: field '%s' is out of range", key);
+    return static_cast<std::uint64_t>(n);
+}
+
+double
+numField(const JVal &obj, const char *key)
+{
+    return ofKind(field(obj, key), JVal::Kind::Num, key).num;
+}
+
+std::uint64_t
+u64Field(const JVal &obj, const char *key, unsigned bits)
+{
+    return asU64(field(obj, key), key, bits);
 }
 
 std::string
 strField(const JVal &obj, const char *key)
 {
-    const JVal &v = field(obj, key);
-    if (v.kind != JVal::Kind::Str)
-        fatal("sweep JSON: field '%s' is not a string", key);
-    return v.str;
+    return ofKind(field(obj, key), JVal::Kind::Str, key).str;
 }
 
 bool
 boolField(const JVal &obj, const char *key)
 {
-    const JVal &v = field(obj, key);
-    if (v.kind != JVal::Kind::Bool)
-        fatal("sweep JSON: field '%s' is not a bool", key);
-    return v.b;
+    return ofKind(field(obj, key), JVal::Kind::Bool, key).b;
 }
 
 } // namespace clumsy::sweep

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <limits>
 #include <tuple>
 #include <type_traits>
@@ -648,11 +647,8 @@ readAxisFields(const JVal &record, SweepCell &cell)
         if constexpr (std::is_same_v<T, OperatingPoint>) {
             v = {numField(record, row.column), boolField(record, "dynamic")};
         } else if constexpr (std::is_integral_v<T>) {
-            const double n = numField(record, row.column);
-            if (!(n >= 0.0 &&
-                  n < std::ldexp(1.0, std::numeric_limits<T>::digits)))
-                fatal("sweep JSON: field '%s' is out of range", row.column);
-            v = static_cast<T>(n);
+            v = static_cast<T>(u64Field(record, row.column,
+                                        std::numeric_limits<T>::digits));
         } else if constexpr (std::is_floating_point_v<T>) {
             v = numField(record, row.column);
         } else {

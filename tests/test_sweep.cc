@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <regex>
 
 #include "apps/app.hh"
 #include "common/cli.hh"
@@ -566,6 +567,167 @@ TEST(SweepSink, MissingFileYieldsEmptyMap)
 {
     EXPECT_TRUE(
         loadCompletedCells(tempPath("does_not_exist.json")).empty());
+}
+
+TEST(SweepSink, RejectsMalformedMetricFields)
+{
+    // Metric counts get the axis fields' range check (a negative or
+    // huge count would convert as UB), and arrays, objects and their
+    // members must have the member's kind rather than read as 0 or
+    // empty.
+    const std::string doc = renderJson(
+        runSweep(SweepSpec::parse("app=crc;cr=0.5;scheme=two-strike;"
+                                  "pes=1,2;packets=60;trials=1"),
+                 2),
+        false);
+    const struct
+    {
+        const char *pattern;
+        const char *replacement;
+        const char *message;
+    } cases[] = {
+        {"\"instructions\": [0-9]+", "\"instructions\": -1",
+         "field 'instructions' is out of range"},
+        {"\"faults_injected\": [0-9]+", "\"faults_injected\": 1e30",
+         "field 'faults_injected' is out of range"},
+        {"\"errors_by_type\": \\{\\}",
+         "\"errors_by_type\": {\"ttl\": \"2\"}",
+         "field 'errors_by_type' is not a number"},
+        {"\"pe_packets\": \\[[^\\]]*\\]", "\"pe_packets\": 4",
+         "field 'pe_packets' is not an array"},
+    };
+    for (const auto &c : cases) {
+        const std::string bad =
+            std::regex_replace(doc, std::regex(c.pattern), c.replacement,
+                               std::regex_constants::format_first_only);
+        ASSERT_NE(bad, doc) << c.pattern;
+        const std::string path = tempPath("sweep_bad_metric.json");
+        writeFile(path, bad);
+        EXPECT_EXIT(loadCompletedCells(path),
+                    ::testing::ExitedWithCode(1), c.message)
+            << c.pattern;
+    }
+}
+
+TEST(SweepSink, CardOnlyChipCountersElideAtZeroAndRoundTrip)
+{
+    // ingress_drops, dram_requests and dram_stall_cycles are nonzero
+    // only on a line card: chip documents leave them out, and set
+    // values survive --resume.
+    const char *const keys[] = {"ingress_drops", "dram_requests",
+                                "dram_stall_cycles"};
+    SweepOutcome outcome = runSweep(
+        SweepSpec::parse("app=crc;cr=0.5;pes=2;packets=40;trials=1"), 1);
+    ASSERT_EQ(outcome.cells.size(), 1u);
+    CellOutcome &chip = outcome.cells[0];
+    ASSERT_TRUE(chip.hasNpu);
+    const std::string plain = renderJson(outcome, false);
+    for (const char *key : keys)
+        EXPECT_EQ(plain.find(key), std::string::npos) << key;
+
+    chip.npuFaulty.ingressDrops = 5;
+    chip.npuFaulty.dramRequests = 7;
+    chip.npuFaulty.dramStallCycles = 11.5;
+    const std::string doc = renderJson(outcome, false);
+    for (const char *key : keys)
+        EXPECT_NE(doc.find(key), std::string::npos) << key;
+    const std::string path = tempPath("sweep_chip_card_counters.json");
+    writeFile(path, doc);
+    const auto loaded = loadCompletedCells(path);
+    ASSERT_EQ(loaded.size(), 1u);
+    const CellOutcome &back = loaded.begin()->second;
+    EXPECT_EQ(back.npuFaulty.ingressDrops, 5.0);
+    EXPECT_EQ(back.npuFaulty.dramRequests, 7.0);
+    EXPECT_EQ(back.npuFaulty.dramStallCycles, 11.5);
+    EXPECT_EQ(back.npuGolden.dramRequests, 0.0);
+    outcome.cells[0] = back;
+    EXPECT_EQ(renderJson(outcome, false), doc);
+}
+
+namespace
+{
+
+template <typename S, typename Rows>
+std::string
+renderFields(const S &s, const Rows &rows)
+{
+    JsonWriter w;
+    writeFields(w, s, rows);
+    return w.str();
+}
+
+/**
+ * Drop each of @p rows' keys from @p record in turn. Without a
+ * required key the load dies naming it; without any other key the
+ * record loads with the struct default there and re-renders.
+ */
+template <typename S, typename Rows>
+void
+checkPresenceRules(const JVal &record, const Rows &rows, const char *what)
+{
+    S full;
+    readFields(record, full, rows);
+    forEachField(rows, [&](const auto &row) {
+        JVal dropped = record;
+        std::erase_if(dropped.obj, [&](const auto &kv) {
+            return kv.first == row.name;
+        });
+        if (row.presence == Presence::Required) {
+            EXPECT_EXIT(
+                {
+                    S s;
+                    readFields(dropped, s, rows);
+                },
+                ::testing::ExitedWithCode(1),
+                std::string("missing field '") + row.name + "'")
+                << what;
+            return;
+        }
+        S loaded;
+        readFields(dropped, loaded, rows);
+        S expected = full;
+        expected.*row.member = S{}.*row.member;
+        EXPECT_EQ(renderFields(loaded, rows), renderFields(expected, rows))
+            << what << ": " << row.name;
+    });
+}
+
+} // namespace
+
+TEST(SweepSink, OptionalMetricFieldsLoadWithDefaultsRequiredOnesDie)
+{
+    // Core, chip and card cells, with packet errors and control
+    // events so that elided and map fields are present in the records.
+    const SweepOutcome outcome =
+        runSweep(SweepSpec::parse("app=lpm;cr=0.5;scheme=two-strike;"
+                                  "fault-scale=1000;pes=1,2;chips=1,2;"
+                                  "ctrl=100;packets=40;trials=1"),
+                 2);
+    const JVal doc = parseJson(renderJson(outcome, false));
+    bool sawNpu = false, sawCard = false;
+    for (const JVal &record : field(doc, "results").arr) {
+        const JVal &result = field(record, "result");
+        checkPresenceRules<core::RunMetrics>(field(result, "faulty_last"),
+                                             core::kRunMetricsFields,
+                                             "RunMetrics");
+        checkPresenceRules<core::ExperimentResult>(
+            field(result, "aggregate"), core::kExperimentAggregateFields,
+            "aggregate");
+        if (const JVal *npu = record.find("npu")) {
+            sawNpu = true;
+            checkPresenceRules<npu::ChipMetrics>(
+                field(*npu, "faulty"), npu::kChipMetricsFields,
+                "ChipMetrics");
+        }
+        if (const JVal *card = record.find("card")) {
+            sawCard = true;
+            checkPresenceRules<linecard::CardMetrics>(
+                field(*card, "faulty"), linecard::kCardMetricsFields,
+                "CardMetrics");
+        }
+    }
+    EXPECT_TRUE(sawNpu);
+    EXPECT_TRUE(sawCard);
 }
 
 TEST(SweepResume, SkipsCompletedCellsAndMergesOutput)
