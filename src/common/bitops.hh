@@ -19,11 +19,15 @@ popCount(std::uint64_t v)
     return static_cast<unsigned>(std::popcount(v));
 }
 
-/** @return true when v has an odd number of set bits. */
+/**
+ * @return true when v has an odd number of set bits. The builtin
+ * compiles to an xor fold and a flags test even without a popcount
+ * instruction, where std::popcount would call into libgcc.
+ */
 constexpr bool
 oddParity(std::uint64_t v)
 {
-    return (std::popcount(v) & 1u) != 0;
+    return __builtin_parityll(v) != 0;
 }
 
 /** @return true when v is a power of two (v != 0). */

@@ -31,7 +31,7 @@ class Rng
     /** @return the next raw 64-bit output. */
     std::uint64_t next()
     {
-        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t result = peek();
         const std::uint64_t t = s_[1] << 17;
         s_[2] ^= s_[0];
         s_[3] ^= s_[1];
@@ -41,6 +41,13 @@ class Rng
         s_[3] = rotl(s_[3], 45);
         return result;
     }
+
+    /**
+     * @return the output the next call to next() will return, without
+     * advancing: xoshiro256**'s output is a function of the current
+     * state alone.
+     */
+    std::uint64_t peek() const { return rotl(s_[1] * 5, 7) * 9; }
 
     /** @return a double uniformly distributed in [0, 1). */
     double uniform()

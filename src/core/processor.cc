@@ -131,6 +131,12 @@ ClumsyProcessor::raiseFatal(const std::string &reason)
 }
 
 void
+ClumsyProcessor::LoopGuard::exhausted()
+{
+    proc_.raiseFatal(std::string("infinite loop in ") + what_);
+}
+
+void
 ClumsyProcessor::beginPacket()
 {
     // Nothing yet: packet starts are implicit. Kept for symmetry and

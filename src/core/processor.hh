@@ -48,46 +48,34 @@ class ClumsyProcessor
 
     // --- timed, faulty data-memory API ------------------------------
     // Every application data access funnels through these six calls,
-    // so they are defined inline: the facade adds zero call overhead
-    // on top of the hierarchy's access path.
+    // so they are defined inline: an ordinary L1D hit is decided and
+    // committed by the hierarchy's inline head (tryReadHit/
+    // tryWriteHit) without a call, and everything else takes the
+    // hierarchy's full access path.
 
     /** Load a 32-bit word (4-aligned) through the D-cache. */
-    std::uint32_t read32(SimAddr addr)
-    {
-        return finishRead(hierarchy_.read(addr, 4));
-    }
+    std::uint32_t read32(SimAddr addr) { return load(addr, 4); }
 
     /** Load a 16-bit half (2-aligned). */
     std::uint16_t read16(SimAddr addr)
     {
-        return static_cast<std::uint16_t>(
-            finishRead(hierarchy_.read(addr, 2)));
+        return static_cast<std::uint16_t>(load(addr, 2));
     }
 
     /** Load a byte. */
     std::uint8_t read8(SimAddr addr)
     {
-        return static_cast<std::uint8_t>(
-            finishRead(hierarchy_.read(addr, 1)));
+        return static_cast<std::uint8_t>(load(addr, 1));
     }
 
     /** Store a 32-bit word (4-aligned). */
-    void write32(SimAddr addr, std::uint32_t value)
-    {
-        finishWrite(hierarchy_.write(addr, 4, value));
-    }
+    void write32(SimAddr addr, std::uint32_t value) { store(addr, 4, value); }
 
     /** Store a 16-bit half (2-aligned). */
-    void write16(SimAddr addr, std::uint16_t value)
-    {
-        finishWrite(hierarchy_.write(addr, 2, value));
-    }
+    void write16(SimAddr addr, std::uint16_t value) { store(addr, 2, value); }
 
     /** Store a byte. */
-    void write8(SimAddr addr, std::uint8_t value)
-    {
-        finishWrite(hierarchy_.write(addr, 1, value));
-    }
+    void write8(SimAddr addr, std::uint8_t value) { store(addr, 1, value); }
 
     // --- instruction charging ---------------------------------------
 
@@ -172,9 +160,8 @@ class ClumsyProcessor
         {
             if (proc_.fatalOccurred())
                 return false;
-            if (remaining_ == 0) {
-                proc_.raiseFatal(std::string("infinite loop in ") +
-                                 what_);
+            if (remaining_ == 0) [[unlikely]] {
+                exhausted();
                 return false;
             }
             --remaining_;
@@ -185,6 +172,9 @@ class ClumsyProcessor
         ClumsyProcessor &proc_;
         std::uint32_t remaining_;
         const char *what_;
+
+        /** Raise the "infinite loop" fatal (kept out of tick()). */
+        [[gnu::cold, gnu::noinline]] void exhausted();
     };
 
     // --- packet / epoch lifecycle -----------------------------------
@@ -349,15 +339,30 @@ class ClumsyProcessor
     /** Close one controller epoch and apply its decision. */
     void closeEpoch(const EpochObservation &obs);
 
-    /** Apply one timed read access result. */
-    std::uint32_t finishRead(const mem::Access &acc)
+    /** One timed load of `bytes` (1, 2 or 4). */
+    std::uint32_t load(SimAddr addr, unsigned bytes)
     {
+        mem::L1dProbe probe;
+        std::uint32_t value = 0;
+        if (hierarchy_.tryReadHit(addr, bytes, value, probe)) [[likely]] {
+            cycles_ += hierarchy_.l1dHitQuanta();
+            return value;
+        }
+        const mem::Access acc = hierarchy_.read(addr, bytes, probe);
         chargeAccess(acc);
         return acc.value;
     }
 
-    /** Apply one timed write access result. */
-    void finishWrite(const mem::Access &acc) { chargeAccess(acc); }
+    /** One timed store of the low `bytes` (1, 2 or 4) of value. */
+    void store(SimAddr addr, unsigned bytes, std::uint32_t value)
+    {
+        mem::L1dProbe probe;
+        if (hierarchy_.tryWriteHit(addr, bytes, value, probe)) [[likely]] {
+            cycles_ += hierarchy_.l1dHitQuanta();
+            return;
+        }
+        chargeAccess(hierarchy_.write(addr, bytes, value, probe));
+    }
 };
 
 } // namespace clumsy::core

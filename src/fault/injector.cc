@@ -1,6 +1,7 @@
 #include "fault/injector.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -22,8 +23,22 @@ FaultInjector::setCycleTime(double cr)
     p1PerBit_ = model_.bitFaultProb(cr);
     p2Word_ = model_.multiBitFaultProb(2, cr);
     p3Word_ = model_.multiBitFaultProb(3, cr);
+    // The same double corrupt() compares a 32-bit draw against.
+    cleanFrom_ = cleanThreshold(p1PerBit_ * 32 + p2Word_ + p3Word_);
     if (map_)
         retuneMapPlane();
+}
+
+std::uint64_t
+FaultInjector::cleanThreshold(double total)
+{
+    constexpr double kDraws = 0x1.0p53;
+    const double scaled = total * kDraws;
+    if (!(scaled < kDraws))
+        return std::uint64_t{1} << 53;
+    if (scaled <= 0.0)
+        return 0;
+    return static_cast<std::uint64_t>(std::ceil(scaled));
 }
 
 void

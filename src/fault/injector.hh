@@ -89,6 +89,40 @@ class FaultInjector
     }
 
     /**
+     * @return true when the next uniform-mode corrupt() of a 32-bit
+     * word would leave it clean (always, while disabled). Decided from
+     * a peek at the generator, so nothing is drawn or counted: the
+     * memory hierarchy's inline hit path asks before it commits.
+     */
+    bool nextDrawClean() const
+    {
+        return !enabled_ || (peekRaw() >> 11) >= cleanFrom_;
+    }
+
+    /** The generator's next raw output, not consumed (inspection). */
+    std::uint64_t peekRaw() const { return rng_.peek(); }
+
+    /**
+     * What corrupt() does to a 32-bit word when nextDrawClean() holds:
+     * count the access and consume the clean draw.
+     */
+    void takeCleanDraw()
+    {
+        ++accesses_;
+        if (enabled_)
+            rng_.next();
+    }
+
+    /**
+     * The integer form of the clean test: the smallest k with
+     * k * 2^-53 >= @p total, so for every 53-bit draw k,
+     * k >= cleanThreshold(total) exactly when uniform() >= total.
+     * Scaling by 2^53 is exact and k is an integer, hence the ceil;
+     * a total at or above 1 (or NaN) yields 2^53, which no draw reaches.
+     */
+    static std::uint64_t cleanThreshold(double total);
+
+    /**
      * Attach a weak-cell map (not owned; nullptr detaches): injection
      * switches from the uniform eq. (4) draw to the map mode, where
      * only mapped cells can fail. The map decides *which* bits are
@@ -145,6 +179,8 @@ class FaultInjector
     double p1PerBit_ = 0.0;
     double p2Word_ = 0.0;
     double p3Word_ = 0.0;
+    /** cleanThreshold() of the 32-bit total, for nextDrawClean(). */
+    std::uint64_t cleanFrom_ = 0;
 
     // Map mode: CSR plane over word slots, rebuilt on attach and on
     // every cycle-time change. slotBegin_[s]..slotBegin_[s+1] indexes

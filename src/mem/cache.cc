@@ -127,6 +127,17 @@ Cache::readLine(std::size_t line, std::uint8_t *dst) const
 }
 
 void
+Cache::readRange(std::size_t line, SimAddr addr, std::uint8_t *dst,
+                 SimSize len) const
+{
+    checkPresent(line);
+    CLUMSY_ASSERT(tags_[line] == tagOf(addr), "range outside the line");
+    const SimAddr off = addr & (geom_.lineBytes - 1);
+    CLUMSY_ASSERT(off + len <= geom_.lineBytes, "range crosses the line");
+    std::memcpy(dst, dataOf(line) + off, len);
+}
+
+void
 Cache::writeRange(std::size_t line, SimAddr addr,
                   const std::uint8_t *src, SimSize len, bool markDirty)
 {

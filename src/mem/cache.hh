@@ -136,16 +136,26 @@ class Cache
      * Look up the line containing addr, updating LRU and hit/miss
      * counters. @return the line on a hit.
      */
-    LineRef lookup(SimAddr addr)
+    LineRef lookup(SimAddr addr) { return account(find(addr)); }
+
+    /**
+     * lookup()'s bookkeeping for a probe find() already made: count
+     * the miss, or the hit as touchHit() does. @return @p probed.
+     */
+    LineRef account(LineRef probed)
     {
-        const LineRef line = find(addr);
-        if (!line) {
+        if (!probed)
             ++*misses_;
-            return LineRef();
-        }
+        else
+            touchHit(*probed);
+        return probed;
+    }
+
+    /** lookup()'s hit bookkeeping: count it, make @p line the MRU. */
+    void touchHit(std::size_t line)
+    {
         ++*hits_;
-        lru_[*line] = ++tick_;
-        return line;
+        lru_[line] = ++tick_;
     }
 
     /**
@@ -263,6 +273,13 @@ class Cache
 
     /** Copy a whole present line out. */
     void readLine(std::size_t line, std::uint8_t *dst) const;
+
+    /**
+     * Copy len stored bytes starting at addr inside @p line (the
+     * present line containing addr) out, check bits aside.
+     */
+    void readRange(std::size_t line, SimAddr addr, std::uint8_t *dst,
+                   SimSize len) const;
 
     /**
      * Overwrite len bytes starting at addr inside @p line (the present

@@ -140,10 +140,7 @@ MemHierarchy::fillL1D(SimAddr addr, Access &acc)
     ensureL2(addr, acc);
     const SimAddr base = l1d_.lineBase(addr);
     // The containing L2 line is now resident; copy our slice of it.
-    for (SimAddr off = 0; off < config_.l1d.lineBytes; off += 4) {
-        const std::uint32_t w = l2b_->readWordRaw(base + off);
-        std::memcpy(&l1LineScratch_[off], &w, 4);
-    }
+    l2b_->readRange(base, l1LineScratch_.data(), config_.l1d.lineBytes);
     const Cache::Evicted victim = l1d_.fill(base, l1LineScratch_.data());
     if (energy_)
         energy_->addL1d(l1dWritePj_);
@@ -189,7 +186,7 @@ MemHierarchy::decodeSecded(std::uint32_t sensed, std::uint8_t check,
 }
 
 Access
-MemHierarchy::read(SimAddr addr, unsigned bytes)
+MemHierarchy::read(SimAddr addr, unsigned bytes, L1dProbe probe)
 {
     CLUMSY_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
                   "access width must be 1, 2 or 4 bytes");
@@ -224,7 +221,7 @@ MemHierarchy::read(SimAddr addr, unsigned bytes)
             bytes == 4 ? word : bitField(word, shift, bytes * 8);
         return acc;
     }
-    std::size_t line = ensureL1D(wordAddr, acc);
+    std::size_t line = ensureL1D(wordAddr, acc, probe);
 
     const unsigned attempts = readAttempts(config_.scheme);
     std::uint32_t sensed = 0;
@@ -311,7 +308,8 @@ MemHierarchy::read(SimAddr addr, unsigned bytes)
 }
 
 Access
-MemHierarchy::write(SimAddr addr, unsigned bytes, std::uint32_t value)
+MemHierarchy::write(SimAddr addr, unsigned bytes, std::uint32_t value,
+                    L1dProbe probe)
 {
     CLUMSY_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
                   "access width must be 1, 2 or 4 bytes");
@@ -337,34 +335,24 @@ MemHierarchy::write(SimAddr addr, unsigned bytes, std::uint32_t value)
         // miss path (sub-word stores merge against the L2's copy).
         stats_.inc("retired_writes");
         ensureL2(wordAddr, acc);
-        std::uint32_t intended = value;
-        if (bytes != 4) {
-            const std::uint32_t raw = l2b_->readWordRaw(wordAddr);
-            const unsigned shift = (addr & 3u) * 8;
-            const std::uint32_t mask =
-                ((bytes == 1 ? 0xffu : 0xffffu)) << shift;
-            intended = (raw & ~mask) | ((value << shift) & mask);
-        }
+        const std::uint32_t intended =
+            bytes == 4 ? value
+                       : mergeSubWord(l2b_->readWordRaw(wordAddr), addr,
+                                      bytes, value);
         std::uint8_t buf[4];
         std::memcpy(buf, &intended, 4);
         l2b_->writeRange(wordAddr, buf, 4, true);
         return acc;
     }
-    const std::size_t line = ensureL1D(wordAddr, acc);
+    const std::size_t line = ensureL1D(wordAddr, acc, probe);
 
     // Sub-word stores are a masked read-modify-write of the stored
     // word; the merge path is internal and not subject to sensing
     // faults (only the array write is injected).
-    std::uint32_t intended;
-    if (bytes == 4) {
-        intended = value;
-    } else {
-        const std::uint32_t raw = l1d_.readWordRaw(line, wordAddr);
-        const unsigned shift = (addr & 3u) * 8;
-        const std::uint32_t mask =
-            ((bytes == 1 ? 0xffu : 0xffffu)) << shift;
-        intended = (raw & ~mask) | ((value << shift) & mask);
-    }
+    const std::uint32_t intended =
+        bytes == 4 ? value
+                   : mergeSubWord(l1d_.readWordRaw(line, wordAddr), addr,
+                                  bytes, value);
 
     fault::FaultEvent ev;
     const std::uint32_t stored = injectL1d(intended, line, wordAddr, ev);
@@ -390,10 +378,7 @@ MemHierarchy::fillL1I(SimAddr lineAddr, Access &acc)
 {
     ensureL2(lineAddr, acc);
     const SimAddr base = l1i_.lineBase(lineAddr);
-    for (SimAddr off = 0; off < config_.l1i.lineBytes; off += 4) {
-        const std::uint32_t w = l2b_->readWordRaw(base + off);
-        std::memcpy(&l1LineScratch_[off], &w, 4);
-    }
+    l2b_->readRange(base, l1LineScratch_.data(), config_.l1i.lineBytes);
     // Instruction lines are clean; evictions never write back.
     (void)l1i_.fill(base, l1LineScratch_.data());
 }

@@ -17,6 +17,8 @@
 
 #include <cstdint>
 
+#include "common/bitops.hh"
+#include "common/logging.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "energy/chip_energy.hh"
@@ -110,6 +112,18 @@ struct Access
     }
 };
 
+/**
+ * The L1D tag probe an inline access head made before it fell
+ * through, handed to read()/write() so the access probes the tags
+ * once. `probed` stays false when the head stopped before probing
+ * (an unaligned, wild or retired-set access).
+ */
+struct L1dProbe
+{
+    bool probed = false;
+    LineRef line;
+};
+
 /** The three-level hierarchy plus fault/recovery machinery. */
 class MemHierarchy
 {
@@ -136,15 +150,91 @@ class MemHierarchy
      * deterministic junk value (undecoded bus read). Neither is
      * fatal by itself — the paper's fatal errors arise when such
      * junk keeps a loop from terminating.
+     *
+     * @p probe is the tag probe tryReadHit() made for this access, if
+     * any; the default probes here.
      */
-    Access read(SimAddr addr, unsigned bytes);
+    Access read(SimAddr addr, unsigned bytes, L1dProbe probe = {});
 
     /**
      * Store `bytes` through the D-cache path. Stores to wild
      * addresses are silently dropped (undecoded bus write), matching
      * the embedded-memory-map behaviour of the paper's platform.
+     * @p probe is tryWriteHit()'s tag probe, as for read().
      */
-    Access write(SimAddr addr, unsigned bytes, std::uint32_t value);
+    Access write(SimAddr addr, unsigned bytes, std::uint32_t value,
+                 L1dProbe probe = {});
+
+    /**
+     * The inline head of read(). It first decides, changing nothing,
+     * whether the load is an ordinary L1D hit: aligned and in range,
+     * to a set with an enabled way, hitting on one tag probe, in
+     * uniform injection mode with a clean next draw, of a stored word
+     * its check bits accept. Only then does it commit what read()
+     * would: the counters, the hit's LRU touch, the sensing energy and
+     * the injector's clean draw.
+     *
+     * @return true when committed: @p value holds the loaded value and
+     * the access took l1dHitQuanta(), with no L2 port use. On false
+     * nothing has changed and read(addr, bytes, probe) performs the
+     * access, reusing the tag probe recorded in @p probe.
+     */
+    bool tryReadHit(SimAddr addr, unsigned bytes, std::uint32_t &value,
+                    L1dProbe &probe)
+    {
+        CLUMSY_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
+                      "access width must be 1, 2 or 4 bytes");
+        const LineRef hit = ordinaryHit(addr, bytes, probe);
+        if (!hit)
+            return false;
+        const SimAddr wordAddr = addr & ~SimAddr{3};
+        const std::uint32_t word = l1d_.readWordRaw(*hit, wordAddr);
+        if (!storedWordPasses(word, *hit, wordAddr))
+            return false;
+        ++*reads_;
+        l1d_.touchHit(*hit);
+        ++*senses_;
+        if (energy_)
+            energy_->addL1d(l1dReadPj_);
+        injector_->takeCleanDraw();
+        value = bytes == 4 ? word
+                           : bitField(word, (addr & 3u) * 8, bytes * 8);
+        return true;
+    }
+
+    /**
+     * The inline head of write(), deciding as tryReadHit() does (the
+     * stored word's check bits aside: a store replaces them). @return
+     * true when the store was committed as an L1D hit taking
+     * l1dHitQuanta(); on false nothing has changed and
+     * write(addr, bytes, value, probe) performs the store.
+     */
+    bool tryWriteHit(SimAddr addr, unsigned bytes, std::uint32_t value,
+                     L1dProbe &probe)
+    {
+        CLUMSY_ASSERT(bytes == 1 || bytes == 2 || bytes == 4,
+                      "access width must be 1, 2 or 4 bytes");
+        const LineRef hit = ordinaryHit(addr, bytes, probe);
+        if (!hit)
+            return false;
+        const SimAddr wordAddr = addr & ~SimAddr{3};
+        ++*writes_;
+        l1d_.touchHit(*hit);
+        const std::uint32_t intended =
+            bytes == 4 ? value
+                       : mergeSubWord(l1d_.readWordRaw(*hit, wordAddr),
+                                      addr, bytes, value);
+        injector_->takeCleanDraw();
+        l1d_.writeWordRaw(*hit, wordAddr, intended,
+                          l1d_.computeCheck(intended));
+        l1d_.setDirty(*hit);
+        if (energy_)
+            energy_->addL1d(l1dWritePj_);
+        return true;
+    }
+
+    /** L1D hit latency at the current cycle time, in quanta. */
+    Quanta l1dHitQuanta() const { return l1dQuanta_; }
 
     /**
      * Instruction fetch at pc through the I-cache (never injected;
@@ -366,8 +456,57 @@ class MemHierarchy
     bool decodeSecded(std::uint32_t sensed, std::uint8_t check,
                       std::uint32_t &value);
 
-    /** L1D hit latency at the current cycle time, in quanta. */
-    Quanta l1dHitQuanta() const { return l1dQuanta_; }
+    /**
+     * The access heads' shared decision, made without side effects:
+     * @return the L1D line an aligned, in-range access to a live set
+     * hits, when injection is uniform and its next draw is clean;
+     * none otherwise. @p probe records the tag probe when one was
+     * made.
+     */
+    LineRef ordinaryHit(SimAddr addr, unsigned bytes,
+                        L1dProbe &probe) const
+    {
+        if ((addr & (bytes - 1)) != 0 || !store_->contains(addr, bytes))
+            return LineRef();
+        const SimAddr wordAddr = addr & ~SimAddr{3};
+        if (retireOn() && !l1d_.hasEnabledWay(wordAddr))
+            return LineRef();
+        probe = L1dProbe{true, l1d_.find(wordAddr)};
+        if (!probe.line || injector_->mapAttached() ||
+            !injector_->nextDrawClean())
+            return LineRef();
+        return probe.line;
+    }
+
+    /**
+     * checkSensedWord() for a word sensed clean: @return true when the
+     * active codec accepts @p word, stored at wordAddr in @p line, as
+     * it is (parity match or SEC-DED Ok). No counters move.
+     */
+    bool storedWordPasses(std::uint32_t word, std::size_t line,
+                          SimAddr wordAddr) const
+    {
+        if (!detectionOn())
+            return true;
+        const std::uint8_t check = l1d_.wordCheck(line, wordAddr);
+        if (config_.codec == CheckCodec::Secded)
+            return secded::decode(word, check).status ==
+                   secded::DecodeStatus::Ok;
+        return parityMatches(word, (check & 1) != 0);
+    }
+
+    /**
+     * A sub-word store's masked read-modify-write: @p raw with the
+     * `bytes` (1 or 2) low bytes of @p value placed at addr's offset.
+     */
+    static std::uint32_t mergeSubWord(std::uint32_t raw, SimAddr addr,
+                                      unsigned bytes, std::uint32_t value)
+    {
+        const unsigned shift = (addr & 3u) * 8;
+        const std::uint32_t mask = ((bytes == 1 ? 0xffu : 0xffffu))
+                                   << shift;
+        return (raw & ~mask) | ((value << shift) & mask);
+    }
 
     /** L2 line base of addr (geometry-only; backend-independent). */
     SimAddr l2LineBase(SimAddr addr) const
@@ -383,12 +522,14 @@ class MemHierarchy
     void ensureL2(SimAddr addr, Access &acc);
 
     /**
-     * Bring the L1D line containing addr in via L2. @return the line
-     * it hit or filled; valid until the next L1D fill or invalidate.
+     * Bring the L1D line containing addr in via L2, reusing @p probe's
+     * tag probe of addr when it made one. @return the line it hit or
+     * filled; valid until the next L1D fill or invalidate.
      */
-    std::size_t ensureL1D(SimAddr addr, Access &acc)
+    std::size_t ensureL1D(SimAddr addr, Access &acc, L1dProbe probe = {})
     {
-        if (const LineRef line = l1d_.lookup(addr))
+        if (const LineRef line = l1d_.account(
+                probe.probed ? probe.line : l1d_.find(addr)))
             return *line;
         return fillL1D(addr, acc);
     }

@@ -23,8 +23,9 @@
  *    the L2 (always with markDirty, after an ensure).
  *  - flushLine() is the DMA flush: dirty data reaches the owning
  *    store, then the cached copy is dropped.
- *  - readWordRaw()/contains() serve refills, bypass reads and the
- *    untimed peek path.
+ *  - readRange() copies an L1 line's slice out for a refill (one
+ *    probe per fill); readWordRaw()/contains() serve word refetches,
+ *    bypass reads and the untimed peek path.
  *  - sharedFrame() tells the port arbiter whether another engine may
  *    legitimately consume the transfer of this line (MSHR merging);
  *    a private backend answers false for everything.
@@ -74,6 +75,14 @@ class L2Backend
 
     /** Raw stored word; the line must be present. */
     virtual std::uint32_t readWordRaw(SimAddr addr) const = 0;
+
+    /**
+     * Copy len raw stored bytes from addr out of a present line (an
+     * L1 line's slice): the bytes readWordRaw() gives word by word,
+     * for one tag probe.
+     */
+    virtual void readRange(SimAddr addr, std::uint8_t *dst,
+                           SimSize len) const = 0;
 
     /**
      * Overwrite bytes inside a present line (L1/strike writebacks,
@@ -153,6 +162,12 @@ class PrivateL2Backend final : public L2Backend
     std::uint32_t readWordRaw(SimAddr addr) const override
     {
         return l2_->readWordRaw(l2_->lineOf(addr), addr);
+    }
+
+    void readRange(SimAddr addr, std::uint8_t *dst,
+                   SimSize len) const override
+    {
+        l2_->readRange(l2_->lineOf(addr), addr, dst, len);
     }
 
     void writeRange(SimAddr addr, const std::uint8_t *src, SimSize len,

@@ -421,4 +421,12 @@ SharedL2Cache::readWordRaw(unsigned pe, SimAddr addr) const
     return cache_.readWordRaw(cache_.lineOf(key), key);
 }
 
+void
+SharedL2Cache::readRange(unsigned pe, SimAddr addr, std::uint8_t *dst,
+                         SimSize len) const
+{
+    const SimAddr key = keyFor(pe, addr);
+    cache_.readRange(cache_.lineOf(key), key, dst, len);
+}
+
 } // namespace clumsy::npu

@@ -222,6 +222,12 @@ class SharedL2Cache
             return shared_->readWordRaw(pe_, addr);
         }
 
+        void readRange(SimAddr addr, std::uint8_t *dst,
+                       SimSize len) const override
+        {
+            shared_->readRange(pe_, addr, dst, len);
+        }
+
         void writeRange(SimAddr addr, const std::uint8_t *src,
                         SimSize len, bool markDirty) override
         {
@@ -312,6 +318,8 @@ class SharedL2Cache
     bool contains(unsigned pe, SimAddr addr) const;
     void flushLine(unsigned pe, SimAddr addr);
     std::uint32_t readWordRaw(unsigned pe, SimAddr addr) const;
+    void readRange(unsigned pe, SimAddr addr, std::uint8_t *dst,
+                   SimSize len) const;
     void writeRange(unsigned pe, SimAddr addr, const std::uint8_t *src,
                     SimSize len, bool markDirty);
 

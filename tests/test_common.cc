@@ -38,6 +38,20 @@ TEST(Rng, ReseedRestartsStream)
     EXPECT_EQ(first, a.next());
 }
 
+TEST(Rng, PeekMatchesNext)
+{
+    // peek() names the next output without consuming it: a generator
+    // that peeks before every draw emits the same stream as one that
+    // never peeks.
+    Rng a(99), b(99);
+    for (int i = 0; i < 1000; ++i) {
+        const auto peeked = a.peek();
+        EXPECT_EQ(peeked, a.peek());
+        EXPECT_EQ(peeked, a.next());
+        EXPECT_EQ(peeked, b.next());
+    }
+}
+
 TEST(Rng, UniformInUnitInterval)
 {
     Rng rng(1);

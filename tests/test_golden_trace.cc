@@ -112,6 +112,7 @@ struct GoldenCase
     npu::DispatchPolicy cardDispatch = npu::DispatchPolicy::RoundRobin;
     unsigned dramBanks = 0;     ///< card harnesses: 0 = DRAM model off
     const char *perChipCr = ""; ///< comma-separated; empty = uniform
+    bool subBlock = false;      ///< sub-block (one-word) strike refetch
 };
 
 /**
@@ -261,6 +262,16 @@ const GoldenCase kCases[] = {
      .scheme = mem::RecoveryScheme::TwoStrike,
      .faultMap = "spatial",
      .wayRetire = 2},
+    // Sub-block recovery: a strike-out refetches only the faulted word
+    // from the L2, keeping the rest of the line (and its dirty words).
+    {.name = "core_subblock_md5",
+     .app = "md5",
+     .harness = Harness::CoreTrial,
+     .packets = 300,
+     .cr = 0.25,
+     .faultScale = 50.0,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .subBlock = true},
     // Per-PE queue-driven DVS: chip-level epochs retune each engine.
     {.name = "stream_dvs_queue_route",
      .app = "route",
@@ -574,6 +585,7 @@ digest(const GoldenCase &gc)
     cfg.dynamicFrequency = gc.dynamic;
     cfg.processor.hierarchy.codec = gc.codec;
     cfg.processor.hierarchy.wayDisable.retireThreshold = gc.wayRetire;
+    cfg.processor.hierarchy.subBlockRecovery = gc.subBlock;
     cfg.processor.faultMap = fault::faultMapSpecFromString(gc.faultMap);
 
     npu::NpuConfig npuCfg;

@@ -8,10 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
+#include <ostream>
 #include <random>
+#include <vector>
 
 #include "energy/chip_energy.hh"
+#include "fault/fault_map.hh"
 #include "fault/injector.hh"
 #include "mem/hierarchy.hh"
 
@@ -32,14 +36,20 @@ struct Rig
 
     explicit Rig(HierarchyConfig cfg = {}, double faultScale = 0.0,
                  std::uint64_t seed = 1)
+        : Rig(cfg,
+              [faultScale] {
+                  fault::FaultModelParams p;
+                  p.scale = faultScale;
+                  return p;
+              }(),
+              seed)
+    {
+    }
+
+    Rig(HierarchyConfig cfg, fault::FaultModelParams faults,
+        std::uint64_t seed)
         : config(cfg),
-          injector(fault::FaultModel(
-                       [faultScale] {
-                           fault::FaultModelParams p;
-                           p.scale = faultScale;
-                           return p;
-                       }()),
-                   seed),
+          injector(fault::FaultModel(faults), seed),
           model(energy::EnergyParams{}, cfg.l1d, cfg.l1i, cfg.l2),
           account(&model),
           hier(config, &store, &injector, &account)
@@ -342,4 +352,229 @@ TEST(HierarchyDeath, RejectsBadWidth)
     Rig rig;
     EXPECT_DEATH(rig.hier.read(0, 3), "width");
     EXPECT_DEATH(rig.hier.write(0, 5, 0), "width");
+    L1dProbe probe;
+    std::uint32_t value = 0;
+    EXPECT_DEATH(rig.hier.tryReadHit(0, 3, value, probe), "width");
+    EXPECT_DEATH(rig.hier.tryWriteHit(0, 5, 0, probe), "width");
 }
+
+namespace
+{
+
+/**
+ * One configuration of the head-versus-tail differential: twin
+ * hierarchies are built from it with the same seeds.
+ */
+struct DiffCase
+{
+    RecoveryScheme scheme;
+    CheckCodec codec;
+    bool subBlock = false;
+    unsigned ways = 1;   ///< L1D associativity
+    unsigned retire = 0; ///< way-disable threshold (0 = off)
+    bool mapped = false; ///< weak-cell map mode
+};
+
+void
+PrintTo(const DiffCase &c, std::ostream *os)
+{
+    *os << to_string(c.scheme)
+        << (c.codec == CheckCodec::Secded ? "/secded" : "/parity")
+        << (c.subBlock ? " subblock" : "") << " ways=" << c.ways
+        << " retire=" << c.retire << (c.mapped ? " mapped" : "");
+}
+
+/**
+ * Issue one access the way ClumsyProcessor does: the inline head,
+ * then on a fall-through the full path with the head's probe.
+ * @p headHits counts the accesses the head committed.
+ */
+Access
+viaHead(MemHierarchy &h, bool store, SimAddr addr, unsigned bytes,
+        std::uint32_t value, std::uint64_t &headHits)
+{
+    L1dProbe probe;
+    Access acc;
+    if (store ? h.tryWriteHit(addr, bytes, value, probe)
+              : h.tryReadHit(addr, bytes, acc.value, probe)) {
+        acc.latency = h.l1dHitQuanta();
+        ++headHits;
+        return acc;
+    }
+    return store ? h.write(addr, bytes, value, probe)
+                 : h.read(addr, bytes, probe);
+}
+
+void
+expectSameAccess(const Access &a, const Access &b, std::uint64_t i)
+{
+    EXPECT_EQ(a.value, b.value) << "access " << i;
+    EXPECT_EQ(a.latency, b.latency) << "access " << i;
+    EXPECT_EQ(a.wild, b.wild) << "access " << i;
+    EXPECT_EQ(a.faultsInjected, b.faultsInjected) << "access " << i;
+    EXPECT_EQ(a.parityTrips, b.parityTrips) << "access " << i;
+    EXPECT_EQ(a.l2Accesses, b.l2Accesses) << "access " << i;
+    EXPECT_EQ(a.l2Misses, b.l2Misses) << "access " << i;
+    ASSERT_EQ(a.l2LineCount, b.l2LineCount) << "access " << i;
+    for (unsigned k = 0; k < a.l2LineCount; ++k) {
+        EXPECT_EQ(a.l2Lines[k].base, b.l2Lines[k].base) << "access " << i;
+        EXPECT_EQ(a.l2Lines[k].miss, b.l2Lines[k].miss) << "access " << i;
+    }
+}
+
+void
+expectSameState(const Rig &a, const Rig &b)
+{
+    EXPECT_EQ(a.hier.stats().dump(), b.hier.stats().dump());
+    EXPECT_EQ(a.hier.l1d().stats().dump(), b.hier.l1d().stats().dump());
+    EXPECT_EQ(a.hier.l1i().stats().dump(), b.hier.l1i().stats().dump());
+    EXPECT_EQ(a.hier.l2().stats().dump(), b.hier.l2().stats().dump());
+    EXPECT_EQ(a.injector.stats().dump(), b.injector.stats().dump());
+    EXPECT_EQ(a.injector.accessCount(), b.injector.accessCount());
+    EXPECT_EQ(a.injector.faultCount(), b.injector.faultCount());
+    EXPECT_EQ(a.injector.peekRaw(), b.injector.peekRaw());
+    // Exact: both sides add the same doubles in the same order.
+    EXPECT_EQ(a.account.l1dPj(), b.account.l1dPj());
+    EXPECT_EQ(a.account.totalPj(), b.account.totalPj());
+}
+
+class HeadDifferential : public ::testing::TestWithParam<DiffCase>
+{
+};
+
+} // namespace
+
+/**
+ * The inline heads (tryReadHit/tryWriteHit) must be invisible: a
+ * hierarchy driven head-first, as the processor drives it, and its
+ * twin driven through read()/write() alone see the same values and
+ * latencies and end in the same state, over random word, half and
+ * byte traffic with unaligned and wild addresses, L1I fetches, DMA
+ * flushes, clock switches and injection switched off and on.
+ */
+TEST_P(HeadDifferential, HeadThenTailMatchesTailAlone)
+{
+    const DiffCase &c = GetParam();
+    HierarchyConfig cfg;
+    cfg.l1d = CacheGeometry{4096, c.ways, 32, 22};
+    cfg.scheme = c.scheme;
+    cfg.codec = c.codec;
+    cfg.subBlockRecovery = c.subBlock;
+    cfg.wayDisable.retireThreshold = c.retire;
+    // Scaled rates, with multi-bit faults boosted 10x over singles'
+    // share, so every recovery path fires within the run.
+    fault::FaultModelParams faults;
+    faults.scale = 500.0;
+    faults.baseDoubleBit = 2.59e-6;
+    faults.baseTripleBit = 2.59e-7;
+    constexpr std::uint64_t kSeed = 0xd1ff;
+    Rig head(cfg, faults, kSeed);
+    Rig tail(cfg, faults, kSeed);
+    const fault::FaultMap map = fault::FaultMap::generate(
+        fault::FaultMapGeometry{cfg.l1d.sets(), c.ways, 32},
+        fault::FaultMapParams{}, 0x3a9);
+    if (c.mapped) {
+        head.injector.attachMap(&map);
+        tail.injector.attachMap(&map);
+    }
+
+    std::mt19937_64 gen(0x5eed + c.ways * 16 + c.retire);
+    const auto pick = [&gen](std::uint64_t n) { return gen() % n; };
+    const double clocks[] = {1.0, 0.75, 0.5, 0.3, 0.25};
+    const SimAddr span = 3 * 4096; // three L1Ds' worth: conflicts
+    std::uint64_t headHits = 0;
+    constexpr std::uint64_t kAccesses = 20000;
+    for (std::uint64_t i = 0; i < kAccesses; ++i) {
+        if (i % 1500 == 0) {
+            const double cr = clocks[pick(std::size(clocks))];
+            head.hier.setCycleTime(cr);
+            tail.hier.setCycleTime(cr);
+        }
+        if (i % 5000 == 4000) {
+            const bool on = i % 10000 != 4000;
+            head.injector.setEnabled(on);
+            tail.injector.setEnabled(on);
+        }
+        const std::uint64_t roll = pick(1000);
+        if (roll < 3) {
+            const SimAddr at = static_cast<SimAddr>(pick(span));
+            head.hier.flushRange(at, 64);
+            tail.hier.flushRange(at, 64);
+            continue;
+        }
+        if (roll < 13) {
+            const SimAddr pc = static_cast<SimAddr>(pick(span));
+            expectSameAccess(head.hier.fetch(pc), tail.hier.fetch(pc), i);
+            continue;
+        }
+        const unsigned bytes = 1u << pick(3);
+        // Mostly a 2 KB hot region (hits), else anywhere in the span.
+        SimAddr addr = static_cast<SimAddr>(pick(roll < 800 ? 2048 : span)) &
+                       ~(bytes - 1);
+        if (roll < 40)
+            addr = static_cast<SimAddr>(pick(span)) | 1; // unaligned
+        else if (roll < 50)
+            addr = static_cast<SimAddr>(head.store.size() + pick(4096));
+        const bool store = pick(3) == 0;
+        const auto value = static_cast<std::uint32_t>(gen());
+        const Access viaTail = store ? tail.hier.write(addr, bytes, value)
+                                     : tail.hier.read(addr, bytes);
+        expectSameAccess(viaHead(head.hier, store, addr, bytes, value,
+                                 headHits),
+                         viaTail, i);
+        if (::testing::Test::HasFailure())
+            FAIL() << "diverged at access " << i;
+    }
+    expectSameState(head, tail);
+    // Both sides of the split were exercised; map mode always takes
+    // the full path.
+    if (c.mapped) {
+        EXPECT_EQ(headHits, 0u);
+    } else {
+        EXPECT_GT(headHits, kAccesses / 4);
+    }
+    const StatGroup &st = head.hier.stats();
+    EXPECT_GT(head.injector.faultCount(), 0u);
+    if (!usesParity(c.scheme))
+        return;
+    EXPECT_GT(st.get("parity_trips"), 0u);
+    EXPECT_GT(st.get("strike_invalidations"), 0u);
+    if (c.codec == CheckCodec::Secded) {
+        EXPECT_GT(st.get("ecc_corrections"), 0u);
+    }
+    if (c.subBlock) {
+        EXPECT_GT(st.get("subblock_refetches"), 0u);
+    }
+    if (c.retire != 0) {
+        EXPECT_GT(st.get("ways_retired"), 0u);
+    }
+    if (c.retire != 0 && c.ways == 1) { // a retirement kills the set
+        EXPECT_GT(st.get("retired_reads") + st.get("retired_writes"), 0u);
+    }
+}
+
+namespace
+{
+
+std::vector<DiffCase>
+diffCases()
+{
+    std::vector<DiffCase> cases;
+    for (const RecoveryScheme scheme : kAllRecoverySchemes) {
+        for (const CheckCodec codec :
+             {CheckCodec::Parity, CheckCodec::Secded}) {
+            cases.push_back({scheme, codec});
+            cases.push_back({scheme, codec, /*subBlock=*/true});
+            cases.push_back(
+                {scheme, codec, false, /*ways=*/2, /*retire=*/1});
+            cases.push_back({scheme, codec, false, 1, /*retire=*/3,
+                             /*mapped=*/true});
+        }
+    }
+    return cases;
+}
+
+} // namespace
+
+INSTANTIATE_TEST_SUITE_P(Schemes, HeadDifferential,
+                         ::testing::ValuesIn(diffCases()));

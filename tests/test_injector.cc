@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "common/bitops.hh"
 #include "fault/injector.hh"
 
@@ -63,6 +66,76 @@ TEST(Injector, FaultRateMatchesModel)
         injector.model().bitFaultProb(1.0) * 32.0 * n;
     EXPECT_NEAR(static_cast<double>(injector.faultCount()), expected,
                 expected * 0.1);
+}
+
+TEST(Injector, CleanThresholdMatchesUniformCompare)
+{
+    // At the draws around each threshold, the integer test
+    // k >= cleanThreshold(T) must agree with uniform() >= T, which
+    // compares the double k * 2^-53 against T.
+    constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+    const double totals[] = {
+        0.0,
+        std::numeric_limits<double>::denorm_min(),
+        1e-310,                 // subnormal
+        0x1.0p-53 * 5,          // T * 2^53 is an integer
+        3.7e-6,                 // typical eq. (4) totals
+        1.2345678912345e-3,
+        0.5,
+        std::nextafter(1.0, 0.0),
+        1.0,
+        2.5,
+        std::numeric_limits<double>::infinity(),
+    };
+    for (const double total : totals) {
+        const std::uint64_t from = FaultInjector::cleanThreshold(total);
+        EXPECT_LE(from, kDraws) << total;
+        for (const std::uint64_t k : {from - 1, from, from + 1}) {
+            if (k >= kDraws || (from == 0 && k == from - 1))
+                continue; // not a 53-bit draw
+            EXPECT_EQ(k >= from,
+                      static_cast<double>(k) * 0x1.0p-53 >= total)
+                << "T=" << total << " k=" << k;
+        }
+    }
+    EXPECT_EQ(FaultInjector::cleanThreshold(0.0), 0u);
+    EXPECT_EQ(FaultInjector::cleanThreshold(1.0), kDraws);
+    EXPECT_EQ(FaultInjector::cleanThreshold(std::nan("")), kDraws);
+}
+
+TEST(Injector, NextDrawCleanPredictsCorrupt)
+{
+    // One injector peeks and takes clean draws where it can; its twin
+    // always calls corrupt(). They must stay draw for draw in step,
+    // across a cycle-time switch and with injection switched off.
+    auto peeking = boostedInjector(3e4, 9);
+    auto drawing = boostedInjector(3e4, 9);
+    std::uint64_t clean = 0;
+    for (std::uint32_t i = 0; i < 60000; ++i) {
+        if (i == 20000) {
+            peeking.setCycleTime(0.25);
+            drawing.setCycleTime(0.25);
+        }
+        if (i == 40000) {
+            peeking.setEnabled(false);
+            drawing.setEnabled(false);
+        }
+        FaultEvent ev;
+        const std::uint32_t want = drawing.corrupt(i, 32, &ev);
+        const bool predicted = peeking.nextDrawClean();
+        EXPECT_EQ(predicted, ev.flippedBits == 0) << "access " << i;
+        if (predicted) {
+            ++clean;
+            peeking.takeCleanDraw();
+        } else {
+            EXPECT_EQ(peeking.corrupt(i, 32), want);
+        }
+    }
+    EXPECT_EQ(peeking.accessCount(), drawing.accessCount());
+    EXPECT_EQ(peeking.faultCount(), drawing.faultCount());
+    EXPECT_GT(peeking.faultCount(), 100u);
+    EXPECT_GT(clean, 30000u);
+    EXPECT_EQ(peeking.stats().dump(), drawing.stats().dump());
 }
 
 TEST(Injector, RateRisesWithFrequency)

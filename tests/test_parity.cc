@@ -22,6 +22,27 @@ TEST(Parity, BitMatchesPopcount)
     EXPECT_FALSE(parityBit(0x80000001));
 }
 
+TEST(Parity, OddParityMatchesXorFold)
+{
+    // Reference: fold the word onto itself by shift-and-xor until bit 0
+    // holds the xor of all 64 bits.
+    const auto fold = [](std::uint64_t v) {
+        for (unsigned s = 32; s != 0; s /= 2)
+            v ^= v >> s;
+        return (v & 1) != 0;
+    };
+    Rng rng(23);
+    for (int i = 0; i < 10000; ++i) {
+        const std::uint64_t v = rng.next();
+        ASSERT_EQ(oddParity(v), fold(v)) << std::hex << v;
+        const auto w = static_cast<std::uint32_t>(v);
+        ASSERT_EQ(parityBit(w), fold(w)) << std::hex << w;
+        ASSERT_EQ(oddParity(v & 0xff), fold(v & 0xff)) << std::hex << v;
+    }
+    EXPECT_FALSE(oddParity(~std::uint64_t{0}));
+    EXPECT_TRUE(oddParity(std::uint64_t{1} << 63));
+}
+
 TEST(Parity, CleanWordMatches)
 {
     Rng rng(21);
