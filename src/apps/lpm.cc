@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "net/checksum.hh"
 #include "net/trace_gen.hh"
@@ -28,7 +29,7 @@ maskFor(std::uint8_t len)
 unsigned
 pop(std::uint32_t bits)
 {
-    return static_cast<unsigned>(__builtin_popcount(bits));
+    return popCount(bits);
 }
 
 } // namespace
@@ -104,11 +105,10 @@ retireOld(ctrl::RcuDomain &rcu, SimAddr addr,
     if (addr == 0)
         return;
     rcu.retire(addr, LpmFib::kNodeBytes);
-    const unsigned nc = static_cast<unsigned>(__builtin_popcount(ext));
+    const unsigned nc = popCount(ext);
     if (nc != 0 && childBase != 0)
         rcu.retire(childBase, nc * 4);
-    const unsigned nr =
-        static_cast<unsigned>(__builtin_popcount(intb & 0x7fffu));
+    const unsigned nr = popCount(intb & 0x7fffu);
     if (nr != 0 && resultBase != 0)
         rcu.retire(resultBase, nr * 4);
 }

@@ -12,11 +12,19 @@
 namespace clumsy
 {
 
-/** @return the number of set bits in v. */
+/**
+ * @return the number of set bits in v. A SWAR count (pairs, nibbles,
+ * then one multiply that sums the bytes into the top byte): without a
+ * popcount instruction in the target ISA, std::popcount and the
+ * builtins compile to a call into libgcc.
+ */
 constexpr unsigned
 popCount(std::uint64_t v)
 {
-    return static_cast<unsigned>(std::popcount(v));
+    v -= (v >> 1) & 0x5555555555555555ull;
+    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+    v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return static_cast<unsigned>((v * 0x0101010101010101ull) >> 56);
 }
 
 /**

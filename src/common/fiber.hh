@@ -1,9 +1,19 @@
 /**
  * @file
- * A stackful coroutine on the calling thread, built on glibc's
- * makecontext/swapcontext: the line card runs each chip as one so
- * that chips waiting on each other cost a stack switch, not a thread
- * hand-off.
+ * A stackful coroutine on the calling thread: the line card runs each
+ * chip as one so that chips waiting on each other cost a stack
+ * switch, not a thread hand-off.
+ *
+ * On x86-64 a switch is a few instructions of assembly that save the
+ * callee-saved registers (rbx, rbp, r12-r15), the stack pointer, MXCSR
+ * and the x87 control word, and load the other side's: no signal
+ * mask, so no syscall. A fresh fiber's stack is laid out as if it had
+ * switched out once, with a return address into a trampoline that
+ * calls the body — a return address no call ever pushed, so the
+ * switch's translation unit is built without CET marking (see
+ * src/CMakeLists.txt) and no binary linking it claims shadow-stack
+ * compatibility. Other architectures use glibc's
+ * makecontext/swapcontext.
  *
  * resume() switches from the caller into the fiber's body until the
  * body calls yield() or returns; yield() switches back. A fiber keeps
@@ -19,7 +29,9 @@
 #ifndef CLUMSY_COMMON_FIBER_HH
 #define CLUMSY_COMMON_FIBER_HH
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <functional>
@@ -59,21 +71,33 @@ class Fiber
 
   private:
     /**
-     * makecontext trampoline; `this` arrives split into two ints. An
-     * exception escaping the body terminates the program.
+     * First code on the fiber's stack: runs the body, then switches
+     * out for good. An exception escaping the body terminates the
+     * program.
      */
-    static void entry(unsigned hi, unsigned lo) noexcept;
+    static void start(Fiber *f) noexcept;
 
     /** Switch from the fiber back to its resumer. */
     void switchOut(bool final);
+
+    /** Lowest address of the usable stack (above the guard page). */
+    void *stackBottom() const;
 
     std::function<void()> body_;
     bool finished_ = false;
 
     void *map_ = nullptr;       ///< guard page + stack
     std::size_t mapBytes_ = 0;
+#if defined(__x86_64__)
+    void *sp_ = nullptr;       ///< the fiber's stack pointer, switched out
+    void *callerSp_ = nullptr; ///< the resumer's, while the fiber runs
+#else
+    /** makecontext entry; `this` arrives split into two ints. */
+    static void entry(unsigned hi, unsigned lo) noexcept;
+
     ucontext_t self_{};
     ucontext_t caller_{};
+#endif
 
     // Sanitizer bookkeeping (unused in plain builds).
     const void *callerStack_ = nullptr; ///< resumer's stack, for ASan

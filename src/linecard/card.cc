@@ -6,75 +6,12 @@
 #include "common/logging.hh"
 #include "common/pool.hh"
 #include "linecard/fabric.hh"
+#include "linecard/stream.hh"
 #include "npu/dispatcher.hh"
 #include "traffic/traffic.hh"
 
 namespace clumsy::linecard
 {
-
-namespace
-{
-
-/**
- * Chip @p chip's share of the card-wide packet stream: a fresh replica
- * of the global source pushed through a dispatcher replica, keeping
- * only the packets the card assigns to this chip — global sequence
- * numbers and arrival times intact. The dispatcher's "queue depths"
- * are total assigned counts (the split is feedback-free), so every
- * chip's replica computes the identical assignment independently.
- */
-class CardSplitSource final : public traffic::PacketSource
-{
-  public:
-    CardSplitSource(const net::TraceConfig &trace,
-                    std::int64_t gapCycles,
-                    npu::DispatchPolicy policy, unsigned chips,
-                    unsigned chip)
-        : inner_(traffic::makeSource(trace, gapCycles)),
-          disp_(policy, chips),
-          depths_(chips, 0),
-          alive_(chips, 1),
-          chip_(chip)
-    {
-    }
-
-    void nextInto(net::Packet &pkt) override
-    {
-        // Every card packet is drawn into one scratch packet whose
-        // payload storage the other chips' (discarded) packets reuse;
-        // only this chip's packets are copied out.
-        while (true) {
-            inner_->nextInto(scratch_);
-            const int choice = disp_.choose(scratch_, depths_, alive_);
-            CLUMSY_ASSERT(choice >= 0,
-                          "card dispatch failed with every chip alive");
-            ++depths_[static_cast<unsigned>(choice)];
-            if (static_cast<unsigned>(choice) == chip_) {
-                arrival_ = inner_->lastArrivalCycles();
-                pkt = scratch_;
-                return;
-            }
-        }
-    }
-
-    std::int64_t lastArrivalCycles() const override { return arrival_; }
-
-    const net::TraceConfig &config() const override
-    {
-        return inner_->config();
-    }
-
-  private:
-    std::unique_ptr<traffic::PacketSource> inner_;
-    npu::Dispatcher disp_;
-    std::vector<unsigned> depths_;
-    std::vector<char> alive_;
-    unsigned chip_;
-    std::int64_t arrival_ = 0;
-    net::Packet scratch_; ///< the card packet being split
-};
-
-} // namespace
 
 void
 CardConfig::validate() const
@@ -134,8 +71,9 @@ runCard(const core::AppFactory &factory,
     npuBase.ingressCapacity = card.ingressCapacity;
     npuBase.validate(base.processor.hierarchy);
 
-    // The trace every chip's split source replays, and each chip's
-    // packet count from the counting pre-pass.
+    // The card trace, and each chip's packet count from the counting
+    // pre-pass; the card stream below draws the trace once more,
+    // splitting it as it goes.
     const net::TraceConfig trace = [&] {
         const std::unique_ptr<core::PacketApp> app = factory();
         return core::resolveTraceConfig(base, *app);
@@ -143,10 +81,13 @@ runCard(const core::AppFactory &factory,
     const std::vector<std::uint64_t> counts = cardAssignCounts(
         trace, npuBase.arrivalGapCycles, card, base.numPackets);
 
-    // Every chip runs on its own fiber on this thread; with the DRAM
-    // model off no chip ever parks, so each runs start to finish.
+    // Every chip runs on its own fiber on this thread and pops its
+    // share of the one card stream; with the DRAM model off the chips
+    // switch only where the stream hands a full FIFO to its owner.
     DramFabric fabric(card.dram, card.chips,
                       cyclesToQuanta(card.dram.rowHitCycles));
+    CardStream stream(trace, npuBase.arrivalGapCycles, card.dispatch,
+                      card.chips, fabric);
     CardRunResult result;
     result.chips.resize(card.chips);
     fabric.run([&](unsigned c) {
@@ -155,11 +96,9 @@ runCard(const core::AppFactory &factory,
         if (!card.perChipCr.empty())
             cc.cr = card.perChipCr[c];
 
-        CardSplitSource source(trace, npuBase.arrivalGapCycles,
-                               card.dispatch, card.chips, c);
         ChipDramPort port(fabric, c);
         npu::ChipEnv env;
-        env.source = &source;
+        env.source = &stream.chip(c);
         env.engineSaltBase = c * npuBase.peCount;
         if (dramOn) {
             env.dram = &port;
@@ -172,6 +111,10 @@ runCard(const core::AppFactory &factory,
         result.chips[c] =
             npu::runChipStream(factory, cc, npuBase, golden, trial, env);
     });
+    // Every chip popped exactly its counted share, so the stream ends
+    // drained.
+    CLUMSY_ASSERT(!stream.pending(), "card stream left packets behind");
+    result.streamPeakDepth = stream.peakDepth();
 
     if (golden) {
         for (unsigned c = 0; c < card.chips; ++c)

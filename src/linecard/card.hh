@@ -8,14 +8,13 @@
  * card-level policy (rr / flow / shortest) assigns every packet of
  * the card-wide trace to a chip. The split is feedback-free — the
  * "queue depth" the shortest policy sees is each chip's total
- * assigned count, not a live occupancy — so each chip can rebuild its
- * own share of the stream independently: chip c replays the full
- * global source through a dispatcher replica and keeps only the
- * packets assigned to c, global sequence numbers and arrival times
- * intact. Control-plane churn streams carry no packet-count state,
- * so every chip replays the identical global update stream (the
- * control plane is a broadcast), drained against the global
- * sequence numbers it actually processes.
+ * assigned count, not a live occupancy — so it is a pure function of
+ * the trace: one card stream (linecard/stream.hh) draws the trace
+ * once, in global order, into per-chip FIFOs, global sequence numbers
+ * and arrival times intact. Control-plane churn streams carry no
+ * packet-count state, so every chip replays the identical global
+ * update stream (the control plane is a broadcast), drained against
+ * the global sequence numbers it actually processes.
  *
  * Chip variation. Chip c's engines get global ids starting at
  * c * peCount (decorrelated fault seeds and fault maps), its DRAM
@@ -28,16 +27,18 @@
  * Scheduling. The chips of one run advance together on the calling
  * thread, one fiber each, under the DRAM fabric's (time, chip) commit
  * order (linecard/fabric.hh); with the DRAM model off they share
- * nothing and simply run one after another. Parallelism
- * (--card-jobs) is across runs instead: runCardExperiment fans the
- * golden run and the faulty trials out on a worker pool and reduces
- * them in trial order, so results are byte-identical at every job
- * count — the same contract --chip-jobs honours one level down.
+ * only the stream, and switch where it hands a full FIFO to its
+ * owner. Parallelism (--card-jobs) is across runs instead:
+ * runCardExperiment fans the golden run and the faulty trials out on
+ * a worker pool and reduces them in trial order, so results are
+ * byte-identical at every job count — the same contract --chip-jobs
+ * honours one level down.
  */
 
 #ifndef CLUMSY_LINECARD_CARD_HH
 #define CLUMSY_LINECARD_CARD_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <tuple>
 #include <vector>
@@ -144,6 +145,12 @@ struct CardRunResult
 
     /** FNV-1a fold of the chips' value digests, chip order. */
     std::uint64_t valueDigest = 0;
+
+    /**
+     * The deepest any chip's card-stream FIFO was during the run
+     * (CardStream::peakDepth): host memory, not a modeled quantity.
+     */
+    std::size_t streamPeakDepth = 0;
 };
 
 /**
@@ -188,7 +195,8 @@ CardExperimentResult runCardExperiment(const core::AppFactory &factory,
 /**
  * The per-chip packet counts the card dispatcher produces for
  * @p numPackets packets — the counting pre-pass runCard() sizes each
- * chip's run with. Exposed for the split-coverage tests.
+ * chip's run with (the chip loop ends on its packet count). Exposed
+ * for the split-coverage tests.
  */
 std::vector<std::uint64_t> cardAssignCounts(const net::TraceConfig &trace,
                                             std::int64_t gapCycles,

@@ -1,6 +1,7 @@
 #include "linecard/fabric.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -12,7 +13,8 @@ DramFabric::DramFabric(const dram::DramConfig &config, unsigned chips,
     : flat_(flatQuanta),
       bound_(chips, 0),
       lastCommit_(chips, 0),
-      state_(chips, ChipState::Unstarted)
+      state_(chips, ChipState::Unstarted),
+      handOffTo_(chips)
 {
     CLUMSY_ASSERT(chips >= 1, "fabric needs at least one chip");
     if (config.banks > 0)
@@ -31,6 +33,19 @@ DramFabric::safe(unsigned chip, Quanta p) const
     return true;
 }
 
+unsigned
+DramFabric::pick() const
+{
+    const auto chips = static_cast<unsigned>(bound_.size());
+    unsigned next = chips;
+    for (unsigned c = 0; c < chips; ++c) {
+        if (state_[c] != ChipState::Done &&
+            (next == chips || bound_[c] < bound_[next]))
+            next = c;
+    }
+    return next;
+}
+
 void
 DramFabric::run(const std::function<void(unsigned)> &chipBody)
 {
@@ -40,19 +55,20 @@ DramFabric::run(const std::function<void(unsigned)> &chipBody)
             std::make_unique<Fiber>([&chipBody, c] { chipBody(c); }));
 
     while (true) {
-        // The unfinished chip with the smallest (bound, chip).
-        unsigned next = chips;
-        for (unsigned c = 0; c < chips; ++c) {
-            if (state_[c] != ChipState::Done &&
-                (next == chips || bound_[c] < bound_[next]))
-                next = c;
-        }
+        // A stream hand-off's target, else the unfinished chip with
+        // the smallest (bound, chip).
+        unsigned next = std::exchange(handOffTo_, chips);
+        if (next == chips)
+            next = pick();
         if (next == chips)
             break;
 
-        // Deadlock freedom: the pick is unstarted, or parked at its
-        // bound with its commit globally next — so it can always run.
+        // Deadlock freedom: the pick is unstarted, parked on the
+        // stream, or parked at its bound with its commit globally
+        // next — so it can always run. A hand-off only ever names one
+        // of the first two.
         CLUMSY_ASSERT(state_[next] == ChipState::Unstarted ||
+                          state_[next] == ChipState::StreamParked ||
                           (state_[next] == ChipState::Parked &&
                            lastCommit_[next] == bound_[next] &&
                            safe(next, bound_[next])),
@@ -95,6 +111,19 @@ DramFabric::request(unsigned chip, std::uint64_t addr, Quanta reqTime)
     const Quanta extra = done - reqTime - flat_;
     CLUMSY_ASSERT(extra >= 0, "DRAM completed before the flat penalty");
     return extra;
+}
+
+void
+DramFabric::handOff(unsigned from, unsigned to)
+{
+    CLUMSY_ASSERT(state_[from] == ChipState::Running,
+                  "stream hand-off from chip %u outside its fiber", from);
+    if (state_[to] != ChipState::Unstarted &&
+        state_[to] != ChipState::StreamParked)
+        return;
+    handOffTo_ = to;
+    state_[from] = ChipState::StreamParked;
+    fibers_[from]->yield();
 }
 
 } // namespace clumsy::linecard

@@ -21,11 +21,18 @@
  * chip whose commit is not yet next parks (switches back to the
  * scheduler) instead of blocking a thread; the scheduler then resumes
  * the unfinished chip with the smallest (bound, chip). That chip is
- * either unstarted or parked at a commit point equal to its bound,
- * and a parked chip holding the smallest (bound, chip) is exactly a
- * chip whose commit is next, so every pick makes progress and the
- * fabric cannot deadlock. With the DRAM model off no chip ever
- * requests, so each runs to completion in chip order.
+ * unstarted, parked on the card stream (linecard/stream.hh), or
+ * parked at a commit point equal to its bound, and a parked chip
+ * holding the smallest (bound, chip) is exactly a chip whose commit is
+ * next, so every pick makes progress and the fabric cannot deadlock.
+ *
+ * Stream hand-offs. A chip drawing the card stream that fills another
+ * chip's FIFO hands the thread to that chip (handOff()) when it holds
+ * no DRAM request — it is unstarted or itself parked on the stream —
+ * so the FIFO drains instead of growing. A hand-off never resumes a
+ * chip parked inside request(): commits stay in (p, chip) order
+ * whoever runs. With the DRAM model off no chip ever requests, so the
+ * chips run in hand-off order and every FIFO stays within its bound.
  */
 
 #ifndef CLUMSY_LINECARD_FABRIC_HH
@@ -88,6 +95,14 @@ class DramFabric
      */
     Quanta request(unsigned chip, std::uint64_t addr, Quanta reqTime);
 
+    /**
+     * Chip @p from, running, has filled chip @p to's stream FIFO. If
+     * @p to holds no DRAM request (unstarted, or parked on the stream
+     * itself), park @p from on the stream, run @p to next, and return
+     * once @p from is resumed; else return at once (the FIFO grows).
+     */
+    void handOff(unsigned from, unsigned to);
+
     /** The shared model (DRAM on; stable once run() returns). */
     const dram::DramModel &model() const { return *model_; }
 
@@ -96,9 +111,13 @@ class DramFabric
     {
         Unstarted,
         Running,
-        Parked, ///< inside request(), waiting for its commit turn
+        Parked,       ///< inside request(), waiting for its commit turn
+        StreamParked, ///< inside handOff(), runnable at any time
         Done,
     };
+
+    /** The unfinished chip with the smallest (bound, chip), or chips. */
+    unsigned pick() const;
 
     /** Is @p chip's commit at @p p globally next? */
     bool safe(unsigned chip, Quanta p) const;
@@ -109,6 +128,7 @@ class DramFabric
     std::vector<Quanta> bound_;      ///< published lower bounds
     std::vector<Quanta> lastCommit_; ///< per-chip last commit point
     std::vector<ChipState> state_;
+    unsigned handOffTo_; ///< the chip handOff() named, else chips
     std::vector<std::unique_ptr<Fiber>> fibers_; ///< live during run()
 };
 

@@ -32,7 +32,14 @@
  * across that rewrite: round-robin, flow and shortest card dispatch,
  * a per-chip Cr spread, mapped faults with control churn, the
  * card-dram benchmark shape, MSHR-reordered commits on a shared L2,
- * and a faulty trial in which chips die mid-run.
+ * and a faulty trial in which chips die mid-run. The four larger
+ * card entries (a DRAM-off card with churn and a bounded ingress, a
+ * DRAM card with shortest dispatch and backpressure, a 20k-packet
+ * DRAM card with unequal flow-dispatched shares, and a longer faulty
+ * trial with deaths) were generated while every chip still replayed
+ * the whole card trace for its own share, before the card drew each
+ * packet once into per-chip FIFOs: they pin the stream's hand-offs
+ * and detached chips, which only show once FIFOs fill.
  *
  * Regenerating (only when a change is *meant* to shift results):
  *   CLUMSY_REGEN_GOLDEN=1 ./build/tests/test_golden_trace
@@ -113,6 +120,8 @@ struct GoldenCase
     unsigned dramBanks = 0;     ///< card harnesses: 0 = DRAM model off
     const char *perChipCr = ""; ///< comma-separated; empty = uniform
     bool subBlock = false;      ///< sub-block (one-word) strike refetch
+    std::uint64_t churn = 0;    ///< mean flow lifetime (0 = app default)
+    unsigned ingressCap = 0;    ///< card harnesses: per-chip ingress FIFO
 };
 
 /**
@@ -366,6 +375,61 @@ const GoldenCase kCases[] = {
      .dispatch = npu::DispatchPolicy::FlowHash,
      .chips = 4,
      .dramBanks = 4},
+    // Cards large enough that the card stream's per-chip FIFOs fill:
+    // the DRAM model off with flow dispatch, traffic churn and a
+    // bounded chip ingress; the DRAM model on with shortest dispatch
+    // and backpressured engine queues; the DRAM model on with flow
+    // dispatch under saturated arrivals, where the chips with larger
+    // shares fall behind in the trace until their FIFOs detach; and
+    // a faulty trial in which chips die mid-run while the others keep
+    // drawing the stream.
+    {.name = "card_nodram_flow_churn_ingress_nat",
+     .app = "nat",
+     .harness = Harness::CardExperiment,
+     .packets = 3000,
+     .trials = 2,
+     .cr = 0.5,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .pes = 2,
+     .dispatch = npu::DispatchPolicy::FlowHash,
+     .gap = 20,
+     .chips = 4,
+     .cardDispatch = npu::DispatchPolicy::FlowHash,
+     .churn = 64,
+     .ingressCap = 8},
+    {.name = "card_dram_shortest_backpressure_route",
+     .app = "route",
+     .harness = Harness::CardExperiment,
+     .packets = 2000,
+     .trials = 2,
+     .cr = 0.5,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .pes = 2,
+     .dispatch = npu::DispatchPolicy::ShortestQueue,
+     .queueCap = 4,
+     .chips = 4,
+     .cardDispatch = npu::DispatchPolicy::ShortestQueue,
+     .dramBanks = 4},
+    {.name = "card_dram_flow_lagging_route",
+     .app = "route",
+     .harness = Harness::CardTrial,
+     .packets = 20000,
+     .cr = 0.5,
+     .scheme = mem::RecoveryScheme::TwoStrike,
+     .pes = 2,
+     .chips = 4,
+     .cardDispatch = npu::DispatchPolicy::FlowHash,
+     .dramBanks = 8},
+    {.name = "card_faulty_deaths_large_route",
+     .app = "route",
+     .harness = Harness::CardTrial,
+     .packets = 3000,
+     .cr = 0.45,
+     .faultScale = 6.0,
+     .pes = 2,
+     .dispatch = npu::DispatchPolicy::FlowHash,
+     .chips = 4,
+     .dramBanks = 4},
 };
 
 /**
@@ -437,6 +501,10 @@ PrintTo(const GoldenCase &gc, std::ostream *os)
         *os << " ctrl=" << gc.ctrlRate;
     if (*gc.perChipCr != '\0')
         *os << " per-chip-cr=" << gc.perChipCr;
+    if (gc.churn != 0)
+        *os << " churn=" << gc.churn;
+    if (gc.ingressCap != 0)
+        *os << " ingress-cap=" << gc.ingressCap;
 }
 
 /** Exact round-trip text for a double (%.17g re-reads bit-equal). */
@@ -587,6 +655,7 @@ digest(const GoldenCase &gc)
     cfg.processor.hierarchy.wayDisable.retireThreshold = gc.wayRetire;
     cfg.processor.hierarchy.subBlockRecovery = gc.subBlock;
     cfg.processor.faultMap = fault::faultMapSpecFromString(gc.faultMap);
+    cfg.churnLifetime = gc.churn;
 
     npu::NpuConfig npuCfg;
     npuCfg.peCount = gc.pes;
@@ -606,6 +675,7 @@ digest(const GoldenCase &gc)
     card.chips = gc.chips;
     card.dispatch = gc.cardDispatch;
     card.dram.banks = gc.dramBanks;
+    card.ingressCapacity = gc.ingressCap;
     std::istringstream crs(gc.perChipCr);
     for (std::string cr; std::getline(crs, cr, ',');)
         card.perChipCr.push_back(std::stod(cr));

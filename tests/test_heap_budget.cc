@@ -128,10 +128,10 @@ namespace
  * the path measures (x86-64, libstdc++): the core loop redraws one
  * packet in place (~0.01: amortized growth of the recorder log), a
  * chip moves each packet — one payload allocation — through its
- * queues (~1.2 with the queue blocks), and a card chip draws the
- * other chips' packets into scratch storage (~1.1). A design with
- * per-packet frame vectors, compare maps, packet copies and victim
- * copies makes 8 / 20 / 23 on these paths.
+ * queues (~1.2 with the queue blocks), and a card swaps each packet
+ * through a reused slot of its stream's per-chip FIFOs (~1.1). A
+ * design with per-packet frame vectors, compare maps, packet copies
+ * and victim copies makes 8 / 20 / 23 on these paths.
  */
 constexpr double kCoreBudget = 1.0;
 constexpr double kChipBudget = 2.0;

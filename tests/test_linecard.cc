@@ -4,14 +4,17 @@
  * byte-identity across workloads (including a mapped-fault +
  * control-churn cell), the one-chip anchor against the streaming chip
  * harness, dispatcher split invariants, metric merges, shared-DRAM
- * stat coherence, config validation, and the DRAM fabric's
- * (bound, chip) fiber scheduler on hand-written chip bodies.
+ * stat coherence, config validation, the DRAM fabric's
+ * (bound, chip) fiber scheduler on hand-written chip bodies, and the
+ * card stream: its split against a private replay, its FIFO bound
+ * with the DRAM model off, and a card whose chips die mid-run.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -22,10 +25,13 @@
 #include "fault/fault_map.hh"
 #include "linecard/card.hh"
 #include "linecard/fabric.hh"
+#include "linecard/stream.hh"
 #include "npu/chip.hh"
 #include "npu/config.hh"
+#include "npu/dispatcher.hh"
 #include "sweep/sink.hh"
 #include "sweep/spec.hh"
+#include "traffic/traffic.hh"
 
 using namespace clumsy;
 using namespace clumsy::linecard;
@@ -464,4 +470,139 @@ TEST(DramFabric, EveryAppCompletesOnFourChips)
             << app;
         EXPECT_GT(run.card.dramAccesses, 0.0) << app;
     }
+}
+
+// --- the card stream ----------------------------------------------------
+
+/**
+ * Chip bodies that pop their shares at different rates (chip c pops
+ * c + 1 packets per DRAM request, and parks there until the request
+ * is next in commit order) — buffered, grown and detached — receive
+ * exactly the packets, arrival times and order of a private replay
+ * of the card trace through the card dispatcher.
+ */
+TEST(CardStream, SharesMatchAPrivateReplay)
+{
+    const core::ExperimentConfig cfg = smallConfig();
+    const net::TraceConfig trace =
+        core::resolveTraceConfig(cfg, *apps::appFactory("nat")());
+    const std::uint64_t packets = 12001;
+    const unsigned chips = 4;
+    const std::int64_t gap = 25;
+
+    for (const npu::DispatchPolicy policy :
+         {npu::DispatchPolicy::RoundRobin, npu::DispatchPolicy::FlowHash,
+          npu::DispatchPolicy::ShortestQueue}) {
+        CardConfig card;
+        card.chips = chips;
+        card.dispatch = policy;
+        const std::vector<std::uint64_t> counts =
+            cardAssignCounts(trace, gap, card, packets);
+
+        // The reference: every chip's packets from one private replay.
+        using Arrival = std::tuple<std::uint64_t, std::int64_t, std::uint32_t>;
+        std::vector<std::vector<Arrival>> want(chips);
+        {
+            const std::unique_ptr<traffic::PacketSource> src =
+                traffic::makeSource(trace, gap);
+            npu::Dispatcher disp(policy, chips);
+            std::vector<unsigned> depths(chips, 0);
+            const std::vector<char> alive(chips, 1);
+            for (std::uint64_t s = 0; s < packets; ++s) {
+                const net::Packet pkt = src->next();
+                const auto c = static_cast<unsigned>(
+                    disp.choose(pkt, depths, alive));
+                ++depths[c];
+                want[c].emplace_back(pkt.seq, src->lastArrivalCycles(),
+                                     pkt.ip.src);
+            }
+        }
+
+        dram::DramConfig dramOn;
+        dramOn.banks = 2;
+        DramFabric fabric(dramOn, chips, flatOf(dramOn));
+        CardStream stream(trace, gap, policy, chips, fabric);
+        std::vector<std::vector<Arrival>> got(chips);
+        fabric.run([&](unsigned c) {
+            traffic::PacketSource &share = stream.chip(c);
+            net::Packet pkt;
+            Quanta t = 0;
+            for (std::uint64_t n = 0; n < counts[c]; ++n) {
+                share.nextInto(pkt);
+                got[c].emplace_back(pkt.seq, share.lastArrivalCycles(),
+                                    pkt.ip.src);
+                if ((n + 1) % (c + 1) == 0) {
+                    t += 10;
+                    fabric.publish(c, t);
+                    t += fabric.request(c, 0x1000 * c, t);
+                }
+            }
+        });
+        EXPECT_EQ(got, want) << npu::to_string(policy);
+        EXPECT_FALSE(stream.pending());
+        // Chip 0's clock runs four times as fast per packet as chip
+        // 3's, so it falls behind in the trace: its FIFO grows past
+        // the bound while it is parked on DRAM (the ring grows), and
+        // then detaches (the replay runs).
+        EXPECT_EQ(stream.peakDepth(), CardStream::kDetachDepth);
+        EXPECT_GE(stream.detached(), 1u);
+    }
+}
+
+/**
+ * With the DRAM model off a full FIFO always hands the thread to its
+ * owner, so no FIFO ever holds more than kFifoBound packets — and on
+ * a card this long the bound is reached, so the hand-off ran.
+ */
+TEST(CardStream, NoFifoExceedsTheBoundWithoutDram)
+{
+    core::ExperimentConfig cfg = smallConfig();
+    cfg.numPackets = 100000;
+    npu::NpuConfig npuCfg;
+    CardConfig card;
+    card.chips = 4;
+    card.dram.banks = 0;
+    const CardRunResult run =
+        runCard(apps::appFactory("route"), cfg, npuCfg, card);
+    EXPECT_EQ(run.card.packetsProcessed,
+              static_cast<double>(cfg.numPackets));
+    EXPECT_EQ(run.streamPeakDepth, CardStream::kFifoBound);
+}
+
+/**
+ * A faulty trial in which chips die mid-run (the corpus case
+ * card_faulty_deaths_large_route pins its bytes): a dead chip keeps
+ * popping its share, as dead-engine drops, so every chip attempts
+ * exactly its counted share and the stream ends drained (runCard
+ * asserts that).
+ */
+TEST(CardStream, FaultyCardWithDeathsCompletes)
+{
+    core::ExperimentConfig cfg;
+    cfg.numPackets = 3000;
+    cfg.traceSeed = 1;
+    cfg.faultSeed = 0x5eed;
+    cfg.cr = 0.45;
+    cfg.faultScale = 6.0;
+    npu::NpuConfig npuCfg;
+    npuCfg.peCount = 2;
+    npuCfg.dispatch = npu::DispatchPolicy::FlowHash;
+    CardConfig card;
+    card.chips = 4;
+    card.dram.banks = 4;
+    const core::AppFactory factory = apps::appFactory("route");
+    const CardRunResult run = runCard(factory, cfg, npuCfg, card, false, 0);
+
+    const std::vector<std::uint64_t> counts = cardAssignCounts(
+        core::resolveTraceConfig(cfg, *factory()), npuCfg.arrivalGapCycles,
+        card, cfg.numPackets);
+    unsigned dead = 0;
+    for (unsigned c = 0; c < card.chips; ++c) {
+        const core::RunMetrics &m = run.chips[c].merged;
+        EXPECT_EQ(m.packetsAttempted, counts[c]) << c;
+        dead += m.fatal ? 1 : 0;
+    }
+    EXPECT_GE(dead, 1u);
+    EXPECT_LT(dead, card.chips);
+    EXPECT_GT(run.streamPeakDepth, 0u);
 }

@@ -43,6 +43,45 @@ TEST(Parity, OddParityMatchesXorFold)
     EXPECT_TRUE(oddParity(std::uint64_t{1} << 63));
 }
 
+TEST(Parity, PopCountMatchesBitLoop)
+{
+    const auto loop = [](std::uint64_t v) {
+        unsigned n = 0;
+        for (unsigned b = 0; b < 64; ++b)
+            n += static_cast<unsigned>((v >> b) & 1);
+        return n;
+    };
+    const std::uint64_t edges[] = {0,
+                                   1,
+                                   std::uint64_t{1} << 63,
+                                   ~std::uint64_t{0},
+                                   0x5555555555555555ull,
+                                   0xaaaaaaaaaaaaaaaaull,
+                                   0x00000000ffffffffull,
+                                   0xffffffff00000000ull,
+                                   0x8000000000000001ull,
+                                   0x0101010101010101ull,
+                                   0xff00ff00ff00ff00ull};
+    for (const std::uint64_t v : edges) {
+        ASSERT_EQ(popCount(v), loop(v)) << std::hex << v;
+        ASSERT_EQ(popCount(~v), 64u - loop(v)) << std::hex << v;
+    }
+    for (unsigned b = 0; b < 64; ++b)
+        ASSERT_EQ(popCount(~std::uint64_t{0} >> b), 64u - b);
+    Rng rng(29);
+    for (int i = 0; i < 10000; ++i) {
+        const std::uint64_t v = rng.next();
+        ASSERT_EQ(popCount(v), loop(v)) << std::hex << v;
+        const auto w = static_cast<std::uint32_t>(v);
+        ASSERT_EQ(popCount(w), loop(w)) << std::hex << w;
+        // Sparse words: the multiply's byte sum with few bits set.
+        ASSERT_EQ(popCount(v & (v >> 7) & (v >> 13)),
+                  loop(v & (v >> 7) & (v >> 13)))
+            << std::hex << v;
+    }
+    static_assert(popCount(0xf0f0u) == 8);
+}
+
 TEST(Parity, CleanWordMatches)
 {
     Rng rng(21);
