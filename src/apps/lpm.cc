@@ -1,6 +1,9 @@
 #include "apps/lpm.hh"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
+#include <vector>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -32,6 +35,19 @@ pop(std::uint32_t bits)
     return popCount(bits);
 }
 
+/** The lpm workload's trace shape (its boot table is drawn from it). */
+net::TraceConfig
+lpmTraceConfig()
+{
+    net::TraceConfig cfg;
+    cfg.numDestinations = 256;
+    cfg.numFlows = 256;
+    cfg.destZipf = 0.9;
+    cfg.minPayload = 32;
+    cfg.maxPayload = 256;
+    return cfg;
+}
+
 } // namespace
 
 // --- LpmFib ---------------------------------------------------------
@@ -43,19 +59,182 @@ LpmFib::LpmFib(core::ClumsyProcessor &proc)
     proc.execute(2);
 }
 
+// --- boot image -----------------------------------------------------
+
+/**
+ * buildBoot()'s view of simulated memory: the words from the root cell
+ * up, grown as the builder stores past the end. Growth seeds the new
+ * words through peek32(), so a word the builder has not written reads
+ * exactly as it does in the processor, which the builder leaves
+ * untouched until install().
+ */
+struct LpmFib::HostImage
+{
+    SimAddr base = 0;
+    std::vector<std::uint32_t> words;
+    std::size_t firstStored = SIZE_MAX; ///< lowest word index stored to
+
+    std::uint32_t load(const core::ClumsyProcessor &proc,
+                       SimAddr addr) const
+    {
+        if (addr >= base && addr % 4 == 0 &&
+            (addr - base) / 4 < words.size())
+            return words[(addr - base) / 4];
+        return proc.peek32(addr);
+    }
+
+    void store(const core::ClumsyProcessor &proc, SimAddr addr,
+               std::uint32_t value)
+    {
+        CLUMSY_ASSERT(addr >= base && addr % 4 == 0,
+                      "lpm boot store below the root cell");
+        const std::size_t i = (addr - base) / 4;
+        while (words.size() <= i)
+            words.push_back(proc.peek32(base + 4 * words.size()));
+        words[i] = value;
+        firstStored = std::min(firstStored, i);
+    }
+
+    /**
+     * One dmaWrite from the first word stored to the end: the builder
+     * stores one contiguous run (the root cell, then bump-allocated
+     * blocks it fills completely), so this is the per-word DMA of the
+     * same words, flushing the same lines.
+     */
+    void install(core::ClumsyProcessor &proc) const
+    {
+        if (firstStored >= words.size())
+            return;
+        proc.dmaWrite(
+            base + 4 * static_cast<SimAddr>(firstStored),
+            reinterpret_cast<const std::uint8_t *>(words.data() +
+                                                   firstStored),
+            static_cast<SimSize>(4 * (words.size() - firstStored)));
+    }
+};
+
+namespace
+{
+
+/**
+ * A clean build's result: the host state it leaves and its image from
+ * the root cell to the allocator end.
+ */
+struct StoredBoot
+{
+    LpmFib fib;
+    std::vector<std::uint32_t> words;
+};
+
+/**
+ * The process-wide boot: published once by the first clean build and
+ * never replaced, so a reader may use it after releasing the lock.
+ */
+struct BootStore
+{
+    std::mutex mutex;
+    std::unique_ptr<const StoredBoot> boot; ///< guarded by mutex
+};
+
+BootStore &
+bootStore()
+{
+    // Never destroyed: a fatal() exit on one thread must not free it
+    // under an engine booting on another.
+    static BootStore &store = *new BootStore;
+    return store;
+}
+
+const StoredBoot *
+storedBoot()
+{
+    BootStore &store = bootStore();
+    const std::scoped_lock lock(store.mutex);
+    return store.boot.get();
+}
+
+/**
+ * @return true when a boot on @p proc reads what every clean boot
+ * reads: a root cell at @p root holding 0, the allocator ending right
+ * after it and no fatal raised. The built image then depends on the
+ * root address alone.
+ */
+bool
+cleanBoot(const core::ClumsyProcessor &proc, SimAddr root)
+{
+    return !proc.fatalOccurred() && proc.peek32(root) == 0 &&
+           mem::kNullGuard + proc.allocator().used() == root + 4;
+}
+
+} // namespace
+
+void
+LpmFib::boot(core::ClumsyProcessor &proc)
+{
+    const StoredBoot *stored = storedBoot();
+    if (stored == nullptr || stored->fib.rootPtrAddr() != rootPtr_ ||
+        !cleanBoot(proc, rootPtr_) ||
+        proc.allocator().remaining() < 4 * (stored->words.size() - 1)) {
+        buildBoot(proc);
+        return;
+    }
+    *this = stored->fib;
+    const auto bytes = static_cast<SimSize>(4 * stored->words.size());
+    const SimAddr body = proc.alloc(bytes - 4, 4);
+    CLUMSY_ASSERT(body == rootPtr_ + 4,
+                  "lpm boot image must follow the root cell");
+    proc.dmaWrite(rootPtr_,
+                  reinterpret_cast<const std::uint8_t *>(
+                      stored->words.data()),
+                  bytes);
+}
+
+void
+LpmFib::buildBoot(core::ClumsyProcessor &proc)
+{
+    const bool clean = cleanBoot(proc, rootPtr_);
+    HostImage image{rootPtr_, {proc.peek32(rootPtr_)}};
+    image_ = &image;
+    const auto pool = net::TraceGenerator::makeDestPool(lpmTraceConfig());
+    const auto install =
+        static_cast<std::uint32_t>(std::min<std::size_t>(pool.size(), 96));
+    for (std::uint32_t i = 0; i < install; ++i) {
+        const std::uint32_t dst = pool[i];
+        const auto len = static_cast<std::uint8_t>(12 + dst % 13);
+        const std::uint32_t prefix = dst & maskFor(len);
+        insert(proc, prefix, len, prefix ^ 0x01010101u);
+        if (proc.fatalOccurred())
+            break;
+    }
+    image_ = nullptr;
+    image.install(proc);
+    if (!clean)
+        return;
+
+    CLUMSY_ASSERT(image.firstStored == 0 &&
+                      mem::kNullGuard + proc.allocator().used() ==
+                          rootPtr_ + 4 * image.words.size(),
+                  "a clean lpm boot stores its whole image");
+    BootStore &store = bootStore();
+    const std::scoped_lock lock(store.mutex);
+    if (store.boot == nullptr)
+        store.boot = std::make_unique<const StoredBoot>(
+            StoredBoot{*this, std::move(image.words)});
+}
+
 std::uint32_t
 LpmFib::ld32(core::ClumsyProcessor &proc, SimAddr addr) const
 {
-    return dma_ ? proc.peek32(addr) : proc.read32(addr);
+    return image_ != nullptr ? image_->load(proc, addr)
+                             : proc.read32(addr);
 }
 
 void
 LpmFib::st32(core::ClumsyProcessor &proc, SimAddr addr,
              std::uint32_t value) const
 {
-    if (dma_) {
-        proc.dmaWrite(addr,
-                      reinterpret_cast<const std::uint8_t *>(&value), 4);
+    if (image_ != nullptr) {
+        image_->store(proc, addr, value);
         return;
     }
     proc.write32(addr, value);
@@ -64,7 +243,7 @@ LpmFib::st32(core::ClumsyProcessor &proc, SimAddr addr,
 void
 LpmFib::exec(core::ClumsyProcessor &proc, unsigned ops) const
 {
-    if (!dma_)
+    if (image_ == nullptr)
         proc.execute(ops);
 }
 
@@ -266,15 +445,6 @@ LpmFib::insert(core::ClumsyProcessor &proc, std::uint32_t prefix,
         mirror_[len].insertOrAssign(prefix, nexthop);
     else
         ++prefixes_;
-}
-
-void
-LpmFib::bootInsert(core::ClumsyProcessor &proc, std::uint32_t prefix,
-                   std::uint8_t len, std::uint32_t nexthop)
-{
-    dma_ = true;
-    insert(proc, prefix, len, nexthop);
-    dma_ = false;
 }
 
 void
@@ -538,13 +708,7 @@ LpmFib::auditChecksum(const core::ClumsyProcessor &proc,
 net::TraceConfig
 LpmApp::traceConfig() const
 {
-    net::TraceConfig cfg;
-    cfg.numDestinations = 256;
-    cfg.numFlows = 256;
-    cfg.destZipf = 0.9;
-    cfg.minPayload = 32;
-    cfg.maxPayload = 256;
-    return cfg;
+    return lpmTraceConfig();
 }
 
 void
@@ -563,17 +727,7 @@ LpmApp::initialize(ClumsyProcessor &proc)
     // untimed, and the timed fault surface is exactly the *runtime*
     // FibInsert/FibWithdraw churn (--ctrl-rate) — which makes the
     // ctrl=0 cells a clean data-plane-only baseline.
-    const auto pool = net::TraceGenerator::makeDestPool(traceConfig());
-    const auto install =
-        static_cast<std::uint32_t>(std::min<std::size_t>(pool.size(), 96));
-    for (std::uint32_t i = 0; i < install; ++i) {
-        const std::uint32_t dst = pool[i];
-        const auto len = static_cast<std::uint8_t>(12 + dst % 13);
-        const std::uint32_t prefix = dst & maskFor(len);
-        fib_->bootInsert(proc, prefix, len, prefix ^ 0x01010101u);
-        if (proc.fatalOccurred())
-            return;
-    }
+    bootFib(proc);
 }
 
 void

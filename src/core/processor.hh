@@ -272,6 +272,9 @@ class ClumsyProcessor
     /** Accesses that found the shared L2 port busy. */
     std::uint64_t l2PortWaits() const { return l2PortWaits_; }
 
+    /** The simulated heap (inspection: bytes used and left). */
+    const mem::SimAllocator &allocator() const { return allocator_; }
+
     /** The memory hierarchy (stats inspection). */
     const mem::MemHierarchy &hierarchy() const { return hierarchy_; }
 

@@ -54,6 +54,10 @@ CardStream::pop(unsigned c, net::Packet &pkt, std::int64_t &arrival)
     }
     Slot &slot = own.ring[own.head];
     std::swap(pkt, slot.pkt);
+    // Keep the storage the chip handed in for the next draw: left in
+    // the slot, it would wait for the ring to wrap.
+    if (slot.pkt.payload.capacity() != 0)
+        spares_.push_back(std::move(slot.pkt));
     arrival = slot.arrival;
     own.head = (own.head + 1) & (own.ring.size() - 1);
     --own.size;
@@ -81,8 +85,18 @@ CardStream::push(Fifo &f, net::Packet &pkt, std::int64_t arrival)
 }
 
 void
+CardStream::refillScratch()
+{
+    if (scratch_.payload.capacity() == 0 && !spares_.empty()) {
+        std::swap(scratch_, spares_.back());
+        spares_.pop_back();
+    }
+}
+
+void
 CardStream::drawOne(unsigned self)
 {
+    refillScratch();
     inner_->nextInto(scratch_);
     ++drawn_;
     const int choice = disp_.choose(scratch_, depths_, alive_);
@@ -111,6 +125,7 @@ void
 CardStream::drawReplay(unsigned c)
 {
     Replay &r = *fifos_[c].replay;
+    refillScratch();
     for (; r.skip > 0; --r.skip)
         r.src->nextInto(scratch_);
     while (true) {

@@ -151,6 +151,9 @@ class CardStream
      */
     void pop(unsigned c, net::Packet &pkt, std::int64_t &arrival);
 
+    /** Give scratch_ spare storage when a push has emptied it. */
+    void refillScratch();
+
     /** Draw one card packet on behalf of chip @p self. */
     void drawOne(unsigned self);
 
@@ -169,6 +172,8 @@ class CardStream
     std::vector<Fifo> fifos_;
     std::vector<Share> shares_;
     net::Packet scratch_; ///< draw target, swapped into a FIFO slot
+    /** Payload storage the chips handed back, for the next draws. */
+    std::vector<net::Packet> spares_;
     std::uint64_t drawn_ = 0; ///< card packets the stream has drawn
     std::size_t peak_ = 0;
 };

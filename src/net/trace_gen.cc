@@ -156,8 +156,12 @@ TraceGenerator::emit(const FlowTuple &flow, Packet &pkt)
             static_cast<std::uint32_t>(rng_.below(
                 config_.maxPayload - config_.minPayload + 1));
         pkt.payload.resize(len);
+        // Fill from a local copy: a byte store may alias rng_, which
+        // would force the generator state through memory every byte.
+        Rng rng = rng_;
         for (auto &b : pkt.payload)
-            b = static_cast<std::uint8_t>(rng_.next());
+            b = static_cast<std::uint8_t>(rng.next());
+        rng_ = rng;
     }
 
     pkt.ip.totalLen = static_cast<std::uint16_t>(pkt.wireBytes());

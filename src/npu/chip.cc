@@ -254,6 +254,19 @@ runChipOnce(const core::AppFactory &factory,
     Quanta lookArrival = 0;
     std::uint64_t ingressDrops = 0;
 
+    // Processed packets keep their payload storage here, and each draw
+    // takes one back, so the steady state allocates no payloads (on a
+    // card the stream keeps the storage for its own next draw).
+    std::vector<net::Packet> spares;
+    auto draw = [&](net::Packet &slot) {
+        if (!spares.empty()) {
+            std::swap(slot, spares.back());
+            spares.pop_back();
+        }
+        src->nextInto(slot);
+        ++generated;
+    };
+
     // The arrival the dispatch stage is placing: the FIFO head with a
     // bounded ingress, else the pending slot. Referenced in place, not
     // copied — a head that stalls is re-read on every pass.
@@ -323,7 +336,9 @@ runChipOnce(const core::AppFactory &factory,
 
     auto processOne = [&](unsigned pe) {
         Engine &e = engines[pe];
-        const net::Packet pkt = std::move(e.queue.front());
+        // No draw runs inside processOne, so the reference stays valid.
+        const net::Packet &pkt =
+            spares.emplace_back(std::move(e.queue.front()));
         e.queue.pop_front();
         --depths[pe];
         samplePressure(e);
@@ -479,11 +494,10 @@ runChipOnce(const core::AppFactory &factory,
             // packet.
             while (true) {
                 if (!haveLook && generated < config.numPackets) {
-                    look = src->next();
+                    draw(look);
                     lookArrival =
                         cyclesToQuanta(src->lastArrivalCycles());
                     haveLook = true;
-                    ++generated;
                 }
                 if (!haveLook)
                     break;
@@ -505,10 +519,9 @@ runChipOnce(const core::AppFactory &factory,
             // the source (the churn model only knows a packet's
             // arrival once it has drawn the packet), and it stays
             // pending until some engine accepts it.
-            pending = src->next();
+            draw(pending);
             pendingArrival = cyclesToQuanta(src->lastArrivalCycles());
             havePending = true;
-            ++generated;
         }
         if (!havePending && stepPe < 0)
             break;

@@ -37,8 +37,9 @@ expectEquivalent(const Map &map, const Ref &ref,
         EXPECT_EQ(*found, v) << "key " << k;
     }
     for (const std::uint32_t k : absentProbes) {
-        if (ref.count(k) == 0)
+        if (ref.count(k) == 0) {
             EXPECT_EQ(map.find(k), nullptr) << "ghost key " << k;
+        }
     }
 }
 
@@ -103,8 +104,9 @@ TEST(F14Table, RandomOpsMatchUnorderedMap)
             const std::uint32_t *found = map.find(k);
             const auto it = ref.find(k);
             ASSERT_EQ(found != nullptr, it != ref.end());
-            if (found != nullptr)
+            if (found != nullptr) {
                 EXPECT_EQ(*found, it->second);
+            }
             break;
         }
         }

@@ -814,8 +814,8 @@ TEST(HotPath, BatchedDispatchMatchesLegacyFaultyWithDeaths)
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenTrace,
                          ::testing::ValuesIn(kCases),
-                         [](const auto &info) {
-                             return std::string(info.param.name);
+                         [](const auto &paramInfo) {
+                             return std::string(paramInfo.param.name);
                          });
 
 } // namespace

@@ -127,15 +127,16 @@ namespace
  * Allocation budgets per simulated packet, each a little above what
  * the path measures (x86-64, libstdc++): the core loop redraws one
  * packet in place (~0.01: amortized growth of the recorder log), a
- * chip moves each packet — one payload allocation — through its
- * queues (~1.2 with the queue blocks), and a card swaps each packet
- * through a reused slot of its stream's per-chip FIFOs (~1.1). A
+ * chip draws each packet into the storage of one it has processed
+ * (~0.27: queue blocks and payloads outgrowing a reused buffer), and
+ * a card does the same through its stream's reused FIFO slots
+ * (~0.30). Drawing a fresh payload per packet makes ~1.2 / ~1.1; a
  * design with per-packet frame vectors, compare maps, packet copies
  * and victim copies makes 8 / 20 / 23 on these paths.
  */
 constexpr double kCoreBudget = 1.0;
-constexpr double kChipBudget = 2.0;
-constexpr double kCardBudget = 2.0;
+constexpr double kChipBudget = 0.5;
+constexpr double kCardBudget = 0.5;
 
 /** Heap allocations made while running @p body. */
 template <typename Body>

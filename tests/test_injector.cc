@@ -162,9 +162,10 @@ TEST(Injector, MaskStaysInsideAccessWidth)
         for (int i = 0; i < 2000; ++i) {
             FaultEvent ev;
             injector.corrupt(0, bits, &ev);
-            if (bits < 32)
+            if (bits < 32) {
                 EXPECT_EQ(ev.mask >> bits, 0u)
                     << "mask escaped " << bits << "-bit access";
+            }
         }
     }
 }

@@ -209,8 +209,9 @@ TEST(LineCard, AssignCountsPartitionTheTrace)
         }
         EXPECT_EQ(total, packets);
         // Count-based policies balance to within one packet.
-        if (policy != npu::DispatchPolicy::FlowHash)
+        if (policy != npu::DispatchPolicy::FlowHash) {
             EXPECT_LE(hi - lo, 1u);
+        }
     }
 }
 

@@ -4,17 +4,21 @@
  * (insert/withdraw vs the host mirror, longest-prefix semantics,
  * RCU-disciplined updates with node reuse, audit stability) and the
  * workload under the golden-vs-faulty harness, including update churn
- * racing the data plane.
+ * racing the data plane, and the process-wide boot image (an engine
+ * that installs it equals one that ran the builder).
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "apps/app.hh"
 #include "apps/lpm.hh"
+#include "common/pool.hh"
 #include "core/experiment.hh"
 #include "core/processor.hh"
+#include "npu/chip.hh"
 
 using namespace clumsy;
 using apps::LpmFib;
@@ -245,4 +249,212 @@ TEST(LpmApp, FaultyUpdateChurnRunsToCompletion)
     EXPECT_GT(res.golden.ctrlEventsApplied, 0u);
     EXPECT_GE(res.fallibility, 0.0);
     EXPECT_LE(res.anyErrorProb, 1.0);
+}
+
+// ---- the boot image ------------------------------------------------
+//
+// Every LpmApp engine below boots at the workload's own root cell, so
+// the first of them in a process publishes the stored image for that
+// key and the rest install it. Only the key-miss test moves the root,
+// and it boots a default engine first so the stored key stays put.
+
+namespace
+{
+
+/** 64-bit FNV-1a, one step per mixed value. */
+struct Fnv
+{
+    std::uint64_t h = 1469598103934665603ull;
+    void mix(std::uint64_t v) { h = (h ^ v) * 1099511628211ull; }
+};
+
+/** lpm whose boot always runs the builder, never the stored image. */
+class BuilderLpmApp : public apps::LpmApp
+{
+  protected:
+    void bootFib(ClumsyProcessor &proc) override
+    {
+        fib().buildBoot(proc);
+    }
+};
+
+/** One booted lpm engine. */
+struct LpmEngine
+{
+    std::unique_ptr<ClumsyProcessor> proc;
+    std::unique_ptr<apps::LpmApp> app;
+
+    LpmFib &fib() { return app->fib(); }
+    SimAddr root() { return fib().rootPtrAddr(); }
+
+    /** The simulated heap's end: the boot image runs [root(), end()). */
+    SimAddr end() const
+    {
+        return mem::kNullGuard + proc->allocator().used();
+    }
+};
+
+/** Boot an lpm engine after @p preBytes of earlier allocation. */
+template <typename App = apps::LpmApp>
+LpmEngine
+bootEngine(SimSize preBytes = 0)
+{
+    LpmEngine e{std::make_unique<ClumsyProcessor>(),
+                std::make_unique<App>()};
+    if (preBytes != 0)
+        e.proc->alloc(preBytes, 4);
+    e.app->initialize(*e.proc);
+    return e;
+}
+
+/**
+ * FNV of an engine's boot: the image words, the heap end, the node and
+ * prefix counts, the retired-block count and, after two quiescent
+ * points reclaim them, the address of every retired block. Quiesces
+ * the FIB, so call it last.
+ */
+std::uint64_t
+bootDigest(LpmEngine &e)
+{
+    Fnv f;
+    const SimAddr root = e.root();
+    const SimAddr end = e.end();
+    for (SimAddr a = root; a < end; a += 4)
+        f.mix(e.proc->peek32(a));
+    f.mix(end);
+    f.mix(e.fib().nodeCount());
+    f.mix(e.fib().prefixCount());
+    f.mix(e.fib().rcu().retired());
+    e.fib().quiesce();
+    e.fib().quiesce();
+    for (SimAddr a = root; a < end; a += 4) {
+        if (e.fib().rcu().isReclaimed(a))
+            f.mix(a);
+    }
+    return f.h;
+}
+
+/** Two booted engines hold the same FIB, bytes and host state. */
+void
+expectSameBoot(LpmEngine &a, LpmEngine &b)
+{
+    ASSERT_EQ(a.root(), b.root());
+    ASSERT_EQ(a.end(), b.end());
+    EXPECT_EQ(a.proc->allocator().used(), b.proc->allocator().used());
+    for (SimAddr addr = a.root(); addr < a.end(); addr += 4) {
+        ASSERT_EQ(a.proc->backingStore().read32(addr),
+                  b.proc->backingStore().read32(addr))
+            << "addr=" << addr;
+    }
+    EXPECT_EQ(a.fib().rcu().retired(), b.fib().rcu().retired());
+    EXPECT_EQ(a.fib().rcu().inGrace(), b.fib().rcu().inGrace());
+    EXPECT_EQ(a.fib().nodeCount(), b.fib().nodeCount());
+    EXPECT_EQ(a.fib().prefixCount(), b.fib().prefixCount());
+    EXPECT_EQ(a.fib().auditChecksum(*a.proc, 1u << 20),
+              b.fib().auditChecksum(*b.proc, 1u << 20));
+}
+
+/** Every RunMetrics field equal. */
+void
+expectSameMetrics(const core::RunMetrics &a, const core::RunMetrics &b)
+{
+    forEachField(core::kRunMetricsFields, [&](const auto &row) {
+        EXPECT_EQ(a.*row.member, b.*row.member) << row.name;
+    });
+}
+
+/**
+ * bootDigest of the boot this image replaced (one DMA per word), at
+ * the workload's root cell and with the root moved up 128 bytes.
+ */
+constexpr std::uint64_t kDefaultBootDigest = 0xf5087a5321f67abaull;
+constexpr std::uint64_t kShiftedBootDigest = 0x5048a1926f44703aull;
+
+/** Earlier allocation that moves the root cell 128 bytes up. */
+constexpr SimSize kRootShift = 192;
+
+} // namespace
+
+TEST(LpmBoot, InstalledImageMatchesTheBuilder)
+{
+    LpmEngine built = bootEngine<BuilderLpmApp>();
+    LpmEngine installed = bootEngine();
+    ASSERT_FALSE(built.proc->fatalOccurred());
+    EXPECT_EQ(built.fib().nodeCount(), 499u);
+    expectSameBoot(built, installed);
+    EXPECT_EQ(bootDigest(built), bootDigest(installed));
+
+    // The engines keep matching through a faulty trial of FIB churn:
+    // the timed update path then runs over the booted structure.
+    core::ExperimentConfig cfg;
+    cfg.numPackets = 300;
+    cfg.cr = 0.5;
+    cfg.faultScale = 100.0;
+    cfg.ctrl.rate = 100;
+    cfg.ctrl.mix = ctrl::CtrlMix::Fib;
+    const npu::NpuConfig npu;
+    const core::AppFactory builder = [] {
+        return std::make_unique<BuilderLpmApp>();
+    };
+    const core::AppFactory stock = apps::appFactory("lpm");
+    const npu::ChipRun goldenB = npu::runChipGolden(builder, cfg, npu);
+    const npu::ChipRun goldenS = npu::runChipGolden(stock, cfg, npu);
+    const npu::ChipRun trialB =
+        npu::runChipTrial(builder, cfg, npu, 0, goldenB);
+    const npu::ChipRun trialS =
+        npu::runChipTrial(stock, cfg, npu, 0, goldenS);
+    EXPECT_GT(goldenS.merged.ctrlEventsApplied, 0u);
+    EXPECT_GT(trialS.merged.faultsInjected, 0u);
+    ASSERT_EQ(goldenS.recorders.size(), 1u);
+    EXPECT_EQ(goldenB.recorders[0].digest(), goldenS.recorders[0].digest());
+    expectSameMetrics(goldenB.merged, goldenS.merged);
+    expectSameMetrics(trialB.merged, trialS.merged);
+    // A trial keeps no frames; its streaming replay gives the digest.
+    const npu::ChipStreamResult streamB =
+        npu::runChipStream(builder, cfg, npu, false, 0);
+    const npu::ChipStreamResult streamS =
+        npu::runChipStream(stock, cfg, npu, false, 0);
+    EXPECT_EQ(streamB.peDigests, streamS.peDigests);
+    expectSameMetrics(streamB.merged, streamS.merged);
+}
+
+TEST(LpmBoot, KeyMissRunsTheBuilder)
+{
+    // Publish (or keep) the stored image at the workload's root cell,
+    // then boot with the root moved: the key misses and the builder
+    // runs at the new address.
+    LpmEngine stock = bootEngine();
+    LpmEngine shifted = bootEngine(kRootShift);
+    LpmEngine shiftedBuilt = bootEngine<BuilderLpmApp>(kRootShift);
+    ASSERT_EQ(shifted.root(), stock.root() + 128);
+    ASSERT_FALSE(shifted.proc->fatalOccurred());
+    expectSameBoot(shifted, shiftedBuilt);
+    EXPECT_EQ(shifted.fib().auditChecksum(*shifted.proc, 1u << 20),
+              stock.fib().auditChecksum(*stock.proc, 1u << 20));
+    for (const std::uint32_t dst : probeSet())
+        EXPECT_EQ(shifted.fib().goldenLookup(dst),
+                  stock.fib().goldenLookup(dst));
+    EXPECT_EQ(bootDigest(shifted), kShiftedBootDigest);
+}
+
+TEST(LpmBoot, ImageMatchesThePerWordDmaBoot)
+{
+    LpmEngine e = bootEngine();
+    ASSERT_FALSE(e.proc->fatalOccurred());
+    EXPECT_EQ(e.fib().nodeCount(), 499u);
+    EXPECT_EQ(e.fib().rcu().retired(), 803u);
+    EXPECT_EQ(e.fib().prefixCount(), 94u);
+    EXPECT_EQ(bootDigest(e), kDefaultBootDigest);
+}
+
+TEST(LpmBoot, ConcurrentBootsAgree)
+{
+    constexpr std::size_t kEngines = 8;
+    std::vector<LpmEngine> engines(kEngines);
+    const WorkStealingPool pool(4);
+    pool.run(kEngines, [&](std::size_t i) { engines[i] = bootEngine(); });
+    for (std::size_t i = 1; i < kEngines; ++i)
+        expectSameBoot(engines[0], engines[i]);
+    for (LpmEngine &e : engines)
+        EXPECT_EQ(bootDigest(e), kDefaultBootDigest);
 }

@@ -86,8 +86,9 @@ TEST_P(SwitchingCounts, MonotonicallyDecreasingInAmplitude)
     const auto counts = switchingCaseCounts(GetParam());
     for (std::size_t k = 2; k < counts.size(); ++k)
         EXPECT_LE(counts[k], counts[k - 1]);
-    if (counts.size() > 1)
+    if (counts.size() > 1) {
         EXPECT_LE(counts[1], 2 * counts[0]);
+    }
 }
 
 TEST_P(SwitchingCounts, WorstCaseIsUniqueUpToSign)

@@ -49,8 +49,9 @@ TEST(Radix, ManyRandomKeys)
     // Keys never inserted miss.
     for (int i = 0; i < 200; ++i) {
         const auto key = static_cast<std::uint32_t>(rng.next());
-        if (!reference.count(key))
+        if (!reference.count(key)) {
             EXPECT_EQ(tree.lookup(proc, key), RadixTree::kNoMatch);
+        }
     }
 }
 
