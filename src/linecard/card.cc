@@ -7,8 +7,6 @@
 #include "common/pool.hh"
 #include "linecard/fabric.hh"
 #include "linecard/stream.hh"
-#include "npu/dispatcher.hh"
-#include "traffic/traffic.hh"
 
 namespace clumsy::linecard
 {
@@ -26,28 +24,6 @@ CardConfig::validate() const
         if (cr <= 0.0 || cr > 1.0)
             fatal("per-chip Cr %g outside (0, 1]", cr);
     }
-}
-
-std::vector<std::uint64_t>
-cardAssignCounts(const net::TraceConfig &trace, std::int64_t gapCycles,
-                 const CardConfig &card, std::uint64_t numPackets)
-{
-    const std::unique_ptr<traffic::PacketSource> src =
-        traffic::makeSource(trace, gapCycles);
-    npu::Dispatcher disp(card.dispatch, card.chips);
-    std::vector<unsigned> depths(card.chips, 0);
-    const std::vector<char> alive(card.chips, 1);
-    std::vector<std::uint64_t> counts(card.chips, 0);
-    net::Packet pkt; // redrawn in place: no allocation per packet
-    for (std::uint64_t s = 0; s < numPackets; ++s) {
-        src->nextInto(pkt);
-        const int choice = disp.choose(pkt, depths, alive);
-        CLUMSY_ASSERT(choice >= 0,
-                      "card dispatch failed with every chip alive");
-        ++depths[static_cast<unsigned>(choice)];
-        ++counts[static_cast<unsigned>(choice)];
-    }
-    return counts;
 }
 
 CardRunResult
@@ -71,28 +47,23 @@ runCard(const core::AppFactory &factory,
     npuBase.ingressCapacity = card.ingressCapacity;
     npuBase.validate(base.processor.hierarchy);
 
-    // The card trace, and each chip's packet count from the counting
-    // pre-pass; the card stream below draws the trace once more,
-    // splitting it as it goes.
     const net::TraceConfig trace = [&] {
         const std::unique_ptr<core::PacketApp> app = factory();
         return core::resolveTraceConfig(base, *app);
     }();
-    const std::vector<std::uint64_t> counts = cardAssignCounts(
-        trace, npuBase.arrivalGapCycles, card, base.numPackets);
 
     // Every chip runs on its own fiber on this thread and pops its
-    // share of the one card stream; with the DRAM model off the chips
-    // switch only where the stream hands a full FIFO to its owner.
+    // share of the one card stream until the share ends; with the DRAM
+    // model off the chips switch only where the stream hands a full
+    // FIFO to its owner.
     DramFabric fabric(card.dram, card.chips,
                       cyclesToQuanta(card.dram.rowHitCycles));
-    CardStream stream(trace, npuBase.arrivalGapCycles, card.dispatch,
-                      card.chips, fabric);
+    CardStream stream(trace, npuBase.arrivalGapCycles, base.numPackets,
+                      card.dispatch, card.chips, fabric);
     CardRunResult result;
     result.chips.resize(card.chips);
     fabric.run([&](unsigned c) {
         core::ExperimentConfig cc = base;
-        cc.numPackets = counts[c];
         if (!card.perChipCr.empty())
             cc.cr = card.perChipCr[c];
 
@@ -111,7 +82,7 @@ runCard(const core::AppFactory &factory,
         result.chips[c] =
             npu::runChipStream(factory, cc, npuBase, golden, trial, env);
     });
-    // Every chip popped exactly its counted share, so the stream ends
+    // Every chip popped its share to the end, so the stream ends
     // drained.
     CLUMSY_ASSERT(!stream.pending(), "card stream left packets behind");
     result.streamPeakDepth = stream.peakDepth();

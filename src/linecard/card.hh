@@ -192,17 +192,6 @@ CardExperimentResult runCardExperiment(const core::AppFactory &factory,
                                        const npu::NpuConfig &npu,
                                        const CardConfig &card);
 
-/**
- * The per-chip packet counts the card dispatcher produces for
- * @p numPackets packets — the counting pre-pass runCard() sizes each
- * chip's run with (the chip loop ends on its packet count). Exposed
- * for the split-coverage tests.
- */
-std::vector<std::uint64_t> cardAssignCounts(const net::TraceConfig &trace,
-                                            std::int64_t gapCycles,
-                                            const CardConfig &card,
-                                            std::uint64_t numPackets);
-
 } // namespace clumsy::linecard
 
 #endif // CLUMSY_LINECARD_CARD_HH

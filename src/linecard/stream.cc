@@ -10,28 +10,32 @@ namespace clumsy::linecard
 {
 
 CardStream::CardStream(const net::TraceConfig &trace,
-                       std::int64_t gapCycles, npu::DispatchPolicy policy,
-                       unsigned chips, DramFabric &fabric)
-    : gapCycles_(gapCycles),
-      inner_(traffic::makeSource(trace, gapCycles)),
-      disp_(policy, chips),
-      depths_(chips, 0),
+                       std::int64_t gapCycles, std::uint64_t packets,
+                       npu::DispatchPolicy policy, unsigned chips,
+                       DramFabric &fabric)
+    : packets_(packets),
+      card_{traffic::makeSource(trace, gapCycles),
+            npu::Dispatcher(policy, chips), std::vector<unsigned>(chips, 0)},
       alive_(chips, 1),
       fabric_(fabric),
       fifos_(chips)
 {
     shares_.reserve(chips);
-    for (unsigned c = 0; c < chips; ++c) {
-        fifos_[c].ring.resize(kFifoBound);
+    for (unsigned c = 0; c < chips; ++c)
         shares_.emplace_back(*this, c);
-    }
+}
+
+std::unique_ptr<traffic::PacketSource>
+CardStream::Share::clone() const
+{
+    panic("a chip's share of the card stream cannot be cloned");
 }
 
 bool
 CardStream::pending() const
 {
     return std::any_of(fifos_.begin(), fifos_.end(),
-                       [](const Fifo &f) { return f.size > 0; });
+                       [](const Fifo &f) { return !f.ring.empty(); });
 }
 
 unsigned
@@ -39,106 +43,82 @@ CardStream::detached() const
 {
     return static_cast<unsigned>(
         std::count_if(fifos_.begin(), fifos_.end(),
-                      [](const Fifo &f) { return f.replay != nullptr; }));
+                      [](const Fifo &f) { return f.detached != nullptr; }));
+}
+
+bool
+CardStream::fill(unsigned c)
+{
+    Fifo &mine = fifos_[c];
+    while (mine.ring.empty()) {
+        if (mine.detached) {
+            if (mine.detached->drawn == packets_)
+                return false;
+            if (draw(*mine.detached) == c)
+                push(mine);
+            continue;
+        }
+        if (card_.drawn == packets_)
+            return false;
+        const unsigned to = draw(card_);
+        Fifo &f = fifos_[to];
+        if (f.detached)
+            continue; // the owner draws this one again itself
+        push(f);
+        if (f.ring.size() == kDetachDepth) {
+            // The owner was parked on a DRAM request when its FIFO
+            // filled (it would have taken the hand-off otherwise) and
+            // has fallen this far behind in the trace: stop buffering
+            // for it.
+            f.detached = std::make_unique<Draw>(Draw{
+                card_.src->clone(), card_.disp, card_.depths, card_.drawn});
+        } else if (to != c && f.ring.size() == kFifoBound) {
+            fabric_.handOff(c, to);
+        }
+    }
+    return true;
 }
 
 void
 CardStream::pop(unsigned c, net::Packet &pkt, std::int64_t &arrival)
 {
-    Fifo &own = fifos_[c];
-    while (own.size == 0) {
-        if (own.replay)
-            drawReplay(c);
-        else
-            drawOne(c);
-    }
-    Slot &slot = own.ring[own.head];
+    const bool more = fill(c);
+    CLUMSY_ASSERT(more, "chip %u drew past the end of its share", c);
+    Ring<Slot> &ring = fifos_[c].ring;
+    Slot &slot = ring.front();
     std::swap(pkt, slot.pkt);
     // Keep the storage the chip handed in for the next draw: left in
     // the slot, it would wait for the ring to wrap.
     if (slot.pkt.payload.capacity() != 0)
         spares_.push_back(std::move(slot.pkt));
     arrival = slot.arrival;
-    own.head = (own.head + 1) & (own.ring.size() - 1);
-    --own.size;
+    ring.pop();
 }
 
-void
-CardStream::push(Fifo &f, net::Packet &pkt, std::int64_t arrival)
+unsigned
+CardStream::draw(Draw &d)
 {
-    if (f.size == f.ring.size()) {
-        // Only with the DRAM model on: the owner was parked on a DRAM
-        // request, not yet next in commit order, when its FIFO filled.
-        // Unroll the ring into one twice its size.
-        std::vector<Slot> bigger(2 * f.ring.size());
-        for (std::size_t i = 0; i < f.size; ++i)
-            std::swap(bigger[i],
-                      f.ring[(f.head + i) & (f.ring.size() - 1)]);
-        f.ring.swap(bigger);
-        f.head = 0;
-    }
-    Slot &slot = f.ring[(f.head + f.size) & (f.ring.size() - 1)];
-    std::swap(slot.pkt, pkt);
-    slot.arrival = arrival;
-    ++f.size;
-    peak_ = std::max(peak_, f.size);
-}
-
-void
-CardStream::refillScratch()
-{
-    if (scratch_.payload.capacity() == 0 && !spares_.empty()) {
-        std::swap(scratch_, spares_.back());
+    if (scratch_.pkt.payload.capacity() == 0 && !spares_.empty()) {
+        std::swap(scratch_.pkt, spares_.back());
         spares_.pop_back();
     }
-}
-
-void
-CardStream::drawOne(unsigned self)
-{
-    refillScratch();
-    inner_->nextInto(scratch_);
-    ++drawn_;
-    const int choice = disp_.choose(scratch_, depths_, alive_);
+    d.src->nextInto(scratch_.pkt);
+    scratch_.arrival = d.src->lastArrivalCycles();
+    ++d.drawn;
+    const int choice = d.disp.choose(scratch_.pkt, d.depths, alive_);
     CLUMSY_ASSERT(choice >= 0, "card dispatch failed with every chip alive");
     const auto to = static_cast<unsigned>(choice);
-    ++depths_[to];
-
-    Fifo &f = fifos_[to];
-    if (f.replay)
-        return; // the owner draws this one again itself
-    push(f, scratch_, inner_->lastArrivalCycles());
-    if (f.size == kDetachDepth) {
-        // The owner was parked on a DRAM request when its FIFO
-        // filled (it would have taken the hand-off otherwise) and has
-        // fallen this far behind in the trace: stop buffering for it.
-        f.replay = std::make_unique<Replay>(
-            Replay{traffic::makeSource(inner_->config(), gapCycles_),
-                   disp_, depths_, drawn_});
-        return;
-    }
-    if (to != self && f.size == kFifoBound)
-        fabric_.handOff(self, to);
+    ++d.depths[to];
+    return to;
 }
 
 void
-CardStream::drawReplay(unsigned c)
+CardStream::push(Fifo &f)
 {
-    Replay &r = *fifos_[c].replay;
-    refillScratch();
-    for (; r.skip > 0; --r.skip)
-        r.src->nextInto(scratch_);
-    while (true) {
-        r.src->nextInto(scratch_);
-        const int choice = r.disp.choose(scratch_, r.depths, alive_);
-        CLUMSY_ASSERT(choice >= 0,
-                      "card dispatch failed with every chip alive");
-        ++r.depths[static_cast<unsigned>(choice)];
-        if (static_cast<unsigned>(choice) == c) {
-            push(fifos_[c], scratch_, r.src->lastArrivalCycles());
-            return;
-        }
-    }
+    // With the DRAM model on the ring may grow: the owner was parked on
+    // a DRAM request, not yet next in commit order, when it filled.
+    f.ring.push(scratch_);
+    peak_ = std::max(peak_, f.ring.size());
 }
 
 } // namespace clumsy::linecard

@@ -12,8 +12,11 @@
  * into theirs. Packets keep their global sequence numbers and arrival
  * times, and every chip sees exactly the packets, in exactly the
  * order, a private replay of the whole trace would have kept for it.
+ * The stream knows the card's packet count: a chip's share ends once
+ * its FIFO is empty and the trace is used up, so the card draws its
+ * trace once and sizes no chip in advance.
  *
- * The FIFOs are rings of reused net::Packet slots: a packet is
+ * The FIFOs are Rings of reused net::Packet slots: a packet is
  * swapped into a slot when drawn and swapped out when popped, never
  * copied. A push that fills another chip's FIFO to kFifoBound hands
  * the thread to that chip through the DRAM fabric (see
@@ -26,9 +29,10 @@
  * larger share falls ever further behind in the trace, so its FIFO
  * would grow with the run. A FIFO that reaches kDetachDepth detaches
  * instead: the stream stops buffering for its chip, which draws the
- * rest of its share from a private copy of the card source and the
- * dispatcher, fast-forwarded to where the buffer ends. Memory stays
- * bounded; a detached chip pays one more pass over the trace.
+ * rest of its share from a clone of the card source and a copy of the
+ * dispatcher, taken where the buffer ends. Memory stays bounded, and
+ * the detached chip continues the trace from there instead of drawing
+ * it again from the start.
  */
 
 #ifndef CLUMSY_LINECARD_STREAM_HH
@@ -39,6 +43,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/ring.hh"
 #include "net/packet.hh"
 #include "npu/dispatcher.hh"
 #include "traffic/traffic.hh"
@@ -63,21 +68,24 @@ class CardStream
     static constexpr std::size_t kDetachDepth = 4 * kFifoBound;
 
     /**
-     * @param trace     the card-wide trace (drawn once, and once more
-     *                  by each chip that detaches)
+     * @param trace     the card-wide trace (drawn once)
      * @param gapCycles nominal inter-arrival gap, base cycles
+     * @param packets   packets in the card trace
      * @param policy    card dispatch policy
      * @param fabric    the scheduler the chips run under; every chip
      *                  must draw from inside DramFabric::run
      */
     CardStream(const net::TraceConfig &trace, std::int64_t gapCycles,
-               npu::DispatchPolicy policy, unsigned chips,
-               DramFabric &fabric);
+               std::uint64_t packets, npu::DispatchPolicy policy,
+               unsigned chips, DramFabric &fabric);
 
     CardStream(const CardStream &) = delete;
     CardStream &operator=(const CardStream &) = delete;
 
-    /** Chip @p c's share of the stream, as a chip's packet source. */
+    /**
+     * Chip @p c's share of the stream, as a chip's packet source; it
+     * reports atEnd() once the share is used up.
+     */
     traffic::PacketSource &chip(unsigned c) { return shares_[c]; }
 
     /** The deepest any chip's FIFO has been, packets. */
@@ -98,24 +106,22 @@ class CardStream
     };
 
     /**
-     * A detached chip's private draw: the card source and dispatcher
-     * as they stood when its FIFO detached.
+     * One draw of the card trace: the source, the dispatcher with its
+     * per-chip counts, and the card packets drawn so far. The stream
+     * owns one; a detached chip owns a copy taken when it detached.
      */
-    struct Replay
+    struct Draw
     {
         std::unique_ptr<traffic::PacketSource> src;
         npu::Dispatcher disp;
         std::vector<unsigned> depths;
-        std::uint64_t skip; ///< card packets src must still discard
+        std::uint64_t drawn = 0;
     };
 
-    /** A ring of slots (capacity a power of two, grown by doubling). */
     struct Fifo
     {
-        std::vector<Slot> ring;
-        std::size_t head = 0;
-        std::size_t size = 0;
-        std::unique_ptr<Replay> replay; ///< set once detached
+        Ring<Slot> ring;
+        std::unique_ptr<Draw> detached; ///< set once detached
     };
 
     /** Chip c's view of the stream: pops its FIFO. */
@@ -136,8 +142,13 @@ class CardStream
 
         const net::TraceConfig &config() const override
         {
-            return stream_->inner_->config();
+            return stream_->card_.src->config();
         }
+
+        bool atEnd() override { return !stream_->fill(chip_); }
+
+        /** A share is a view of the stream: there is nothing to copy. */
+        std::unique_ptr<traffic::PacketSource> clone() const override;
 
       private:
         CardStream *stream_;
@@ -146,35 +157,35 @@ class CardStream
     };
 
     /**
-     * Pop chip @p c's next packet into @p pkt (swapped, not copied),
-     * drawing the stream while its FIFO is empty.
+     * Draw until chip @p c's FIFO holds a packet or its share is used
+     * up. @return false in the second case.
+     */
+    bool fill(unsigned c);
+
+    /**
+     * Pop chip @p c's next packet into @p pkt (swapped, not copied);
+     * its share must not be used up.
      */
     void pop(unsigned c, net::Packet &pkt, std::int64_t &arrival);
 
-    /** Give scratch_ spare storage when a push has emptied it. */
-    void refillScratch();
+    /**
+     * Draw one card packet from @p d into scratch_. @return the chip
+     * the dispatcher gave it to.
+     */
+    unsigned draw(Draw &d);
 
-    /** Draw one card packet on behalf of chip @p self. */
-    void drawOne(unsigned self);
+    /** Swap scratch_ into @p f. */
+    void push(Fifo &f);
 
-    /** Draw detached chip @p c's next packet into its FIFO. */
-    void drawReplay(unsigned c);
-
-    /** Append @p pkt (swapped in) to @p f, growing its ring if full. */
-    void push(Fifo &f, net::Packet &pkt, std::int64_t arrival);
-
-    std::int64_t gapCycles_;
-    std::unique_ptr<traffic::PacketSource> inner_;
-    npu::Dispatcher disp_;
-    std::vector<unsigned> depths_; ///< packets assigned per chip
-    std::vector<char> alive_;      ///< all 1: the split is feedback-free
+    std::uint64_t packets_;
+    Draw card_;
+    std::vector<char> alive_; ///< all 1: the split is feedback-free
     DramFabric &fabric_;
     std::vector<Fifo> fifos_;
     std::vector<Share> shares_;
-    net::Packet scratch_; ///< draw target, swapped into a FIFO slot
+    Slot scratch_; ///< draw target, swapped into a FIFO slot
     /** Payload storage the chips handed back, for the next draws. */
     std::vector<net::Packet> spares_;
-    std::uint64_t drawn_ = 0; ///< card packets the stream has drawn
     std::size_t peak_ = 0;
 };
 

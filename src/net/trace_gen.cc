@@ -155,6 +155,9 @@ TraceGenerator::emit(const FlowTuple &flow, Packet &pkt)
             config_.minPayload +
             static_cast<std::uint32_t>(rng_.below(
                 config_.maxPayload - config_.minPayload + 1));
+        // Size a recycled buffer for the largest payload at once, not
+        // by regrowing it each time a draw outgrows it.
+        pkt.payload.reserve(config_.maxPayload);
         pkt.payload.resize(len);
         // Fill from a local copy: a byte store may alias rng_, which
         // would force the generator state through memory every byte.

@@ -1,12 +1,12 @@
 #include "npu/chip.hh"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <string>
 
 #include "common/logging.hh"
 #include "common/pool.hh"
+#include "common/ring.hh"
 #include "core/metrics.hh"
 #include "ctrl/ctrl.hh"
 #include "net/trace_gen.hh"
@@ -34,7 +34,7 @@ struct Engine
 {
     std::unique_ptr<core::ClumsyProcessor> proc;
     std::unique_ptr<core::PacketApp> app;
-    std::deque<net::Packet> queue;
+    Ring<net::Packet> queue;
     Quanta origin = 0; ///< local quanta when the data plane started
     double initCycles = 0.0;
     double initEnergy = 0.0;
@@ -247,11 +247,15 @@ runChipOnce(const core::AppFactory &factory,
     // finds the FIFO full is dropped at the chip edge. The lookahead
     // slot holds the one packet pulled from the source whose
     // arrival has not come due yet. Capacity 0 skips all of this.
+    struct Arrival
+    {
+        net::Packet pkt;
+        Quanta at = 0;
+    };
     const unsigned ingressCap = npu.ingressCapacity;
-    std::deque<std::pair<net::Packet, Quanta>> ingress;
+    Ring<Arrival> ingress;
     bool haveLook = false;
-    net::Packet look;
-    Quanta lookArrival = 0;
+    Arrival look;
     std::uint64_t ingressDrops = 0;
 
     // Processed packets keep their payload storage here, and each draw
@@ -266,12 +270,17 @@ runChipOnce(const core::AppFactory &factory,
         src->nextInto(slot);
         ++generated;
     };
+    // The source ends the run at config.numPackets draws, or earlier
+    // when it is used up (a line-card chip's share of the card trace).
+    auto moreArrivals = [&]() {
+        return generated < config.numPackets && !src->atEnd();
+    };
 
     // The arrival the dispatch stage is placing: the FIFO head with a
     // bounded ingress, else the pending slot. Referenced in place, not
     // copied — a head that stalls is re-read on every pass.
     auto pendingPacket = [&]() -> net::Packet & {
-        return ingressCap > 0 ? ingress.front().first : pending;
+        return ingressCap > 0 ? ingress.front().pkt : pending;
     };
 
     core::RunMetrics &merged = run.merged;
@@ -339,7 +348,7 @@ runChipOnce(const core::AppFactory &factory,
         // No draw runs inside processOne, so the reference stays valid.
         const net::Packet &pkt =
             spares.emplace_back(std::move(e.queue.front()));
-        e.queue.pop_front();
+        e.queue.pop();
         --depths[pe];
         samplePressure(e);
         if (ctrlSrcs[pe]) {
@@ -429,17 +438,17 @@ runChipOnce(const core::AppFactory &factory,
     auto consumePending = [&]() {
         havePending = false;
         if (ingressCap > 0)
-            ingress.pop_front();
+            ingress.pop();
     };
 
     // One successful placement. The packet leaves the dispatch stage
-    // here, so it is moved, never copied, into the engine queue: with
-    // a bounded ingress consumePending() pops the moved-from FIFO head
+    // here, so it is swapped, never copied, into the engine queue: with
+    // a bounded ingress consumePending() pops the swapped-out FIFO head
     // in this same step. A pass that does not place the head (a
     // backpressure stall) leaves it untouched for the next re-read.
     auto place = [&](unsigned pe) {
         Engine &e = engines[pe];
-        e.queue.push_back(std::move(pendingPacket()));
+        e.queue.push(pendingPacket());
         ++depths[pe];
         if (!events.contains(pe))
             events.push(pe, e.dataTime());
@@ -493,28 +502,27 @@ runChipOnce(const core::AppFactory &factory,
             // the head of the FIFO is the dispatch stage's pending
             // packet.
             while (true) {
-                if (!haveLook && generated < config.numPackets) {
-                    draw(look);
-                    lookArrival =
-                        cyclesToQuanta(src->lastArrivalCycles());
+                if (!haveLook && moreArrivals()) {
+                    draw(look.pkt);
+                    look.at = cyclesToQuanta(src->lastArrivalCycles());
                     haveLook = true;
                 }
                 if (!haveLook)
                     break;
-                const bool due = stepPe >= 0 ? lookArrival <= stepDt
+                const bool due = stepPe >= 0 ? look.at <= stepDt
                                              : ingress.empty();
                 if (!due)
                     break;
                 if (ingress.size() < ingressCap)
-                    ingress.emplace_back(std::move(look), lookArrival);
+                    ingress.push(look);
                 else
                     ++ingressDrops;
                 haveLook = false;
             }
             havePending = !ingress.empty();
             if (havePending)
-                pendingArrival = ingress.front().second;
-        } else if (!havePending && generated < config.numPackets) {
+                pendingArrival = ingress.front().at;
+        } else if (!havePending && moreArrivals()) {
             // Pull the next arrival eagerly: its timestamp comes from
             // the source (the churn model only knows a packet's
             // arrival once it has drawn the packet), and it stays
@@ -570,7 +578,7 @@ runChipOnce(const core::AppFactory &factory,
     // Every sum below starts at zero and adds engine 0 first, so with
     // one engine each expression reduces to exactly the single-core
     // harness's formula (0 + x == x in IEEE double arithmetic).
-    merged.packetsAttempted = config.numPackets;
+    merged.packetsAttempted = generated;
     merged.packetsProcessed = completed;
     merged.fatal = sawFatal;
     merged.fatalReason = firstFatalReason;

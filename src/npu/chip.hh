@@ -66,7 +66,11 @@ struct ChipEnv
      * Arrival stream override. Null = the chip builds its own source
      * from the experiment's trace config; the line card passes each
      * chip its filtered share of the card-wide stream (packets keep
-     * their global sequence numbers and arrival times).
+     * their global sequence numbers and arrival times). The chip
+     * draws until config.numPackets or until the source reports
+     * atEnd(), whichever comes first; a share reports it once the
+     * chip has popped all of it, and packetsAttempted counts the
+     * packets drawn.
      */
     traffic::PacketSource *source = nullptr;
 

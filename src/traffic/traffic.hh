@@ -5,8 +5,9 @@
  *
  * A PacketSource produces the packet stream a harness consumes —
  * next() plus the arrival time (base cycles) of the packet it just
- * produced, which feeds the chip's offered-load gap machinery. Two
- * models implement it:
+ * produced, which feeds the chip's offered-load gap machinery. A
+ * source is a value: clone() copies it, and the copy continues the
+ * stream exactly where the original stands. Two models implement it:
  *
  *  - StaticSource: the historical static-flow TraceGenerator with
  *    fixed inter-arrival gaps. Bit-identical to driving the generator
@@ -70,6 +71,27 @@ class PacketSource
 
     /** The trace configuration in force. */
     virtual const net::TraceConfig &config() const = 0;
+
+    /**
+     * Is the stream used up? A traffic model never is: its consumer
+     * stops at its own packet count. A line-card chip's share of the
+     * card stream is once the chip has popped all of it; the share
+     * may draw ahead to tell, which is why this is not const.
+     */
+    virtual bool atEnd() { return false; }
+
+    /**
+     * A copy of this source that produces, draw for draw, the packets
+     * and arrival times this one would produce next; advancing either
+     * leaves the other where it stands.
+     */
+    virtual std::unique_ptr<PacketSource> clone() const = 0;
+
+  protected:
+    PacketSource() = default;
+    /** Copied only whole, by clone() overrides: never sliced. */
+    PacketSource(const PacketSource &) = default;
+    PacketSource &operator=(const PacketSource &) = delete;
 };
 
 /** The static-flow generator behind the PacketSource contract. */
@@ -93,6 +115,11 @@ class StaticSource final : public PacketSource
     const net::TraceConfig &config() const override
     {
         return gen_.config();
+    }
+
+    std::unique_ptr<PacketSource> clone() const override
+    {
+        return std::make_unique<StaticSource>(*this);
     }
 
   private:
@@ -177,6 +204,11 @@ class ChurnSource final : public PacketSource
     const net::TraceConfig &config() const override
     {
         return gen_.config();
+    }
+
+    std::unique_ptr<PacketSource> clone() const override
+    {
+        return std::make_unique<ChurnSource>(*this);
     }
 
     const FlowTable &flows() const { return flows_; }

@@ -128,15 +128,19 @@ namespace
  * the path measures (x86-64, libstdc++): the core loop redraws one
  * packet in place (~0.01: amortized growth of the recorder log), a
  * chip draws each packet into the storage of one it has processed
- * (~0.27: queue blocks and payloads outgrowing a reused buffer), and
- * a card does the same through its stream's reused FIFO slots
- * (~0.30). Drawing a fresh payload per packet makes ~1.2 / ~1.1; a
- * design with per-packet frame vectors, compare maps, packet copies
- * and victim copies makes 8 / 20 / 23 on these paths.
+ * and queues it in reused ring slots (0.09 here; 0.03-0.09 from 200
+ * to 1500 packets), and a card does the same through its stream's
+ * FIFO rings (-0.06 here; -0.06-0.10 from 200 to 1500 packets, the
+ * fixed costs of a run not scaling exactly with it). The chip and
+ * card budgets leave 0.1 above the largest of those. Engine queues
+ * as std::deque blocks and payloads regrown by each longer draw made
+ * 0.27 / 0.30; a fresh payload per packet makes ~1.2 / ~1.1; a design
+ * with per-packet frame vectors, compare maps, packet copies and
+ * victim copies makes 8 / 20 / 23 on these paths.
  */
 constexpr double kCoreBudget = 1.0;
-constexpr double kChipBudget = 0.5;
-constexpr double kCardBudget = 0.5;
+constexpr double kChipBudget = 0.2;
+constexpr double kCardBudget = 0.2;
 
 /** Heap allocations made while running @p body. */
 template <typename Body>

@@ -7,7 +7,8 @@
  * stat coherence, config validation, the DRAM fabric's
  * (bound, chip) fiber scheduler on hand-written chip bodies, and the
  * card stream: its split against a private replay, its FIFO bound
- * with the DRAM model off, and a card whose chips die mid-run.
+ * with the DRAM model off, a card whose chips die mid-run, and chips
+ * whose shares are empty.
  */
 
 #include <gtest/gtest.h>
@@ -62,6 +63,36 @@ reprOf(const CardExperimentResult &res)
            sweep::cardMetricsJson(res.golden.card) +
            sweep::cardMetricsJson(res.faultyCard) +
            sweep::formatDouble(res.fatalFraction);
+}
+
+/** One packet of a chip's share: (sequence, arrival, IPv4 source). */
+using Arrival = std::tuple<std::uint64_t, std::int64_t, std::uint32_t>;
+
+/**
+ * Every chip's share of a @p packets-packet card trace, from one
+ * private replay of the trace through the card dispatcher: the
+ * reference the card stream must reproduce.
+ */
+std::vector<std::vector<Arrival>>
+replayShares(const net::TraceConfig &trace, std::int64_t gap,
+             npu::DispatchPolicy policy, unsigned chips,
+             std::uint64_t packets)
+{
+    std::vector<std::vector<Arrival>> shares(chips);
+    const std::unique_ptr<traffic::PacketSource> src =
+        traffic::makeSource(trace, gap);
+    npu::Dispatcher disp(policy, chips);
+    std::vector<unsigned> depths(chips, 0);
+    const std::vector<char> alive(chips, 1);
+    for (std::uint64_t s = 0; s < packets; ++s) {
+        const net::Packet pkt = src->next();
+        const auto c =
+            static_cast<unsigned>(disp.choose(pkt, depths, alive));
+        ++depths[c];
+        shares[c].emplace_back(pkt.seq, src->lastArrivalCycles(),
+                               pkt.ip.src);
+    }
+    return shares;
 }
 
 } // namespace
@@ -183,13 +214,17 @@ TEST(LineCard, OneChipCardMatchesChipStreamBitForBit)
 
 // --- split invariants -------------------------------------------------
 
+/**
+ * The packets a card's chips attempt partition the card trace: they
+ * sum to its packet count, and the count-based policies split it to
+ * within one packet.
+ */
 TEST(LineCard, AssignCountsPartitionTheTrace)
 {
-    const core::ExperimentConfig cfg = smallConfig();
+    core::ExperimentConfig cfg = smallConfig();
+    cfg.numPackets = 1003;
+    const std::uint64_t packets = cfg.numPackets;
     const core::AppFactory factory = apps::appFactory("route");
-    const net::TraceConfig trace =
-        core::resolveTraceConfig(cfg, *factory());
-    const std::uint64_t packets = 1003;
 
     for (const npu::DispatchPolicy policy :
          {npu::DispatchPolicy::RoundRobin, npu::DispatchPolicy::FlowHash,
@@ -197,12 +232,13 @@ TEST(LineCard, AssignCountsPartitionTheTrace)
         CardConfig card;
         card.chips = 4;
         card.dispatch = policy;
-        const std::vector<std::uint64_t> counts =
-            cardAssignCounts(trace, 0, card, packets);
-        ASSERT_EQ(counts.size(), card.chips);
+        const CardRunResult run =
+            runCard(factory, cfg, npu::NpuConfig{}, card);
+        ASSERT_EQ(run.chips.size(), card.chips);
         std::uint64_t total = 0;
         std::uint64_t lo = packets, hi = 0;
-        for (const std::uint64_t n : counts) {
+        for (const npu::ChipStreamResult &chip : run.chips) {
+            const std::uint64_t n = chip.merged.packetsAttempted;
             total += n;
             lo = n < lo ? n : lo;
             hi = n > hi ? n : hi;
@@ -497,38 +533,19 @@ TEST(CardStream, SharesMatchAPrivateReplay)
         CardConfig card;
         card.chips = chips;
         card.dispatch = policy;
-        const std::vector<std::uint64_t> counts =
-            cardAssignCounts(trace, gap, card, packets);
-
-        // The reference: every chip's packets from one private replay.
-        using Arrival = std::tuple<std::uint64_t, std::int64_t, std::uint32_t>;
-        std::vector<std::vector<Arrival>> want(chips);
-        {
-            const std::unique_ptr<traffic::PacketSource> src =
-                traffic::makeSource(trace, gap);
-            npu::Dispatcher disp(policy, chips);
-            std::vector<unsigned> depths(chips, 0);
-            const std::vector<char> alive(chips, 1);
-            for (std::uint64_t s = 0; s < packets; ++s) {
-                const net::Packet pkt = src->next();
-                const auto c = static_cast<unsigned>(
-                    disp.choose(pkt, depths, alive));
-                ++depths[c];
-                want[c].emplace_back(pkt.seq, src->lastArrivalCycles(),
-                                     pkt.ip.src);
-            }
-        }
+        const std::vector<std::vector<Arrival>> want =
+            replayShares(trace, gap, policy, chips, packets);
 
         dram::DramConfig dramOn;
         dramOn.banks = 2;
         DramFabric fabric(dramOn, chips, flatOf(dramOn));
-        CardStream stream(trace, gap, policy, chips, fabric);
+        CardStream stream(trace, gap, packets, policy, chips, fabric);
         std::vector<std::vector<Arrival>> got(chips);
         fabric.run([&](unsigned c) {
             traffic::PacketSource &share = stream.chip(c);
             net::Packet pkt;
             Quanta t = 0;
-            for (std::uint64_t n = 0; n < counts[c]; ++n) {
+            for (std::uint64_t n = 0; !share.atEnd(); ++n) {
                 share.nextInto(pkt);
                 got[c].emplace_back(pkt.seq, share.lastArrivalCycles(),
                                     pkt.ip.src);
@@ -541,6 +558,8 @@ TEST(CardStream, SharesMatchAPrivateReplay)
         });
         EXPECT_EQ(got, want) << npu::to_string(policy);
         EXPECT_FALSE(stream.pending());
+        for (unsigned c = 0; c < chips; ++c)
+            EXPECT_TRUE(stream.chip(c).atEnd()) << c;
         // Chip 0's clock runs four times as fast per packet as chip
         // 3's, so it falls behind in the trace: its FIFO grows past
         // the bound while it is parked on DRAM (the ring grows), and
@@ -574,8 +593,8 @@ TEST(CardStream, NoFifoExceedsTheBoundWithoutDram)
  * A faulty trial in which chips die mid-run (the corpus case
  * card_faulty_deaths_large_route pins its bytes): a dead chip keeps
  * popping its share, as dead-engine drops, so every chip attempts
- * exactly its counted share and the stream ends drained (runCard
- * asserts that).
+ * exactly the share a private replay gives it and the stream ends
+ * drained (runCard asserts that).
  */
 TEST(CardStream, FaultyCardWithDeathsCompletes)
 {
@@ -594,16 +613,60 @@ TEST(CardStream, FaultyCardWithDeathsCompletes)
     const core::AppFactory factory = apps::appFactory("route");
     const CardRunResult run = runCard(factory, cfg, npuCfg, card, false, 0);
 
-    const std::vector<std::uint64_t> counts = cardAssignCounts(
+    const std::vector<std::vector<Arrival>> shares = replayShares(
         core::resolveTraceConfig(cfg, *factory()), npuCfg.arrivalGapCycles,
-        card, cfg.numPackets);
+        card.dispatch, card.chips, cfg.numPackets);
     unsigned dead = 0;
     for (unsigned c = 0; c < card.chips; ++c) {
         const core::RunMetrics &m = run.chips[c].merged;
-        EXPECT_EQ(m.packetsAttempted, counts[c]) << c;
+        EXPECT_EQ(m.packetsAttempted, shares[c].size()) << c;
         dead += m.fatal ? 1 : 0;
     }
     EXPECT_GE(dead, 1u);
     EXPECT_LT(dead, card.chips);
     EXPECT_GT(run.streamPeakDepth, 0u);
+}
+
+/**
+ * A card with more chips than packets: the chips whose shares are
+ * empty end at once, both on the bare stream and in a card run, and
+ * the stream ends drained.
+ */
+TEST(CardStream, EmptySharesEndCleanly)
+{
+    const core::ExperimentConfig cfg = smallConfig();
+    const core::AppFactory factory = apps::appFactory("route");
+    const net::TraceConfig trace =
+        core::resolveTraceConfig(cfg, *factory());
+    const unsigned chips = 5;
+    const std::uint64_t packets = 3;
+
+    dram::DramConfig dramOff;
+    dramOff.banks = 0;
+    DramFabric fabric(dramOff, chips, flatOf(dramOff));
+    CardStream stream(trace, 0, packets, npu::DispatchPolicy::RoundRobin,
+                      chips, fabric);
+    std::vector<std::uint64_t> popped(chips, 0);
+    fabric.run([&](unsigned c) {
+        net::Packet pkt;
+        while (!stream.chip(c).atEnd()) {
+            stream.chip(c).nextInto(pkt);
+            ++popped[c];
+        }
+    });
+    EXPECT_EQ(popped, (std::vector<std::uint64_t>{1, 1, 1, 0, 0}));
+    EXPECT_FALSE(stream.pending());
+
+    core::ExperimentConfig tiny = cfg;
+    tiny.numPackets = packets;
+    CardConfig card;
+    card.chips = chips;
+    const CardRunResult run =
+        runCard(factory, tiny, npu::NpuConfig{}, card, false, 0);
+    for (unsigned c = 0; c < chips; ++c) {
+        const core::RunMetrics &m = run.chips[c].merged;
+        EXPECT_EQ(m.packetsAttempted, c < packets ? 1u : 0u) << c;
+        EXPECT_EQ(m.packetsProcessed, m.packetsAttempted) << c;
+    }
+    EXPECT_EQ(run.card.packetsProcessed, static_cast<double>(packets));
 }

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "apps/app.hh"
@@ -111,6 +113,70 @@ TEST(PacketSource, InPlaceDrawsMatchByValueStream)
                           byValue->lastArrivalCycles());
             }
         }
+    }
+}
+
+/**
+ * A clone taken mid-stream continues it: static (random and HTTP
+ * payloads) and churn (short lifetimes, a warm-up ramp, short bursts
+ * with long OFF gaps) sources. The original draws its next N packets
+ * first, then the clone must draw the same N with the same arrival
+ * times; and advancing a second clone leaves the original's next
+ * packet where it was.
+ */
+TEST(PacketSource, CloneContinuesTheStream)
+{
+    struct Drawn
+    {
+        net::Packet pkt;
+        std::int64_t arrival;
+    };
+    auto drawN = [](traffic::PacketSource &src, int n) {
+        std::vector<Drawn> out;
+        for (int i = 0; i < n; ++i) {
+            net::Packet pkt = src.next();
+            out.push_back({std::move(pkt), src.lastArrivalCycles()});
+        }
+        return out;
+    };
+    auto expectSame = [](const std::vector<Drawn> &a,
+                         const std::vector<Drawn> &b, const char *what) {
+        ASSERT_EQ(a.size(), b.size()) << what;
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a[i].pkt.seq, b[i].pkt.seq) << what << " #" << i;
+            ASSERT_EQ(a[i].pkt.ip.toBytes(), b[i].pkt.ip.toBytes())
+                << what << " #" << i;
+            ASSERT_EQ(a[i].pkt.srcPort, b[i].pkt.srcPort) << what;
+            ASSERT_EQ(a[i].pkt.dstPort, b[i].pkt.dstPort) << what;
+            ASSERT_EQ(a[i].pkt.payload, b[i].pkt.payload) << what;
+            ASSERT_EQ(a[i].arrival, b[i].arrival) << what << " #" << i;
+        }
+    };
+
+    net::TraceConfig http;
+    http.httpPayloads = true;
+    net::TraceConfig churn = churnyConfig(32, 24.0);
+    churn.churn.rampPackets = 600;
+    churn.churn.rampStartFactor = 5.0;
+    churn.churn.minBurst = 2;
+    churn.churn.offGapFactor = 9.0;
+    const std::vector<std::pair<const char *, net::TraceConfig>> cases = {
+        {"static", net::TraceConfig{}}, {"static http", http},
+        {"churn", churn}};
+    for (const auto &[what, tc] : cases) {
+        const std::unique_ptr<traffic::PacketSource> src =
+            traffic::makeSource(tc, 7);
+        drawN(*src, 137);
+        const std::unique_ptr<traffic::PacketSource> copy = src->clone();
+        EXPECT_EQ(copy->lastArrivalCycles(), src->lastArrivalCycles())
+            << what;
+        const std::vector<Drawn> want = drawN(*src, 1000);
+        expectSame(drawN(*copy, 1000), want, what);
+
+        const std::unique_ptr<traffic::PacketSource> ahead = src->clone();
+        const std::unique_ptr<traffic::PacketSource> still = src->clone();
+        drawN(*ahead, 50);
+        expectSame(drawN(*src, 1), drawN(*still, 1), what);
     }
 }
 
