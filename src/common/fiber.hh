@@ -23,7 +23,11 @@
  * The stack is mmap()ed with a PROT_NONE guard page below it and is
  * never pre-touched: a fiber costs memory only for the pages its body
  * reaches, and an overflow faults at the guard instead of corrupting
- * whatever lies below. ASan and TSan are told about every switch.
+ * whatever lies below. A destroyed fiber hands its mapping, guard
+ * page still PROT_NONE, to a per-thread free list, and the next fiber
+ * made on that thread takes it from there, so a line card that runs
+ * again makes no mmap, mprotect or munmap call. ASan and TSan are told
+ * about every switch.
  */
 
 #ifndef CLUMSY_COMMON_FIBER_HH
@@ -34,6 +38,7 @@
 #endif
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 
 namespace clumsy
@@ -69,6 +74,12 @@ class Fiber
     /** Has the body returned? */
     bool finished() const { return finished_; }
 
+    /**
+     * Stack mappings made on the calling thread so far; a fiber that
+     * reuses a released stack makes none.
+     */
+    static std::uint64_t stacksMapped();
+
   private:
     /**
      * First code on the fiber's stack: runs the body, then switches
@@ -86,8 +97,7 @@ class Fiber
     std::function<void()> body_;
     bool finished_ = false;
 
-    void *map_ = nullptr;       ///< guard page + stack
-    std::size_t mapBytes_ = 0;
+    void *map_ = nullptr; ///< guard page + stack
 #if defined(__x86_64__)
     void *sp_ = nullptr;       ///< the fiber's stack pointer, switched out
     void *callerSp_ = nullptr; ///< the resumer's, while the fiber runs

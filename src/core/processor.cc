@@ -114,6 +114,16 @@ ClumsyProcessor::peek32(SimAddr addr) const
     return hierarchy_.peekWord(addr);
 }
 
+std::uint32_t
+ClumsyProcessor::hostRead32(SimAddr addr)
+{
+    if (addr % 4 != 0 || !store_.contains(addr, 4)) [[unlikely]] {
+        raiseFatal("wild pointer in a host walk");
+        return 0;
+    }
+    return hierarchy_.peekWord(addr);
+}
+
 std::uint8_t
 ClumsyProcessor::peek8(SimAddr addr) const
 {

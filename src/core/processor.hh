@@ -129,6 +129,15 @@ class ClumsyProcessor
     /** Untimed byte variant of peek32(). */
     std::uint8_t peek8(SimAddr addr) const;
 
+    /**
+     * peek32() for a host-side walk that follows pointers read out of
+     * simulated memory (an app's boot builder or audit). A faulty run
+     * can hand such a walk a misaligned or out-of-range address; that
+     * raises the run's wild-pointer fatal and reads 0, as the paper
+     * counts a wild pointer, instead of stopping the host.
+     */
+    std::uint32_t hostRead32(SimAddr addr);
+
     // --- fatal-error state ------------------------------------------
 
     /** @return true once a fatal error has been raised. */

@@ -6,51 +6,31 @@
 namespace clumsy::ctrl
 {
 
+/** Names in enum order. */
+constexpr const char *kKindNames[] = {"fib-insert", "fib-withdraw",
+                                      "nat-add", "nat-remove",
+                                      "session-flush"};
+constexpr const char *kMixNames[] = {"fib", "nat", "session", "all"};
+
 std::string
 to_string(CtrlEventKind kind)
 {
-    switch (kind) {
-    case CtrlEventKind::FibInsert:
-        return "fib-insert";
-    case CtrlEventKind::FibWithdraw:
-        return "fib-withdraw";
-    case CtrlEventKind::NatAdd:
-        return "nat-add";
-    case CtrlEventKind::NatRemove:
-        return "nat-remove";
-    case CtrlEventKind::SessionFlush:
-        return "session-flush";
-    }
-    return "?";
+    return kKindNames[static_cast<std::size_t>(kind)];
 }
 
 std::string
 to_string(CtrlMix mix)
 {
-    switch (mix) {
-    case CtrlMix::Fib:
-        return "fib";
-    case CtrlMix::Nat:
-        return "nat";
-    case CtrlMix::Session:
-        return "session";
-    case CtrlMix::All:
-        return "all";
-    }
-    return "?";
+    return kMixNames[static_cast<std::size_t>(mix)];
 }
 
 CtrlMix
 mixFromString(const std::string &name)
 {
-    if (name == "fib")
-        return CtrlMix::Fib;
-    if (name == "nat")
-        return CtrlMix::Nat;
-    if (name == "session")
-        return CtrlMix::Session;
-    if (name == "all")
-        return CtrlMix::All;
+    for (std::size_t i = 0; i < std::size(kMixNames); ++i) {
+        if (name == kMixNames[i])
+            return static_cast<CtrlMix>(i);
+    }
     fatal("unknown ctrl mix '%s' (valid choices: fib, nat, session, "
           "all)",
           name.c_str());
@@ -62,14 +42,17 @@ namespace
 /**
  * The streaming generator: geometric inter-event gaps at `rate`
  * events per 1000 packets, kinds drawn from the mix, keys drawn with
- * the trace generator's own flow recipe from a decorrelated RNG.
+ * the trace generator's own flow recipe from a decorrelated RNG. The
+ * recipe is immutable and shared, so a clone copies only the RNG and
+ * the cursor.
  */
 class ChurnCtrlSource final : public CtrlSource
 {
   public:
     ChurnCtrlSource(const CtrlConfig &config,
                     const net::TraceConfig &trace)
-        : config_(config), gen_(trace),
+        : config_(config),
+          recipe_(std::make_shared<const net::FlowRecipe>(trace)),
           rng_(trace.seed ^ kCtrlSeedSalt)
     {
         step();
@@ -78,6 +61,11 @@ class ChurnCtrlSource final : public CtrlSource
     const CtrlEvent *peek() override { return &event_; }
 
     void advance() override { step(); }
+
+    std::unique_ptr<CtrlSource> clone() const override
+    {
+        return std::make_unique<ChurnCtrlSource>(*this);
+    }
 
   private:
     void step()
@@ -97,7 +85,7 @@ class ChurnCtrlSource final : public CtrlSource
     {
         CtrlEvent ev;
         ev.kind = drawKind();
-        const net::FlowTuple flow = gen_.drawFlow(rng_);
+        const net::FlowTuple flow = recipe_->draw(rng_);
         switch (ev.kind) {
         case CtrlEventKind::FibInsert:
         case CtrlEventKind::FibWithdraw: {
@@ -154,7 +142,7 @@ class ChurnCtrlSource final : public CtrlSource
     }
 
     CtrlConfig config_;
-    net::TraceGenerator gen_; ///< key recipe only; never stepped
+    std::shared_ptr<const net::FlowRecipe> recipe_;
     Rng rng_;
     CtrlEvent event_;
     std::uint64_t pos_ = 0;

@@ -20,9 +20,9 @@
  *  - Event keys are drawn with TraceGenerator::drawFlow()'s recipe,
  *    so updates target addresses the live traffic actually uses.
  *  - CtrlSource is a streaming contract parallel to
- *    traffic::PacketSource: O(1) memory, and every consumer (golden,
- *    each faulty trial, each chip engine) constructs its own source
- *    from the same config and replays the identical schedule.
+ *    traffic::PacketSource: O(1) memory, and every run (golden, each
+ *    faulty trial) builds one source whose clones, one per chip
+ *    engine, share its immutable key recipe and replay its schedule.
  */
 
 #ifndef CLUMSY_CTRL_CTRL_HH
@@ -120,6 +120,12 @@ class CtrlSource
 
     /** Consume the event peek() exposed. */
     virtual void advance() = 0;
+
+    /**
+     * An independent source at this one's position: it yields the same
+     * remaining events, and advancing either leaves the other alone.
+     */
+    virtual std::unique_ptr<CtrlSource> clone() const = 0;
 };
 
 /**

@@ -27,19 +27,17 @@
  * is deterministic given a deterministic update schedule.
  *
  * The steady state allocates nothing: quiesce() rotates the two epoch
- * lists by swapping them (both keep their capacity), the free lists
- * only grow to their high-water mark, and the reclaimed-address set
- * is a flat F14Table rather than a node-per-entry hash set.
+ * lists by swapping them (both keep their capacity), and the free
+ * lists, one per block size in a vector indexed by the size (blocks
+ * are at most 64 bytes), only grow to their high-water mark.
  */
 
 #ifndef CLUMSY_CTRL_RCU_HH
 #define CLUMSY_CTRL_RCU_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
-#include "common/f14_table.hh"
 #include "common/types.hh"
 
 namespace clumsy::ctrl
@@ -73,11 +71,9 @@ class RcuDomain
      * @return true when @p addr currently sits on a free list — a
      * reader dereferencing such an address has violated the grace
      * period (the invariant the epoch tests assert never happens).
+     * A scan of every free list: for tests, not the packet path.
      */
-    bool isReclaimed(SimAddr addr) const
-    {
-        return freeSet_.contains(addr);
-    }
+    bool isReclaimed(SimAddr addr) const;
 
     /** Blocks retired so far (lifetime counter). */
     std::uint64_t retired() const { return retired_; }
@@ -106,8 +102,8 @@ class RcuDomain
 
     std::vector<Block> retiredCurr_; ///< retired this epoch
     std::vector<Block> retiredPrev_; ///< retired last epoch
-    std::map<SimSize, std::vector<SimAddr>> free_; ///< LIFO per size
-    F14Table<SimAddr, bool> freeSet_; ///< every address on a free list
+    /** LIFO free list per block size, indexed by the size in bytes. */
+    std::vector<std::vector<SimAddr>> free_;
     std::uint64_t epoch_ = 0;
     std::uint64_t retired_ = 0;
     std::uint64_t reclaimed_ = 0;

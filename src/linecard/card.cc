@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/pool.hh"
+#include "ctrl/ctrl.hh"
 #include "linecard/fabric.hh"
 #include "linecard/stream.hh"
 
@@ -60,6 +61,10 @@ runCard(const core::AppFactory &factory,
                       cyclesToQuanta(card.dram.rowHitCycles));
     CardStream stream(trace, npuBase.arrivalGapCycles, base.numPackets,
                       card.dispatch, card.chips, fabric);
+    // One control-plane stream per run; every engine of every chip
+    // drains a clone of it.
+    const std::unique_ptr<ctrl::CtrlSource> ctrlSrc =
+        ctrl::makeCtrlSource(base.ctrl, trace);
     CardRunResult result;
     result.chips.resize(card.chips);
     fabric.run([&](unsigned c) {
@@ -70,6 +75,7 @@ runCard(const core::AppFactory &factory,
         ChipDramPort port(fabric, c);
         npu::ChipEnv env;
         env.source = &stream.chip(c);
+        env.ctrl = ctrlSrc.get();
         env.engineSaltBase = c * npuBase.peCount;
         if (dramOn) {
             env.dram = &port;

@@ -25,8 +25,10 @@ Cache::Cache(std::string name, CacheGeometry geom, CheckCodec codec)
     disabled_.assign(lines, 0);
     tags_.assign(lines, 0);
     lru_.assign(lines, 0);
-    data_.assign(lines * geom_.lineBytes, 0);
-    check_.assign(lines * wordsPerLine_, 0);
+    data_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+        lines * geom_.lineBytes);
+    check_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+        lines * wordsPerLine_);
     victim_.assign(geom_.lineBytes, 0);
     hits_ = stats_.slot("hits");
     misses_ = stats_.slot("misses");

@@ -24,6 +24,13 @@
  * back the line's flat index, and every data or state accessor takes
  * that index. An index names its line until the next fill() or
  * invalidate() of the array; after either, probe again.
+ *
+ * The data and check-bit arrays are allocated without being filled:
+ * no byte of them is read before it is written. fill() writes a whole
+ * line and all its check bits, and every accessor that reads a line's
+ * bytes or check bits first checks that the line is valid, which only
+ * fill() makes it. Leaving them unfilled spares a construction-time
+ * memset of every array (an L2 is ~160 KB) on each processor.
  */
 
 #ifndef CLUMSY_MEM_CACHE_HH
@@ -31,6 +38,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -342,8 +350,8 @@ class Cache
     std::vector<std::uint8_t> dirty_;
     std::vector<std::uint32_t> tags_;
     std::vector<std::uint64_t> lru_;
-    std::vector<std::uint8_t> data_;  ///< lines * lineBytes blob
-    std::vector<std::uint8_t> check_; ///< lines * wordsPerLine blob
+    std::unique_ptr<std::uint8_t[]> data_;  ///< lines * lineBytes blob
+    std::unique_ptr<std::uint8_t[]> check_; ///< lines * wordsPerLine blob
     std::vector<std::uint8_t> victim_; ///< last dirty victim (Evicted)
 
     // Retired frames (way-disable recovery). disabledFrames_ == 0 on

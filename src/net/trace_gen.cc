@@ -95,8 +95,7 @@ TraceGenerator::makeUrlPool(const TraceConfig &config)
 TraceGenerator::TraceGenerator(TraceConfig config)
     : config_(validated(config)),
       rng_(config.seed),
-      destPool_(makeDestPool(config_)),
-      destZipf_(destPool_.size(), config_.destZipf),
+      recipe_(config_),
       flowZipf_(config_.numFlows, config_.flowZipf),
       urlZipf_(config_.httpPayloads ? config_.numUrls : 0, 1.0)
 {
@@ -108,15 +107,21 @@ TraceGenerator::TraceGenerator(TraceConfig config)
         urlPool_ = makeUrlPool(config_);
 }
 
+FlowRecipe::FlowRecipe(const TraceConfig &config)
+    : destinations(TraceGenerator::makeDestPool(config)),
+      popularity(destinations.size(), config.destZipf)
+{
+}
+
 FlowTuple
-TraceGenerator::drawFlow(Rng &rng) const
+FlowRecipe::draw(Rng &rng) const
 {
     FlowTuple f;
     // Private 10/8 sources (what NAT translates).
     f.src = 0x0a000000u |
             (static_cast<std::uint32_t>(rng.next()) & 0x00ffffffu);
-    const auto destIdx = destZipf_.sample(rng);
-    f.dst = destPool_[destIdx - 1];
+    const auto destIdx = popularity.sample(rng);
+    f.dst = destinations[destIdx - 1];
     f.srcPort = static_cast<std::uint16_t>(1024 + rng.below(60000));
     f.dstPort = rng.bernoulli(0.6)
                     ? 80

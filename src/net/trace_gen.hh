@@ -112,6 +112,26 @@ struct TraceConfig
     void validate() const;
 };
 
+/**
+ * The flow recipe: the destination pool and its Zipf popularity,
+ * which is all drawFlow() reads. Built from a config alone (poolSeed,
+ * numDestinations, destZipf), so a consumer that only draws flows
+ * (the control-plane stream) holds one without a whole generator.
+ */
+struct FlowRecipe
+{
+    explicit FlowRecipe(const TraceConfig &config);
+
+    /**
+     * Draw a fresh flow from @p rng: private 10/8 source, Zipf
+     * destination from the pool, stable ports, TCP-biased protocol.
+     */
+    FlowTuple draw(Rng &rng) const;
+
+    std::vector<std::uint32_t> destinations; ///< index -> IPv4 address
+    ZipfTable popularity;                   ///< over destinations
+};
+
 /** Streaming generator of a deterministic packet sequence. */
 class TraceGenerator
 {
@@ -152,16 +172,15 @@ class TraceGenerator
 
     /**
      * Draw a fresh flow from @p rng with the constructor's recipe
-     * (private 10/8 source, Zipf destination from the pool, stable
-     * ports, TCP-biased protocol). The churn model feeds this its own
-     * RNG so flow births never perturb the packet-body stream.
+     * (FlowRecipe::draw). The churn model feeds this its own RNG so
+     * flow births never perturb the packet-body stream.
      */
-    FlowTuple drawFlow(Rng &rng) const;
+    FlowTuple drawFlow(Rng &rng) const { return recipe_.draw(rng); }
 
     /** The destination-address pool (index -> IPv4 address). */
     const std::vector<std::uint32_t> &destinations() const
     {
-        return destPool_;
+        return recipe_.destinations;
     }
 
     /** The URL path pool used for HTTP payloads. */
@@ -190,11 +209,10 @@ class TraceGenerator
   private:
     TraceConfig config_;
     Rng rng_;
-    std::vector<std::uint32_t> destPool_;
+    FlowRecipe recipe_;
     std::vector<FlowTuple> flows_;
     std::vector<std::string> urlPool_;
     std::uint64_t seq_ = 0;
-    ZipfTable destZipf_; ///< over destPool_
     ZipfTable flowZipf_; ///< over flows_
     ZipfTable urlZipf_;  ///< over urlPool_ (empty without HTTP)
 };

@@ -220,17 +220,26 @@ runChipOnce(const core::AppFactory &factory,
     traffic::PacketSource *const src =
         env.source != nullptr ? env.source : ownedSrc.get();
 
-    // Control-plane churn (ctrl= nonzero): every engine owns a full
-    // copy of the update stream — its tables are private, so it must
-    // see every update — drained against the trace sequence numbers it
-    // processes. Which events an engine has applied when it starts a
-    // packet therefore depends only on the dispatcher's (deterministic)
-    // packet placement, never on chip-jobs or wall-clock interleaving,
-    // and a one-engine chip drains the stream exactly as the
-    // single-core harness does (seq == loop index there).
+    // Control-plane churn (ctrl= nonzero): every engine drains its own
+    // clone of the run's one unstarted update stream — its tables are
+    // private, so it must see every update; the clones share the
+    // stream's immutable key recipe — against the trace sequence
+    // numbers it processes. Which events an engine has applied when it
+    // starts a packet therefore depends only on the dispatcher's
+    // (deterministic) packet placement, never on chip-jobs or
+    // wall-clock interleaving, and a one-engine chip drains the stream
+    // exactly as the single-core harness does (seq == loop index
+    // there).
+    std::unique_ptr<ctrl::CtrlSource> ownedCtrl;
+    if (env.ctrl == nullptr)
+        ownedCtrl = ctrl::makeCtrlSource(config.ctrl, chipTrace);
+    const ctrl::CtrlSource *const ctrlProto =
+        env.ctrl != nullptr ? env.ctrl : ownedCtrl.get();
     std::vector<std::unique_ptr<ctrl::CtrlSource>> ctrlSrcs(npu.peCount);
-    for (unsigned pe = 0; pe < npu.peCount; ++pe)
-        ctrlSrcs[pe] = ctrl::makeCtrlSource(config.ctrl, chipTrace);
+    if (ctrlProto != nullptr) {
+        for (unsigned pe = 0; pe < npu.peCount; ++pe)
+            ctrlSrcs[pe] = ctrlProto->clone();
+    }
 
     Dispatcher disp(npu.dispatch, npu.peCount, npu.flowRehash);
     std::vector<Histogram> occ(

@@ -41,6 +41,11 @@
 #include "core/experiment.hh"
 #include "npu/config.hh"
 
+namespace clumsy::ctrl
+{
+class CtrlSource;
+}
+
 namespace clumsy::dram
 {
 class DramGateway;
@@ -73,6 +78,14 @@ struct ChipEnv
      * packets drawn.
      */
     traffic::PacketSource *source = nullptr;
+
+    /**
+     * The run's unstarted control-plane stream, which every engine
+     * drains a clone of. Null = the chip makes one from the config
+     * (none at ctrl rate 0); a line card makes one per run and hands
+     * it to every chip.
+     */
+    const ctrl::CtrlSource *ctrl = nullptr;
 
     /** Modeled DRAM behind the shared L2 port (null = flat penalty). */
     dram::DramGateway *dram = nullptr;

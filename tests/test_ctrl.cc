@@ -58,6 +58,22 @@ drain(ctrl::CtrlSource &src, std::size_t n)
     return out;
 }
 
+/** Two event runs are equal field for field. */
+void
+expectSameEvents(const std::vector<CtrlEvent> &a,
+                 const std::vector<CtrlEvent> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].beforePacket, b[i].beforePacket) << i;
+        EXPECT_EQ(a[i].kind, b[i].kind) << i;
+        EXPECT_EQ(a[i].key, b[i].key) << i;
+        EXPECT_EQ(a[i].prefixLen, b[i].prefixLen) << i;
+        EXPECT_EQ(a[i].value, b[i].value) << i;
+        EXPECT_EQ(a[i].seq, b[i].seq) << i;
+    }
+}
+
 } // namespace
 
 // ---- the stream ----------------------------------------------------
@@ -86,6 +102,35 @@ TEST(CtrlSource, ScheduleIsDeterministic)
         EXPECT_EQ(ea[i].value, eb[i].value);
         EXPECT_EQ(ea[i].seq, i);
     }
+}
+
+TEST(CtrlSource, CloneContinuesTheSchedule)
+{
+    CtrlConfig cfg;
+    cfg.rate = 100;
+    const auto reference = drain(*ctrl::makeCtrlSource(cfg, traceConfig()),
+                                 300);
+    ASSERT_EQ(reference.size(), 300u);
+    const std::vector<CtrlEvent> tail(reference.begin() + 100,
+                                      reference.end());
+
+    // A clone taken at event 100 yields the original's remaining
+    // events; draining the original first leaves the clone where it
+    // was taken.
+    const auto src = ctrl::makeCtrlSource(cfg, traceConfig());
+    drain(*src, 100);
+    const auto copy = src->clone();
+    expectSameEvents(drain(*src, 200), tail);
+    expectSameEvents(drain(*copy, 200), tail);
+
+    // The other way round: a clone of an unstarted source runs ahead,
+    // and the original still starts at event 0.
+    const auto fresh = ctrl::makeCtrlSource(cfg, traceConfig());
+    const auto ahead = fresh->clone();
+    expectSameEvents(drain(*ahead, 100),
+                     std::vector<CtrlEvent>(reference.begin(),
+                                            reference.begin() + 100));
+    expectSameEvents(drain(*fresh, 300), reference);
 }
 
 TEST(CtrlSource, SchedulePositionsAreMonotone)
@@ -189,7 +234,12 @@ TEST(CtrlSource, MixNamesRoundTrip)
     EXPECT_EQ(ctrl::mixFromString("session"), CtrlMix::Session);
     EXPECT_EQ(ctrl::mixFromString("all"), CtrlMix::All);
     EXPECT_EQ(ctrl::to_string(CtrlMix::Fib), "fib");
+    EXPECT_EQ(ctrl::to_string(CtrlMix::Session), "session");
     EXPECT_EQ(ctrl::to_string(CtrlMix::All), "all");
+    EXPECT_EQ(ctrl::to_string(CtrlEventKind::FibInsert), "fib-insert");
+    EXPECT_EQ(ctrl::to_string(CtrlEventKind::NatRemove), "nat-remove");
+    EXPECT_EQ(ctrl::to_string(CtrlEventKind::SessionFlush),
+              "session-flush");
     EXPECT_DEATH(ctrl::mixFromString("bogus"), "valid choices");
 }
 
@@ -231,6 +281,49 @@ TEST(RcuDomain, TakeFreeMatchesSizeClassLifo)
     EXPECT_EQ(rcu.takeFree(16), 0u);
     EXPECT_EQ(rcu.takeFree(32), 0x3000u);
     EXPECT_EQ(rcu.reused(), 3u);
+}
+
+TEST(RcuDomain, LifoPerSizeAcrossInterleavedSizes)
+{
+    // Sizes interleave in retire order, and two sizes are first seen
+    // after others (128 above every earlier one, 48 between them):
+    // each size keeps its own LIFO order, and a block counts as
+    // reclaimed exactly while it sits on a free list.
+    RcuDomain rcu;
+    rcu.retire(0x100, 16);
+    rcu.retire(0x200, 64);
+    rcu.retire(0x300, 16);
+    rcu.retire(0x400, 64);
+    rcu.quiesce();
+    rcu.retire(0x500, 128);
+    rcu.retire(0x600, 16);
+    rcu.retire(0x800, 48);
+    rcu.quiesce();
+    // The second epoch's blocks are still in their grace period.
+    EXPECT_TRUE(rcu.isReclaimed(0x300));
+    EXPECT_FALSE(rcu.isReclaimed(0x500));
+    EXPECT_EQ(rcu.takeFree(128), 0u);
+    EXPECT_EQ(rcu.takeFree(48), 0u);
+    rcu.quiesce();
+    EXPECT_TRUE(rcu.isReclaimed(0x500));
+    EXPECT_TRUE(rcu.isReclaimed(0x800));
+    EXPECT_FALSE(rcu.isReclaimed(0x700)); // never retired
+    EXPECT_EQ(rcu.takeFree(64), 0x400u);
+    EXPECT_EQ(rcu.takeFree(16), 0x600u);
+    EXPECT_EQ(rcu.takeFree(128), 0x500u);
+    EXPECT_FALSE(rcu.isReclaimed(0x500));
+    EXPECT_EQ(rcu.takeFree(48), 0x800u);
+    EXPECT_EQ(rcu.takeFree(16), 0x300u);
+    // A block retired again goes back on top of its size's list.
+    rcu.retire(0x300, 16);
+    rcu.quiesce();
+    rcu.quiesce();
+    EXPECT_EQ(rcu.takeFree(16), 0x300u);
+    EXPECT_EQ(rcu.takeFree(16), 0x100u);
+    EXPECT_EQ(rcu.takeFree(64), 0x200u);
+    for (const SimSize size : {16u, 48u, 64u, 128u, 4096u})
+        EXPECT_EQ(rcu.takeFree(size), 0u) << size;
+    EXPECT_EQ(rcu.reused(), 8u);
 }
 
 /**

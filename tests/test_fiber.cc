@@ -4,8 +4,9 @@
  * must carry — values the compiler keeps in callee-saved registers
  * across resume() and yield(), the rounding mode and MXCSR — survives
  * in both directions; several fibers interleave in a fixed order;
- * deep recursion runs on a fiber's own stack; and finished() tracks
- * the body.
+ * deep recursion runs on a fiber's own stack; finished() tracks the
+ * body; and a released stack is reused on its thread, by a plain
+ * fiber and by a line card's chips.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +20,9 @@
 #include <xmmintrin.h>
 #endif
 
+#include "apps/app.hh"
 #include "common/fiber.hh"
+#include "linecard/card.hh"
 
 using namespace clumsy;
 
@@ -218,4 +221,74 @@ TEST(Fiber, FinishedTracksTheBody)
     EXPECT_FALSE(empty.finished());
     empty.resume();
     EXPECT_TRUE(empty.finished());
+}
+
+namespace
+{
+
+/**
+ * Run a fiber whose body records the address of one of its locals,
+ * recurses @p depth frames, yields once and recurses again. @return
+ * the sum of the recursions, which a body finishing correctly makes
+ * 2 * descend(depth).
+ */
+std::uint64_t
+recurseOnFiber(unsigned depth, const void *&frame)
+{
+    std::uint64_t got = 0;
+    Fiber fiber([&] {
+        const volatile char marker = 0;
+        frame = const_cast<const char *>(&marker);
+        got = descend(depth);
+        fiber.yield();
+        got += descend(depth);
+    });
+    while (!fiber.finished())
+        fiber.resume();
+    return got;
+}
+
+} // namespace
+
+TEST(Fiber, BodyFinishesOnAReusedStack)
+{
+    // The second fiber takes the stack the first released: its body's
+    // frame sits at the same address, no mapping is made, and the body
+    // still runs to completion through deep recursion and a switch.
+    constexpr unsigned kDepth = 400;
+    const std::uint64_t want = 2 * descend(kDepth);
+    const void *first = nullptr;
+    EXPECT_EQ(recurseOnFiber(kDepth, first), want);
+    const std::uint64_t mapped = Fiber::stacksMapped();
+    const void *second = nullptr;
+    EXPECT_EQ(recurseOnFiber(kDepth, second), want);
+    EXPECT_EQ(second, first);
+    EXPECT_EQ(Fiber::stacksMapped(), mapped);
+}
+
+TEST(Fiber, TwoCardRunsReuseTheSameStacks)
+{
+    // A line card runs each chip on a fiber of the calling thread: the
+    // first run maps what the thread has not released yet, and a
+    // second run on the same thread maps nothing and computes the same
+    // result on the reused stacks.
+    core::ExperimentConfig cfg;
+    cfg.numPackets = 200;
+    npu::NpuConfig npuCfg;
+    npuCfg.peCount = 2;
+    linecard::CardConfig card;
+    card.chips = 4;
+    card.dram.banks = 8;
+    const core::AppFactory factory = apps::appFactory("route");
+    const std::uint64_t before = Fiber::stacksMapped();
+    const linecard::CardRunResult a =
+        linecard::runCard(factory, cfg, npuCfg, card);
+    const std::uint64_t afterFirst = Fiber::stacksMapped();
+    EXPECT_LE(afterFirst - before, card.chips);
+    const linecard::CardRunResult b =
+        linecard::runCard(factory, cfg, npuCfg, card);
+    EXPECT_EQ(Fiber::stacksMapped(), afterFirst);
+    EXPECT_EQ(a.valueDigest, b.valueDigest);
+    EXPECT_EQ(a.card.packetsProcessed, 200.0);
+    EXPECT_EQ(b.card.packetsProcessed, 200.0);
 }

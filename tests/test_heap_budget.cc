@@ -11,10 +11,13 @@
  * is its own executable — and bounds the *marginal* allocations per
  * simulated packet of three paths:
  *
- *   (allocs of a run pair at 2N packets - allocs at N) / packets added
+ *   (allocs of a run pair at 4N packets - allocs at N) / packets added
  *
  * The set-up cost (tables, caches, processors) is the same at N and
- * 2N and cancels; what is left is what each further packet costs.
+ * 4N and cancels; what is left is what each further packet costs. A
+ * per-run cost that does not scale exactly with N (a vector's
+ * doubling, a free list's high-water mark) does not cancel, and the
+ * span of 3N packets keeps it from reading as a per-packet cost.
  * Every run of a pair counts its packets, so a golden + trial pair at
  * N packets simulates 2N packets. The one allocation a packet cannot
  * avoid is its payload, which PacketSource::next() returns by value.
@@ -125,14 +128,16 @@ namespace
 
 /**
  * Allocation budgets per simulated packet, each a little above what
- * the path measures (x86-64, libstdc++): the core loop redraws one
- * packet in place (~0.01: amortized growth of the recorder log), a
- * chip draws each packet into the storage of one it has processed
- * and queues it in reused ring slots (0.09 here; 0.03-0.09 from 200
- * to 1500 packets), and a card does the same through its stream's
- * FIFO rings (-0.06 here; -0.06-0.10 from 200 to 1500 packets, the
- * fixed costs of a run not scaling exactly with it). The chip and
- * card budgets leave 0.1 above the largest of those. Engine queues
+ * the path measures (x86-64, libstdc++, N vs 4N): the core loop
+ * redraws one packet in place (~0.02: amortized growth of the
+ * recorder log), a chip draws each packet into the storage of one it
+ * has processed and queues it in reused ring slots (0.07 here;
+ * 0.02-0.07 for N from 200 to 1500), and a card does the same through
+ * its stream's FIFO rings while lpm applies FIB updates (0.06 here;
+ * 0.06-0.12 for N from 200 to 1500). Compared N vs 2N, per-run costs
+ * that do not scale exactly with N moved the card's reading from -0.06
+ * to +0.10. The chip and card budgets leave 0.08 above the largest
+ * of those. Engine queues
  * as std::deque blocks and payloads regrown by each longer draw made
  * 0.27 / 0.30; a fresh payload per packet makes ~1.2 / ~1.1; a design
  * with per-packet frame vectors, compare maps, packet copies and
@@ -163,10 +168,10 @@ marginalPerPacket(std::uint64_t packets, unsigned runs, RunPair &&runPair)
 {
     const std::uint64_t atN =
         allocsDuring([&] { runPair(packets); });
-    const std::uint64_t at2N =
-        allocsDuring([&] { runPair(2 * packets); });
-    return (static_cast<double>(at2N) - static_cast<double>(atN)) /
-           static_cast<double>(runs * packets);
+    const std::uint64_t at4N =
+        allocsDuring([&] { runPair(4 * packets); });
+    return (static_cast<double>(at4N) - static_cast<double>(atN)) /
+           static_cast<double>(3 * runs * packets);
 }
 
 /** Report @p perPkt and hold it to @p budget. */

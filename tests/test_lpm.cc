@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -39,6 +40,34 @@ probeSet()
     dsts.push_back(0);
     dsts.push_back(0xffffffffu);
     return dsts;
+}
+
+/**
+ * The blocks a lookup of @p dst reads, walked untimed the way lookup()
+ * walks them: every node on the path, its result array when it holds
+ * prefixes and the child array it descends through.
+ */
+std::vector<SimAddr>
+lookupBlocks(const ClumsyProcessor &proc, const LpmFib &fib,
+             std::uint32_t dst)
+{
+    std::vector<SimAddr> blocks;
+    SimAddr cur = proc.peek32(fib.rootPtrAddr());
+    for (unsigned d = 0; d < LpmFib::kMaxDepth && cur != 0; ++d) {
+        blocks.push_back(cur);
+        const std::uint32_t bm = proc.peek32(cur);
+        if ((bm >> 16) != 0)
+            blocks.push_back(proc.peek32(cur + 8));
+        const std::uint32_t ext = bm & 0xffffu;
+        const std::uint32_t nib =
+            (dst >> (28 - LpmFib::kStride * d)) & 0xfu;
+        if ((ext & (1u << nib)) == 0)
+            break;
+        const SimAddr cb = proc.peek32(cur + 4);
+        blocks.push_back(cb);
+        cur = proc.peek32(cb + 4 * std::popcount(ext & ((1u << nib) - 1)));
+    }
+    return blocks;
 }
 
 /** Timed lookup must agree with the host mirror on a fault-free run. */
@@ -140,7 +169,9 @@ TEST(LpmFib, UpdateChurnReusesNodesWithoutGraceViolations)
     LpmFib fib(proc);
     // Sustained insert/withdraw churn with lookups between updates and
     // a quiescent point per "packet": reclaimed nodes must be reused,
-    // and no lookup may ever touch a block sitting on the free list.
+    // and no lookup may ever touch a block sitting on the free list
+    // (the grace-period invariant).
+    std::uint64_t blocksChecked = 0;
     for (std::uint32_t i = 0; i < 200; ++i) {
         const std::uint32_t prefix = 0x0a000000u + (i % 16) * 0x10000u;
         if (i % 3 == 2)
@@ -149,11 +180,17 @@ TEST(LpmFib, UpdateChurnReusesNodesWithoutGraceViolations)
             fib.insert(proc, prefix, 16, 1000 + i);
         ASSERT_FALSE(proc.fatalOccurred());
         fib.quiesce();
-        for (std::uint32_t d = 0; d < 4; ++d)
+        for (std::uint32_t d = 0; d < 4; ++d) {
             EXPECT_EQ(fib.lookup(proc, prefix + d),
                       fib.goldenLookup(prefix + d));
+            for (const SimAddr block : lookupBlocks(proc, fib, prefix + d)) {
+                EXPECT_FALSE(fib.rcu().isReclaimed(block))
+                    << "update " << i << " block " << block;
+                ++blocksChecked;
+            }
+        }
     }
-    EXPECT_EQ(fib.visitsReclaimed(), 0u);
+    EXPECT_GT(blocksChecked, 800u);
     EXPECT_GT(fib.rcu().retired(), 0u);
     EXPECT_GT(fib.rcu().reclaimed(), 0u);
     EXPECT_GT(fib.rcu().reused(), 0u);

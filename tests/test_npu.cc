@@ -10,11 +10,13 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/app.hh"
 #include "core/experiment.hh"
+#include "ctrl/ctrl.hh"
 #include "net/trace_gen.hh"
 #include "npu/chip.hh"
 #include "npu/config.hh"
@@ -784,6 +786,93 @@ TEST(ChipParallel, OneEngineUnderChurnStaysSingleCoreIdentical)
     EXPECT_GT(chip.core.golden.ctrlEventsApplied, 0u);
     EXPECT_EQ(sweep::experimentResultJson(chip.core),
               sweep::experimentResultJson(single));
+}
+
+namespace
+{
+
+/**
+ * A control-plane stream whose clones are each built afresh from the
+ * config, the way every engine once made its own source. Only
+ * meaningful cloned while unstarted, which is how the chip clones it.
+ */
+class FreshCtrlSource final : public ctrl::CtrlSource
+{
+  public:
+    FreshCtrlSource(const ctrl::CtrlConfig &config,
+                    const net::TraceConfig &trace)
+        : config_(config), trace_(trace),
+          src_(ctrl::makeCtrlSource(config, trace))
+    {
+    }
+
+    const ctrl::CtrlEvent *peek() override { return src_->peek(); }
+    void advance() override { src_->advance(); }
+
+    std::unique_ptr<ctrl::CtrlSource> clone() const override
+    {
+        return std::make_unique<FreshCtrlSource>(config_, trace_);
+    }
+
+  private:
+    ctrl::CtrlConfig config_;
+    net::TraceConfig trace_;
+    std::unique_ptr<ctrl::CtrlSource> src_;
+};
+
+} // namespace
+
+/**
+ * Engines draining clones of one control-plane stream (the chip's own,
+ * or a line card's) run exactly as engines that each build their own
+ * source: golden and faulty runs of a 4-PE lpm chip under churn give
+ * the same metrics, chip metrics and digests, byte for byte.
+ */
+TEST(NpuChip, ClonedCtrlStreamsMatchPerEngineSources)
+{
+    const core::AppFactory factory = apps::appFactory("lpm");
+    core::ExperimentConfig cfg = smallConfig();
+    cfg.numPackets = 400;
+    cfg.ctrl.rate = 100;
+    NpuConfig npuCfg;
+    npuCfg.peCount = 4;
+    const net::TraceConfig trace =
+        core::resolveTraceConfig(cfg, *factory());
+
+    auto runAll = [&](bool perEngine) {
+        FreshCtrlSource fresh(cfg.ctrl, trace);
+        ChipEnv env;
+        if (perEngine)
+            env.ctrl = &fresh;
+        std::vector<ChipStreamResult> runs;
+        runs.push_back(runChipStream(factory, cfg, npuCfg, true, 0, env));
+        for (unsigned t = 0; t < cfg.trials; ++t)
+            runs.push_back(
+                runChipStream(factory, cfg, npuCfg, false, t, env));
+        return runs;
+    };
+    const std::vector<ChipStreamResult> cloned = runAll(false);
+    const std::vector<ChipStreamResult> own = runAll(true);
+
+    auto json = [&](const std::vector<ChipStreamResult> &runs) {
+        std::vector<core::RunMetrics> trials;
+        std::string chips;
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            if (i > 0)
+                trials.push_back(runs[i].merged);
+            chips += sweep::chipMetricsJson(runs[i].chip);
+        }
+        return sweep::experimentResultJson(core::aggregateTrials(
+                   "lpm", core::GoldenRecord{runs[0].merged, {}},
+                   trials)) +
+               chips;
+    };
+    EXPECT_GT(cloned[0].merged.ctrlEventsApplied, 0u);
+    EXPECT_EQ(json(cloned), json(own));
+    for (std::size_t i = 0; i < cloned.size(); ++i) {
+        EXPECT_EQ(cloned[i].valueDigest, own[i].valueDigest) << i;
+        EXPECT_EQ(cloned[i].peDigests, own[i].peDigests) << i;
+    }
 }
 
 /**
