@@ -45,6 +45,24 @@ clampSample(int s)
     return s;
 }
 
+// The coder's arithmetic wraps at 32 bits, as on the simulated core:
+// a faulty trial may read any word as a step size, index adjustment or
+// predictor, and signed overflow in C++ is undefined.
+
+int
+wrapAdd(int a, int b)
+{
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) +
+                                     static_cast<std::uint32_t>(b));
+}
+
+int
+wrapSub(int a, int b)
+{
+    return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) -
+                                     static_cast<std::uint32_t>(b));
+}
+
 /** One IMA quantization step given the current step size. */
 std::uint8_t
 quantize(int diff, int step, int &vpdiff)
@@ -52,27 +70,27 @@ quantize(int diff, int step, int &vpdiff)
     std::uint8_t code = 0;
     if (diff < 0) {
         code = 8;
-        diff = -diff;
+        diff = wrapSub(0, diff);
     }
     vpdiff = step >> 3;
     if (diff >= step) {
         code |= 4;
-        diff -= step;
-        vpdiff += step;
+        diff = wrapSub(diff, step);
+        vpdiff = wrapAdd(vpdiff, step);
     }
     step >>= 1;
     if (diff >= step) {
         code |= 2;
-        diff -= step;
-        vpdiff += step;
+        diff = wrapSub(diff, step);
+        vpdiff = wrapAdd(vpdiff, step);
     }
     step >>= 1;
     if (diff >= step) {
         code |= 1;
-        vpdiff += step;
+        vpdiff = wrapAdd(vpdiff, step);
     }
     if (code & 8)
-        vpdiff = -vpdiff;
+        vpdiff = wrapSub(0, vpdiff);
     return code;
 }
 
@@ -142,11 +160,11 @@ AdpcmApp::processPacket(ClumsyProcessor &proc, const net::Packet &pkt,
                                          4));
         int vpdiff = 0;
         const std::uint8_t code =
-            quantize(sample - predictor, step, vpdiff);
-        predictor = clampSample(predictor + vpdiff);
+            quantize(wrapSub(sample, predictor), step, vpdiff);
+        predictor = clampSample(wrapAdd(predictor, vpdiff));
         const int adjust = static_cast<std::int32_t>(
             proc.read32(indexTable_ + (code & 0xf) * 4));
-        index = clampIndex(index + adjust);
+        index = clampIndex(wrapAdd(index, adjust));
         proc.execute(14);
         streamHash = (streamHash ^ code) * 1099511628211ull;
     }

@@ -21,6 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
@@ -279,14 +280,31 @@ inline constexpr auto kExperimentAggregateFields = [] {
 }();
 
 /**
+ * The L1D injector's access count of a golden run, read after
+ * initialize() and at the end of the run.
+ */
+struct AccessCounts
+{
+    std::uint64_t afterInit = 0;
+    std::uint64_t total = 0;
+};
+
+/**
  * The fault-free reference run: its metrics plus the per-packet marked
  * values every faulty trial is compared against. Immutable once built,
- * so any number of trials may share one record concurrently.
+ * so any number of trials (of any number of cells) may share one
+ * record concurrently.
  */
 struct GoldenRecord
 {
     RunMetrics metrics;
     ValueRecorder recorder;
+    /**
+     * Set by runGolden(). Records built from other harnesses' metrics
+     * (the chip and card tiers) leave it empty, and no trial is
+     * elided against them (cleanTrial()).
+     */
+    std::optional<AccessCounts> accesses = std::nullopt;
 };
 
 /**
@@ -316,9 +334,24 @@ GoldenRecord runGolden(const AppFactory &factory,
                        const ExperimentConfig &config);
 
 /**
+ * @return true when faulty trial @p trial of @p config provably draws
+ * no fault, so it would replay @p golden access for access and end
+ * with its metrics. Decided without simulating: while every draw is
+ * clean a trial performs the golden's access sequence, so it is clean
+ * exactly when its fault stream's first golden.accesses draws (those
+ * of the planes it injects) all are. Always false when a draw count
+ * could differ from the golden's: under dynamic frequency, a fault
+ * map (one draw per weak cell), fill injection (skipped while
+ * injection is off) or a record without access counts.
+ */
+bool cleanTrial(const ExperimentConfig &config, unsigned trial,
+                const GoldenRecord &golden);
+
+/**
  * Execute faulty trial number @p trial against a shared golden record.
  * Trials are independent given (config, trial): each derives its own
  * decorrelated fault seed, so they can run on any thread in any order.
+ * A cleanTrial() returns the golden's metrics without simulating.
  */
 RunMetrics runFaultyTrial(const AppFactory &factory,
                           const ExperimentConfig &config, unsigned trial,

@@ -27,11 +27,26 @@ void
 RcuDomain::quiesce()
 {
     // Blocks retired two epochs ago have now outlived every reader
-    // that could have seen them: move them to the free lists.
+    // that could have seen them: move them to the free lists. A batch
+    // can be large (a booted lpm FIB retires hundreds of blocks at
+    // once), so each list is sized for the whole batch first instead
+    // of doubling its way there.
     for (const Block &b : retiredPrev_) {
-        if (b.size >= free_.size())
+        if (b.size >= free_.size()) {
             free_.resize(b.size + 1);
-        free_[b.size].push_back(b.addr);
+            incoming_.resize(b.size + 1);
+        }
+        ++incoming_[b.size];
+    }
+    for (const Block &b : retiredPrev_) {
+        std::vector<SimAddr> &list = free_[b.size];
+        if (std::size_t &count = incoming_[b.size]; count != 0) {
+            const std::size_t need = list.size() + count;
+            if (need > list.capacity())
+                list.reserve(std::max(need, 2 * list.capacity()));
+            count = 0;
+        }
+        list.push_back(b.addr);
         ++reclaimed_;
     }
     // Rotate the epochs; swapping keeps both lists' capacity.

@@ -104,6 +104,8 @@ class RcuDomain
     std::vector<Block> retiredPrev_; ///< retired last epoch
     /** LIFO free list per block size, indexed by the size in bytes. */
     std::vector<std::vector<SimAddr>> free_;
+    /** quiesce()'s per-size block counts (zero between calls). */
+    std::vector<std::size_t> incoming_;
     std::uint64_t epoch_ = 0;
     std::uint64_t retired_ = 0;
     std::uint64_t reclaimed_ = 0;

@@ -41,6 +41,21 @@ FaultInjector::cleanThreshold(double total)
     return static_cast<std::uint64_t>(std::ceil(scaled));
 }
 
+bool
+FaultInjector::drawsClean(std::uint64_t draws) const
+{
+    if (cleanFrom_ == 0)
+        return true; // a zero fault rate: every draw is clean
+    Rng rng = rng_;
+    for (std::uint64_t i = 0; i < draws; ++i) {
+        // uniform() is (next() >> 11) * 2^-53: the integer test below
+        // is corrupt()'s comparison against the 32-bit total.
+        if ((rng.next() >> 11) < cleanFrom_)
+            return false;
+    }
+    return true;
+}
+
 void
 FaultInjector::attachMap(const FaultMap *map)
 {

@@ -99,6 +99,16 @@ class FaultInjector
         return !enabled_ || (peekRaw() >> 11) >= cleanFrom_;
     }
 
+    /**
+     * @return true when the next @p draws uniform-mode corrupt() calls
+     * on 32-bit words would all leave them clean, were injection
+     * enabled. Decided on a copy of the generator, which stops at the
+     * first faulty draw; nothing is drawn or counted. The 32-bit
+     * threshold is the largest, so a clean answer covers narrower
+     * accesses too.
+     */
+    bool drawsClean(std::uint64_t draws) const;
+
     /** The generator's next raw output, not consumed (inspection). */
     std::uint64_t peekRaw() const { return rng_.peek(); }
 

@@ -27,6 +27,16 @@ msSince(Clock::time_point start)
 
 } // namespace
 
+SweepCell
+goldenCell(const SweepCell &cell)
+{
+    SweepCell golden = cell;
+    golden.point.dynamic = false;
+    if (mem::usesParity(golden.scheme))
+        golden.scheme = mem::RecoveryScheme::OneStrike;
+    return golden;
+}
+
 SweepOutcome
 runSweep(const SweepSpec &spec, unsigned jobs,
          const std::map<std::string, CellOutcome> *completed,
@@ -76,35 +86,56 @@ runSweep(const SweepSpec &spec, unsigned jobs,
         return npuCfg;
     };
 
-    // Phase 1: one golden job per cell. The records are written once
-    // here and only read afterwards, so phase 2 shares them freely.
-    // Chip-model cells run the npu harness instead of the single-core
-    // one; both produce RunMetrics, so the reduction is shared.
-    std::vector<core::GoldenRecord> goldens(n);
-    std::vector<std::unique_ptr<npu::ChipRun>> chipGoldens(n);
-    std::vector<std::unique_ptr<linecard::CardRunResult>>
-        cardGoldens(n);
-    std::vector<double> goldenMs(n);
-    pool.run(n, [&](std::size_t k) {
+    // Phase 1: one golden job per distinct golden. Core cells with
+    // one goldenCell() key share the golden of the first of them,
+    // owner[g] for golden g, whose wall time counts the job; chip and
+    // card cells run their own. The records are written once here and
+    // only read afterwards, so phase 2 shares them freely. Chip-model
+    // cells run the npu harness instead of the single-core one; both
+    // produce RunMetrics, so the reduction is shared.
+    std::vector<std::size_t> goldenOf(n);
+    std::vector<std::size_t> owner;
+    std::map<std::string, std::size_t> sharedGolden;
+    for (std::size_t k = 0; k < n; ++k) {
         const SweepCell &cell = cells[toRun[k]];
+        std::size_t gi = owner.size();
+        if (!cell.isCard() && !cell.isNpu())
+            gi = sharedGolden.try_emplace(goldenCell(cell).key(), gi)
+                     .first->second;
+        goldenOf[k] = gi;
+        if (gi == owner.size())
+            owner.push_back(k);
+    }
+    const std::size_t g = owner.size();
+    std::vector<core::GoldenRecord> goldens(g);
+    std::vector<std::unique_ptr<npu::ChipRun>> chipGoldens(g);
+    std::vector<std::unique_ptr<linecard::CardRunResult>>
+        cardGoldens(g);
+    std::vector<double> goldenMs(g);
+    pool.run(g, [&](std::size_t i) {
+        const SweepCell &cell = cells[toRun[owner[i]]];
         const core::ExperimentConfig cfg = makeConfig(spec, cell);
         const auto start = Clock::now();
         if (cell.isCard()) {
-            cardGoldens[k] =
+            cardGoldens[i] =
                 std::make_unique<linecard::CardRunResult>(
                     linecard::runCard(apps::appFactory(cell.app), cfg,
                                       cellNpuConfig(cell),
                                       makeCardConfig(cell), true, 0));
         } else if (cell.isNpu()) {
-            chipGoldens[k] = std::make_unique<npu::ChipRun>(
+            chipGoldens[i] = std::make_unique<npu::ChipRun>(
                 npu::runChipGolden(apps::appFactory(cell.app), cfg,
                                    cellNpuConfig(cell)));
         } else {
-            goldens[k] =
+            goldens[i] =
                 core::runGolden(apps::appFactory(cell.app), cfg);
         }
-        goldenMs[k] = msSince(start);
+        goldenMs[i] = msSince(start);
     });
+    // A cell that reuses another cell's golden spent no time on it.
+    auto cellGoldenMs = [&](std::size_t k) {
+        return owner[goldenOf[k]] == k ? goldenMs[goldenOf[k]] : 0.0;
+    };
 
     // Phase 2: the (cell, trial) job grid. Each job seeds its own
     // fault stream from (config, trial), so placement is free.
@@ -133,17 +164,17 @@ runSweep(const SweepSpec &spec, unsigned jobs,
         } else if (cell.isNpu()) {
             npu::ChipRun r = npu::runChipTrial(
                 apps::appFactory(cell.app), cfg, cellNpuConfig(cell),
-                t, *chipGoldens[k]);
+                t, *chipGoldens[goldenOf[k]]);
             trialMetrics[j] = std::move(r.merged);
             trialChips[j] = std::move(r.chip);
         } else {
             trialMetrics[j] = core::runFaultyTrial(
-                apps::appFactory(cell.app), cfg, t, goldens[k]);
+                apps::appFactory(cell.app), cfg, t, goldens[goldenOf[k]]);
         }
         trialMs[j] = msSince(start);
         if (remaining[k].fetch_sub(1, std::memory_order_acq_rel) ==
             1 && progress) {
-            double cellMs = goldenMs[k];
+            double cellMs = cellGoldenMs(k);
             for (unsigned u = 0; u < trials; ++u)
                 cellMs += trialMs[k * trials + u];
             const std::size_t done =
@@ -158,6 +189,7 @@ runSweep(const SweepSpec &spec, unsigned jobs,
     // schedule above.
     for (std::size_t k = 0; k < n; ++k) {
         const std::size_t i = toRun[k];
+        const std::size_t gk = goldenOf[k];
         std::vector<core::RunMetrics> ordered(
             trialMetrics.begin() +
                 static_cast<std::ptrdiff_t>(k * trials),
@@ -168,11 +200,11 @@ runSweep(const SweepSpec &spec, unsigned jobs,
             out.result = core::aggregateTrials(
                 cells[i].app,
                 core::GoldenRecord{
-                    linecard::mergeCardRunMetrics(*cardGoldens[k]),
+                    linecard::mergeCardRunMetrics(*cardGoldens[gk]),
                     {}},
                 ordered);
             out.hasCard = true;
-            out.cardGolden = cardGoldens[k]->card;
+            out.cardGolden = cardGoldens[gk]->card;
             out.cardFaulty = linecard::averageCardMetrics(
                 {trialCards.begin() +
                      static_cast<std::ptrdiff_t>(k * trials),
@@ -181,10 +213,10 @@ runSweep(const SweepSpec &spec, unsigned jobs,
         } else if (cells[i].isNpu()) {
             out.result = core::aggregateTrials(
                 cells[i].app,
-                core::GoldenRecord{chipGoldens[k]->merged, {}},
+                core::GoldenRecord{chipGoldens[gk]->merged, {}},
                 ordered);
             out.hasNpu = true;
-            out.npuGolden = chipGoldens[k]->chip;
+            out.npuGolden = chipGoldens[gk]->chip;
             out.npuFaulty = npu::averageChipMetrics(
                 {trialChips.begin() +
                      static_cast<std::ptrdiff_t>(k * trials),
@@ -192,9 +224,9 @@ runSweep(const SweepSpec &spec, unsigned jobs,
                      static_cast<std::ptrdiff_t>((k + 1) * trials)});
         } else {
             out.result = core::aggregateTrials(cells[i].app,
-                                               goldens[k], ordered);
+                                               goldens[gk], ordered);
         }
-        out.wallMs = goldenMs[k];
+        out.wallMs = cellGoldenMs(k);
         for (unsigned t = 0; t < trials; ++t)
             out.wallMs += trialMs[k * trials + t];
     }

@@ -14,9 +14,10 @@
  * bit-identical for any worker count and any completion order; only
  * the measured wall times vary between runs.
  *
- * Execution shape: phase 1 runs one golden job per cell; phase 2 runs
- * the (cell, trial) grid, each trial comparing against its cell's
- * immutable GoldenRecord (shared read-only across threads).
+ * Execution shape: phase 1 runs one golden job per distinct golden
+ * (goldenCell()); phase 2 runs the (cell, trial) grid, each trial
+ * comparing against its cell's immutable GoldenRecord (shared
+ * read-only across threads and cells).
  */
 
 #ifndef CLUMSY_SWEEP_RUNNER_HH
@@ -40,7 +41,11 @@ struct CellOutcome
 {
     SweepCell cell;
     core::ExperimentResult result;
-    double wallMs = 0.0; ///< golden + all trials, summed CPU-side
+    /**
+     * Golden + all trials, summed CPU-side. A golden shared by several
+     * cells counts only in the first of them.
+     */
+    double wallMs = 0.0;
     bool resumed = false; ///< loaded from a previous output file
 
     /** Chip-level extras, present when the cell ran the chip model. */
@@ -72,6 +77,16 @@ struct SweepOutcome
 using ProgressFn = std::function<void(
     const SweepCell &cell, double wallMs, std::size_t done,
     std::size_t total)>;
+
+/**
+ * The cell whose golden run stands for @p cell's: the same cell at its
+ * static Cr with dynamic frequency off, and with any parity scheme as
+ * one-strike. A golden injects nothing, so it never adapts its clock
+ * and never trips parity, and these cells' goldens are equal field for
+ * field. runSweep() runs one golden per distinct goldenCell().key() of
+ * its single-core cells, the first such cell's.
+ */
+SweepCell goldenCell(const SweepCell &cell);
 
 /**
  * Run the sweep on @p jobs worker threads (0 = hardware default).

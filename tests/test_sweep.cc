@@ -7,14 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <map>
 #include <regex>
 
 #include "apps/app.hh"
 #include "common/cli.hh"
 #include "common/pool.hh"
+#include "common/random.hh"
 #include "core/experiment.hh"
 #include "ctrl/ctrl.hh"
+#include "fault/injector.hh"
 #include "sweep/json.hh"
 #include "sweep/run_options.hh"
 #include "sweep/runner.hh"
@@ -1041,4 +1046,220 @@ TEST(SweepResume, FaultMapCellsResumeByteIdentical)
     EXPECT_NE(csv.find(",faultmap,retire,"), std::string::npos);
     EXPECT_NE(csv.find(",spatial,2,"), std::string::npos);
     EXPECT_NE(csv.find(",off,2,"), std::string::npos);
+}
+
+// --- shared goldens and clean-trial elision --------------------------
+
+namespace
+{
+
+/** Every RunMetrics field, as the sweep documents write them. */
+std::string
+metricsJson(const core::RunMetrics &m)
+{
+    return renderFields(m, core::kRunMetricsFields);
+}
+
+/** @return one of @p values, drawn from @p rng. */
+template <typename T, std::size_t N>
+T
+pick(Rng &rng, const T (&values)[N])
+{
+    return values[rng.below(N)];
+}
+
+} // namespace
+
+TEST(SharedGolden, CellsMatchTheirOwnGoldenAndElidedTrialsMatchFullRuns)
+{
+    // Seeded random single-core configurations in groups of four
+    // cells that differ only in scheme, codec and (at Cr 1) dynamic
+    // frequency, so that cells collide on golden keys. Two checks:
+    // every cell's own golden equals the golden it shares, and every
+    // elided trial equals the same trial run in full (against a golden
+    // without access counts, which never elides).
+    std::vector<std::string> appNames = apps::allAppNames();
+    for (const std::string &name : apps::extensionAppNames())
+        appNames.push_back(name);
+    const OperatingPoint points[] = {{1.0, false}, {0.75, false},
+                                     {0.5, false}, {0.25, false},
+                                     {1.0, true}};
+    const mem::CheckCodec codecs[] = {mem::CheckCodec::Parity,
+                                      mem::CheckCodec::Secded};
+    const core::FaultPlane planes[] = {core::FaultPlane::Both,
+                                       core::FaultPlane::DataOnly,
+                                       core::FaultPlane::ControlOnly};
+    const double scales[] = {0.0, 1.0, 1e3, 1e5};
+    const unsigned retires[] = {0, 2};
+    // The guards against elision (fault map, fill injection) are drawn
+    // less often, so that enough trials are elided to compare.
+    const char *maps[] = {"off", "off", "off", "spatial"};
+    const std::uint32_t ctrlRates[] = {0, 100};
+    const std::uint64_t churns[] = {0, 64};
+    const bool fills[] = {false, false, false, true};
+
+    Rng rng(0x5eed0c0ffeeull);
+    unsigned cells = 0, sharing = 0, elided = 0, simulated = 0;
+    for (unsigned group = 0; group < 60; ++group) {
+        SweepSpec spec;
+        spec.packets = 40;
+        spec.trials = 3;
+        spec.traceSeed = 1 + group;
+        spec.faultSeed = rng.next();
+        SweepCell base;
+        base.app = appNames[rng.below(appNames.size())];
+        base.point = pick(rng, points);
+        base.plane = pick(rng, planes);
+        base.faultScale = pick(rng, scales);
+        base.retire = pick(rng, retires);
+        base.faultMap = pick(rng, maps);
+        base.ctrlRate = pick(rng, ctrlRates);
+        base.churn = pick(rng, churns);
+        const bool injectOnFill = pick(rng, fills);
+
+        std::map<std::string, core::GoldenRecord> shared;
+        for (unsigned sibling = 0; sibling < 4; ++sibling) {
+            SweepCell cell = base;
+            cell.scheme = pick(rng, mem::kAllRecoverySchemes);
+            cell.codec = pick(rng, codecs);
+            if (cell.point.cr == 1.0)
+                cell.point.dynamic = rng.below(2) == 1;
+            core::ExperimentConfig cfg = makeConfig(spec, cell);
+            cfg.processor.hierarchy.injectOnFill = injectOnFill;
+            const core::AppFactory factory = apps::appFactory(cell.app);
+            const std::string what = cell.key() + " fill=" +
+                                     std::to_string(injectOnFill) +
+                                     " group=" + std::to_string(group);
+
+            // As in runSweep: the first cell of a key runs the golden
+            // the later ones share.
+            const core::GoldenRecord own = core::runGolden(factory, cfg);
+            const auto [it, first] =
+                shared.try_emplace(goldenCell(cell).key(), own);
+            sharing += first ? 0 : 1;
+            const core::GoldenRecord &golden = it->second;
+            ++cells;
+            ASSERT_EQ(metricsJson(own.metrics), metricsJson(golden.metrics))
+                << what;
+            ASSERT_EQ(own.recorder.digest(), golden.recorder.digest())
+                << what;
+            ASSERT_TRUE(own.accesses && golden.accesses) << what;
+            ASSERT_EQ(own.accesses->afterInit, golden.accesses->afterInit)
+                << what;
+            ASSERT_EQ(own.accesses->total, golden.accesses->total) << what;
+
+            const core::GoldenRecord uncounted{own.metrics, own.recorder};
+            for (unsigned t = 0; t < spec.trials; ++t) {
+                ASSERT_FALSE(core::cleanTrial(cfg, t, uncounted)) << what;
+                if (!core::cleanTrial(cfg, t, golden)) {
+                    ++simulated; // runFaultyTrial runs it in full
+                    continue;
+                }
+                ++elided;
+                EXPECT_EQ(
+                    metricsJson(
+                        core::runFaultyTrial(factory, cfg, t, golden)),
+                    metricsJson(
+                        core::runFaultyTrial(factory, cfg, t, uncounted)))
+                    << what << " trial " << t;
+            }
+        }
+    }
+    EXPECT_EQ(cells, 240u);
+    // The draw must exercise both sides of every decision.
+    EXPECT_GT(sharing, 60u);
+    EXPECT_GT(elided, 60u);
+    EXPECT_GT(simulated, 60u);
+    std::printf("%u cells, %u sharing a golden, %u trials elided, "
+                "%u simulated\n",
+                cells, sharing, elided, simulated);
+}
+
+TEST(SharedGolden, ATrialWhoseLastDrawFaultsIsSimulated)
+{
+    // The scan must cover every draw. Search, through the injector's
+    // own corrupt() path, for a trial whose last data-plane draw is
+    // the smallest of its draws and a fault scale at which that draw
+    // alone is faulty: the trial is one fault away from its golden, in
+    // its very last access.
+    core::ExperimentConfig cfg;
+    cfg.numPackets = 1;
+    cfg.cr = 0.5;
+    cfg.plane = core::FaultPlane::DataOnly;
+    const core::AppFactory factory = apps::appFactory("crc");
+    const core::GoldenRecord golden = core::runGolden(factory, cfg);
+    ASSERT_TRUE(golden.accesses);
+    const std::uint64_t draws =
+        golden.accesses->total - golden.accesses->afterInit;
+    ASSERT_GT(draws, 1u);
+
+    // How many of the trial's first @p n draws are faulty at @p scale.
+    auto faultsAt = [&](double scale, unsigned trial, std::uint64_t n) {
+        core::ExperimentConfig c = cfg;
+        c.faultScale = scale;
+        const core::ProcessorConfig pc =
+            core::makeRunProcessorConfig(c, false, trial);
+        fault::FaultInjector injector(fault::FaultModel(pc.faultModel),
+                                      pc.faultSeed);
+        injector.setCycleTime(pc.staticCr);
+        unsigned faults = 0;
+        for (std::uint64_t i = 0; i < n; ++i) {
+            fault::FaultEvent ev;
+            injector.corrupt(0, 32, &ev);
+            faults += ev.flippedBits != 0;
+        }
+        return faults;
+    };
+    bool found = false;
+    for (unsigned t = 0; t < 20000 && !found; ++t) {
+        // The largest scale at which all but the last draw are clean
+        // (the fault rate grows monotonically with the scale).
+        double lo = 1e-3, hi = 1e12;
+        if (faultsAt(lo, t, draws - 1) != 0 ||
+            faultsAt(hi, t, draws - 1) == 0)
+            continue;
+        for (int i = 0; i < 80; ++i) {
+            const double mid = std::sqrt(lo * hi);
+            (faultsAt(mid, t, draws - 1) == 0 ? lo : hi) = mid;
+        }
+        if (faultsAt(lo, t, draws) != 1)
+            continue; // the last draw is not the smallest
+        found = true;
+        cfg.faultScale = lo;
+        EXPECT_FALSE(core::cleanTrial(cfg, t, golden)) << "trial " << t;
+        const core::RunMetrics full = core::runFaultyTrial(
+            factory, cfg, t, core::GoldenRecord{golden.metrics,
+                                                golden.recorder});
+        EXPECT_EQ(full.faultsInjected, 1u) << "trial " << t;
+        EXPECT_EQ(metricsJson(core::runFaultyTrial(factory, cfg, t,
+                                                   golden)),
+                  metricsJson(full))
+            << "trial " << t << " scale " << lo;
+    }
+    EXPECT_TRUE(found);
+}
+
+TEST(SharedGolden, GuardedTrialsAreNeverElided)
+{
+    // At fault-scale 0 every draw is clean, so only the guards decide:
+    // a trial whose draw count could differ from its golden's runs.
+    core::ExperimentConfig cfg;
+    cfg.numPackets = 20;
+    cfg.cr = 0.5;
+    cfg.faultScale = 0.0;
+    cfg.scheme = mem::RecoveryScheme::TwoStrike;
+    const core::AppFactory factory = apps::appFactory("route");
+    const core::GoldenRecord golden = core::runGolden(factory, cfg);
+    EXPECT_TRUE(core::cleanTrial(cfg, 0, golden));
+    EXPECT_FALSE(core::cleanTrial(
+        cfg, 0, core::GoldenRecord{golden.metrics, golden.recorder}));
+
+    core::ExperimentConfig dvs = cfg;
+    dvs.dynamicFrequency = true;
+    core::ExperimentConfig mapped = cfg;
+    mapped.processor.faultMap.mode = fault::FaultMapMode::Generated;
+    core::ExperimentConfig fill = cfg;
+    fill.processor.hierarchy.injectOnFill = true;
+    for (const core::ExperimentConfig &c : {dvs, mapped, fill})
+        EXPECT_FALSE(core::cleanTrial(c, 0, core::runGolden(factory, c)));
 }
