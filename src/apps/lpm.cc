@@ -540,7 +540,7 @@ LpmFib::withdraw(core::ClumsyProcessor &proc, std::uint32_t prefix,
 
 std::uint32_t
 LpmFib::lookup(core::ClumsyProcessor &proc, std::uint32_t dst,
-               core::ValueRecorder *rec, const std::string &recKey)
+               core::ValueRecorder *rec, const char *recKey)
 {
     SimAddr cur = proc.read32(rootPtr_);
     proc.execute(2);

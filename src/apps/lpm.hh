@@ -107,7 +107,7 @@ class LpmFib
      */
     std::uint32_t lookup(core::ClumsyProcessor &proc, std::uint32_t dst,
                          core::ValueRecorder *rec = nullptr,
-                         const std::string &recKey = {});
+                         const char *recKey = "");
 
     /** Host-side ground-truth LPM over the mirrored prefix set. */
     std::uint32_t goldenLookup(std::uint32_t dst) const;

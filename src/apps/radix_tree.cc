@@ -220,7 +220,7 @@ RadixTree::bulkInstall(core::ClumsyProcessor &proc,
 std::uint32_t
 RadixTree::lookup(core::ClumsyProcessor &proc, std::uint32_t key,
                   core::ValueRecorder *rec,
-                  const std::string &recKey) const
+                  const char *recKey) const
 {
     SimAddr cur = proc.read32(rootPtr_);
     proc.execute(3);

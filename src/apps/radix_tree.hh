@@ -90,7 +90,7 @@ class RadixTree
      */
     std::uint32_t lookup(core::ClumsyProcessor &proc, std::uint32_t key,
                          core::ValueRecorder *rec = nullptr,
-                         const std::string &recKey = {}) const;
+                         const char *recKey = "") const;
 
     /** Simulated address of the root pointer cell. */
     SimAddr rootPtrAddr() const { return rootPtr_; }

@@ -93,7 +93,7 @@ RouteTable::auditEntry(const core::ClumsyProcessor &proc,
 std::uint32_t
 RouteTable::lookupIndex(core::ClumsyProcessor &proc, std::uint32_t dst,
                         core::ValueRecorder *rec,
-                        const std::string &recKey) const
+                        const char *recKey) const
 {
     return radix_.lookup(proc, dst, rec, recKey);
 }
@@ -145,7 +145,7 @@ NatTable::NatTable(core::ClumsyProcessor &proc, std::uint32_t capacity)
 
 std::uint32_t
 NatTable::translate(core::ClumsyProcessor &proc, std::uint32_t privIp,
-                    core::ValueRecorder *rec, const std::string &recKey)
+                    core::ValueRecorder *rec, const char *recKey)
 {
     const std::uint32_t found = radix_.lookup(proc, privIp, rec, recKey);
     if (found != RadixTree::kNoMatch)
@@ -283,7 +283,7 @@ SessionTable::hashKey(const FlowKey &key) const
 SessionTable::LookupResult
 SessionTable::lookup(core::ClumsyProcessor &proc, const FlowKey &key,
                      std::uint32_t now, core::ValueRecorder *rec,
-                     const std::string &recKey)
+                     const char *recKey)
 {
     const std::uint32_t home = hashKey(key);
     const std::uint32_t portWord =

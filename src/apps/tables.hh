@@ -55,7 +55,7 @@ class RouteTable
     std::uint32_t lookupIndex(core::ClumsyProcessor &proc,
                               std::uint32_t dst,
                               core::ValueRecorder *rec = nullptr,
-                              const std::string &recKey = {}) const;
+                              const char *recKey = "") const;
 
     /** Simulated address of entry idx (unchecked; wild indices are
      *  caught by the processor's bounds machinery). */
@@ -124,7 +124,7 @@ class NatTable
     std::uint32_t translate(core::ClumsyProcessor &proc,
                             std::uint32_t privIp,
                             core::ValueRecorder *rec = nullptr,
-                            const std::string &recKey = {});
+                            const char *recKey = "");
 
     /** The public address assigned to binding idx (deterministic). */
     static std::uint32_t publicIpFor(std::uint32_t idx)
@@ -296,7 +296,7 @@ class SessionTable
     LookupResult lookup(core::ClumsyProcessor &proc, const FlowKey &key,
                         std::uint32_t now,
                         core::ValueRecorder *rec = nullptr,
-                        const std::string &recKey = {});
+                        const char *recKey = "");
 
     /** Charge one packet of @p bytes to the session (timed RMW). */
     void account(core::ClumsyProcessor &proc, std::uint32_t slot,

@@ -25,6 +25,13 @@ fnvBytes(std::uint64_t h, const void *data, std::size_t n)
     return h;
 }
 
+/**
+ * The digest's frame marker: it separates consecutive packets, so
+ * moving a value across a frame boundary changes the digest even
+ * though the byte stream of keys and values would not.
+ */
+constexpr std::uint64_t kFrameMark = 0xf4a3e0ull;
+
 } // namespace
 
 std::string
@@ -56,14 +63,24 @@ ExperimentConfig::validate() const
 void
 ValueRecorder::beginPacket()
 {
-    // A frame marker in the digest separates consecutive packets, so
-    // moving a value across a frame boundary changes the digest even
-    // though the byte stream of keys and values would not.
-    const std::uint64_t mark = 0xf4a3e0ull;
-    digest_ = fnvBytes(digest_, &mark, sizeof mark);
     ++framesBegun_;
     if (mode_ == Mode::Full)
         frameStart_.push_back(marks_.size());
+    else
+        digest_ = fnvBytes(digest_, &kFrameMark, sizeof kFrameMark);
+}
+
+std::uint32_t
+ValueRecorder::internKey(const void *ptr, std::string_view key)
+{
+    // Tables hold a handful of keys per workload: a scan is enough.
+    std::uint32_t id = 0;
+    while (id < keys_.size() && keys_[id] != key)
+        ++id;
+    if (id == keys_.size())
+        keys_.emplace_back(key);
+    hints_[hintSlot(ptr)] = KeyHint{ptr, id};
+    return id;
 }
 
 void
@@ -71,10 +88,17 @@ ValueRecorder::record(const std::string &key, std::uint64_t value)
 {
     CLUMSY_ASSERT(framesBegun_ > 0,
                   "record() before the first beginPacket()");
-    digest_ = fnvBytes(digest_, key.data(), key.size());
-    digest_ = fnvBytes(digest_, &value, sizeof value);
-    if (mode_ == Mode::Full)
-        marks_.emplace_back(key, value);
+    if (mode_ == Mode::Digest) {
+        digest_ = fnvBytes(digest_, key.data(), key.size());
+        digest_ = fnvBytes(digest_, &value, sizeof value);
+        return;
+    }
+    const KeyHint &hint = hints_[hintSlot(key.data())];
+    const std::uint32_t id =
+        hint.ptr == key.data() && keys_[hint.id] == key
+            ? hint.id
+            : internKey(key.data(), key);
+    marks_.push_back(Mark{id, value});
 }
 
 void
@@ -82,10 +106,37 @@ ValueRecorder::record(const char *key, std::uint64_t value)
 {
     CLUMSY_ASSERT(framesBegun_ > 0,
                   "record() before the first beginPacket()");
-    digest_ = fnvBytes(digest_, key, std::strlen(key));
-    digest_ = fnvBytes(digest_, &value, sizeof value);
-    if (mode_ == Mode::Full)
-        marks_.emplace_back(key, value);
+    if (mode_ == Mode::Digest) {
+        digest_ = fnvBytes(digest_, key, std::strlen(key));
+        digest_ = fnvBytes(digest_, &value, sizeof value);
+        return;
+    }
+    // The hint names the key this pointer held when it was last seen;
+    // the text comparison confirms the pointer still holds it.
+    const KeyHint &hint = hints_[hintSlot(key)];
+    const std::uint32_t id =
+        hint.ptr == key && std::strcmp(keys_[hint.id].c_str(), key) == 0
+            ? hint.id
+            : internKey(key, key);
+    marks_.push_back(Mark{id, value});
+}
+
+std::uint64_t
+ValueRecorder::digest() const
+{
+    if (mode_ == Mode::Digest)
+        return digest_;
+    // The bytes Digest mode folds as it records, in the same order.
+    std::uint64_t h = digest_;
+    for (std::size_t f = 0; f < frameStart_.size(); ++f) {
+        h = fnvBytes(h, &kFrameMark, sizeof kFrameMark);
+        for (const Mark &m : frame(f)) {
+            const std::string &key = keys_[m.key];
+            h = fnvBytes(h, key.data(), key.size());
+            h = fnvBytes(h, &m.value, sizeof m.value);
+        }
+    }
+    return h;
 }
 
 std::vector<std::string>
@@ -115,23 +166,25 @@ ValueRecorder::comparePacket(std::size_t idx, const ValueRecorder &other,
                   "packet frame out of range");
     const std::span<const Mark> myFrame = frame(idx);
     const std::span<const Mark> theirFrame = other.frame(otherIdx);
-    // Values first: they differ far more often than keys do.
+    // Values first: they differ far more often than keys do. Key ids
+    // index different tables, so keys compare by text.
     if (std::equal(myFrame.begin(), myFrame.end(), theirFrame.begin(),
-                   theirFrame.end(), [](const Mark &a, const Mark &b) {
-                       return a.second == b.second && a.first == b.first;
+                   theirFrame.end(), [&](const Mark &a, const Mark &b) {
+                       return a.value == b.value &&
+                              keys_[a.key] == other.keys_[b.key];
                    }))
         return {};
 
     // Group the frame's values per key, preserving per-key order
     // (e.g. the sequence of radix-tree nodes traversed).
-    auto group = [](std::span<const Mark> marks) {
+    auto group = [](const ValueRecorder &rec, std::span<const Mark> marks) {
         std::map<std::string, std::vector<std::uint64_t>> m;
-        for (const auto &[key, value] : marks)
-            m[key].push_back(value);
+        for (const Mark &mark : marks)
+            m[rec.keys_[mark.key]].push_back(mark.value);
         return m;
     };
-    const auto mine = group(myFrame);
-    const auto theirs = group(theirFrame);
+    const auto mine = group(*this, myFrame);
+    const auto theirs = group(other, theirFrame);
 
     std::vector<std::string> mismatched;
     for (const auto &kv : mine) {

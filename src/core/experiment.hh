@@ -17,6 +17,7 @@
 #ifndef CLUMSY_CORE_EXPERIMENT_HH
 #define CLUMSY_CORE_EXPERIMENT_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -24,6 +25,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -54,16 +56,20 @@ std::string to_string(FaultPlane plane);
  * compared packet by packet. Digest mode stores nothing: frames fold
  * into a rolling 64-bit FNV-1a digest, so multi-million-packet
  * streaming runs (npu::runChipStream, bench/traffic_scale) keep peak
- * memory independent of packet count. Both modes maintain the digest
- * over identical bytes, so a Full recorder's digest() equals the
- * Digest recorder's for the same run.
+ * memory independent of packet count. A Full recorder folds its
+ * stored log into the same digest when digest() asks for it — the
+ * same bytes in the same order — so its digest() equals the Digest
+ * recorder's for the same run.
  *
- * Full mode keeps one flat log: every frame's (key, value) marks back
- * to back in one vector, plus each frame's start offset. Recording a
- * mark appends to it — no per-packet container — and the workloads'
- * keys are short enough (<= 15 characters) to stay inside the
- * std::string small-buffer, so the steady state allocates only when
- * the log's capacity doubles.
+ * Full mode keeps one flat log: every frame's (key id, value) marks
+ * back to back in one vector, plus each frame's start offset. A key
+ * id indexes the recorder's own key table, which holds each distinct
+ * key's text once. Recording a mark appends 16 bytes to the log — no
+ * per-packet container, no key copy, no hashing — so the steady state
+ * allocates only when the log's capacity doubles. A key is found in
+ * the table through a small cache keyed by the caller's pointer and
+ * confirmed by comparing the text, so the table never keeps a
+ * caller's pointer: a key whose storage later moves or dies is safe.
  */
 class ValueRecorder
 {
@@ -84,11 +90,11 @@ class ValueRecorder
     void record(const std::string &key, std::uint64_t value);
 
     /**
-     * String-literal overload: workloads mark values with constant
-     * keys on every packet, and in Digest mode the key bytes fold
-     * straight into the rolling hash, so no std::string is
-     * constructed per marked value. The digest is identical to the
-     * std::string overload's for the same characters.
+     * C-string overload: workloads mark values with constant keys on
+     * every packet, so no std::string is constructed per marked value.
+     * The key text is copied (into the key table, or folded into the
+     * digest); the pointer is never kept. Identical to the std::string
+     * overload for the same characters.
      */
     void record(const char *key, std::uint64_t value);
 
@@ -98,8 +104,11 @@ class ValueRecorder
     /** The mode this recorder runs in. */
     Mode mode() const { return mode_; }
 
-    /** Rolling FNV-1a digest over frame marks, keys and values. */
-    std::uint64_t digest() const { return digest_; }
+    /**
+     * FNV-1a digest over frame marks, keys and values: Digest mode's
+     * rolling value, or a fold of Full mode's stored log (O(marks)).
+     */
+    std::uint64_t digest() const;
 
     /**
      * Compare one packet frame against another recorder's same frame.
@@ -128,16 +137,47 @@ class ValueRecorder
                                            std::size_t otherIdx) const;
 
   private:
-    using Mark = std::pair<std::string, std::uint64_t>;
+    /** One marked value: its key's id in keys_ and the value. */
+    struct Mark
+    {
+        std::uint32_t key;
+        std::uint64_t value;
+    };
+
+    /** A key-cache slot: a caller's key pointer and the id it named. */
+    struct KeyHint
+    {
+        const void *ptr = nullptr;
+        std::uint32_t id = 0;
+    };
+
+    static constexpr unsigned kKeyHintBits = 6;
+
+    /** Cache slot for a caller's key pointer (Fibonacci hashing). */
+    static std::size_t hintSlot(const void *ptr)
+    {
+        const auto bits = static_cast<std::uint64_t>(
+            reinterpret_cast<std::uintptr_t>(ptr));
+        return static_cast<std::size_t>((bits * 0x9e3779b97f4a7c15ull) >>
+                                        (64 - kKeyHintBits));
+    }
+
+    /**
+     * Id of @p key in the key table, adding it when new, and remember
+     * it under the caller's pointer @p ptr.
+     */
+    std::uint32_t internKey(const void *ptr, std::string_view key);
 
     /** Frame @p idx's marks (a view into marks_). */
     std::span<const Mark> frame(std::size_t idx) const;
 
     std::vector<Mark> marks_;             ///< Full mode: every frame's marks
     std::vector<std::size_t> frameStart_; ///< marks_ offset of each frame
+    std::vector<std::string> keys_;       ///< Full mode: key id -> text
+    std::array<KeyHint, 1u << kKeyHintBits> hints_{}; ///< pointer -> id
     Mode mode_ = Mode::Full;
     std::size_t framesBegun_ = 0;
-    std::uint64_t digest_ = 0xcbf29ce484222325ull; ///< FNV offset basis
+    std::uint64_t digest_ = 0xcbf29ce484222325ull; ///< Digest mode
 };
 
 /** Interface every NetBench-style workload implements. */

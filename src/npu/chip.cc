@@ -77,11 +77,14 @@ ChipRun
 runChipOnce(const core::AppFactory &factory,
             const core::ExperimentConfig &config, const NpuConfig &npu,
             bool golden, unsigned trial, const ChipRun *goldenRef,
-            bool stream = false, const ChipEnv &env = {})
+            bool stream = false, const ChipEnv &env = {},
+            bool recordTrace = false)
 {
     npu.validate(config.processor.hierarchy);
     CLUMSY_ASSERT(!stream || goldenRef == nullptr,
                   "streaming runs cannot compare against a reference");
+    CLUMSY_ASSERT(goldenRef == nullptr || env.source == nullptr,
+                  "a trial replays its golden's trace");
 
     const bool injectControl =
         !golden && config.plane != core::FaultPlane::DataOnly;
@@ -212,11 +215,24 @@ runChipOnce(const core::AppFactory &factory,
     // The arrival stream: a traffic source owns both the packet bytes
     // and each packet's arrival time (static gaps or the churn model's
     // ramped/bursty gaps), quantized here onto the chip timeline.
+    // A golden run draws the whole trace up front and replays the
+    // recording, which its trials then replay too: one draw serves
+    // the golden and every trial.
     const net::TraceConfig chipTrace =
         core::resolveTraceConfig(config, *engines[0].app);
     std::unique_ptr<traffic::PacketSource> ownedSrc;
-    if (env.source == nullptr)
+    if (goldenRef != nullptr && goldenRef->trace) {
+        CLUMSY_ASSERT(goldenRef->trace->size() == config.numPackets,
+                      "trial replays a golden of another packet count");
+        ownedSrc = std::make_unique<traffic::ReplaySource>(goldenRef->trace);
+    } else if (env.source == nullptr) {
         ownedSrc = traffic::makeSource(chipTrace, npu.arrivalGapCycles);
+        if (recordTrace) {
+            run.trace = std::make_shared<const traffic::TraceRecording>(
+                *ownedSrc, config.numPackets);
+            ownedSrc = std::make_unique<traffic::ReplaySource>(run.trace);
+        }
+    }
     traffic::PacketSource *const src =
         env.source != nullptr ? env.source : ownedSrc.get();
 
@@ -753,7 +769,8 @@ ChipRun
 runChipGolden(const core::AppFactory &factory,
               const core::ExperimentConfig &config, const NpuConfig &npu)
 {
-    ChipRun run = runChipOnce(factory, config, npu, true, 0, nullptr);
+    ChipRun run = runChipOnce(factory, config, npu, true, 0, nullptr,
+                              /*stream=*/false, {}, /*recordTrace=*/true);
     CLUMSY_ASSERT(!run.merged.fatal, "golden chip run must not die");
     return run;
 }

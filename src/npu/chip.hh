@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -54,6 +55,7 @@ class DramGateway;
 namespace clumsy::traffic
 {
 class PacketSource;
+class TraceRecording;
 }
 
 namespace clumsy::npu
@@ -273,14 +275,27 @@ struct ChipRun
      * of dropped packets stay not done()).
      */
     std::vector<Completion> completions;
+
+    /**
+     * The packet trace a golden run drew, kept for its trials to
+     * replay (null in trials and streaming runs).
+     */
+    std::shared_ptr<const traffic::TraceRecording> trace;
 };
 
-/** Run the chip fault-free; panics if any engine dies. */
+/**
+ * Run the chip fault-free; panics if any engine dies. The run draws
+ * its trace once into ChipRun::trace before it starts.
+ */
 ChipRun runChipGolden(const core::AppFactory &factory,
                       const core::ExperimentConfig &config,
                       const NpuConfig &npu);
 
-/** Run faulty trial @p trial against a golden chip run. */
+/**
+ * Run faulty trial @p trial against a golden chip run, replaying the
+ * golden's recorded trace (or drawing its own when the golden kept
+ * none).
+ */
 ChipRun runChipTrial(const core::AppFactory &factory,
                      const core::ExperimentConfig &config,
                      const NpuConfig &npu, unsigned trial,

@@ -127,7 +127,9 @@ JsonWriter &
 JsonWriter::key(const std::string &name)
 {
     separate();
-    out_ += "\"" + jsonEscape(name) + "\": ";
+    out_ += '"';
+    out_ += jsonEscape(name);
+    out_ += "\": ";
     afterKey_ = true;
     needComma_ = true;
     return *this;
@@ -137,7 +139,9 @@ JsonWriter &
 JsonWriter::value(const std::string &v)
 {
     separate();
-    out_ += "\"" + jsonEscape(v) + "\"";
+    out_ += '"';
+    out_ += jsonEscape(v);
+    out_ += '"';
     needComma_ = true;
     return *this;
 }

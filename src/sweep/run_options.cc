@@ -312,7 +312,10 @@ RunOptions::configEcho() const
         out += std::string("  \"") + key + "\": " + value + ",\n";
     };
     auto str = [](const std::string &s) {
-        return "\"" + jsonEscape(s) + "\"";
+        std::string quoted = "\"";
+        quoted += jsonEscape(s);
+        quoted += '"';
+        return quoted;
     };
     auto boolean = [](bool b) {
         return std::string(b ? "true" : "false");

@@ -162,21 +162,25 @@ renderCsv(const SweepOutcome &outcome, bool provenance)
         "edf,golden_cycles_per_packet,golden_energy_per_packet_pj,"
         "golden_dcache_miss_rate";
     out += provenance ? ",wall_ms\n" : "\n";
+    auto field = [&out](double v) {
+        out += ',';
+        out += formatDouble(v);
+    };
     for (const CellOutcome &c : outcome.cells) {
         const core::ExperimentResult &r = c.result;
         out += axisCsvFields(c.cell) + formatDouble(r.fallibility);
-        out += "," + formatDouble(r.anyErrorProb);
-        out += "," + formatDouble(r.fatalProb);
-        out += "," + formatDouble(r.fatalFraction);
-        out += "," + formatDouble(r.cyclesPerPacket);
-        out += "," + formatDouble(r.energyPerPacketPj);
-        out += "," + formatDouble(r.l1dEnergyPerPacketPj);
-        out += "," + formatDouble(r.edf);
-        out += "," + formatDouble(r.golden.cyclesPerPacket);
-        out += "," + formatDouble(r.golden.energyPerPacketPj);
-        out += "," + formatDouble(r.golden.dcacheMissRate);
+        field(r.anyErrorProb);
+        field(r.fatalProb);
+        field(r.fatalFraction);
+        field(r.cyclesPerPacket);
+        field(r.energyPerPacketPj);
+        field(r.l1dEnergyPerPacketPj);
+        field(r.edf);
+        field(r.golden.cyclesPerPacket);
+        field(r.golden.energyPerPacketPj);
+        field(r.golden.dcacheMissRate);
         if (provenance)
-            out += "," + formatDouble(c.wallMs);
+            field(c.wallMs);
         out += "\n";
     }
     return out;

@@ -545,8 +545,11 @@ SweepSpec::toGridString() const
     forEachAxis([&](const auto &row) {
         const auto &values = this->*row.values;
         out += row.name + string("=");
-        for (std::size_t i = 0; i < values.size(); ++i)
-            out += (i ? "," : "") + row.text(values[i]);
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            if (i)
+                out += ',';
+            out += row.text(values[i]);
+        }
         out += ";";
     });
     out += "packets=" + std::to_string(packets);

@@ -153,6 +153,57 @@ makeSource(const net::TraceConfig &config, std::int64_t nominalGapCycles)
     return std::make_unique<StaticSource>(config, nominalGapCycles);
 }
 
+TraceRecording::TraceRecording(PacketSource &source,
+                               std::uint64_t packets)
+    : config_(source.config())
+{
+    packets_.reserve(packets);
+    // Reserve the payloads' expected size with some slack, so the
+    // arena seldom regrows (a regrowth briefly holds two copies).
+    if (!config_.httpPayloads)
+        arena_.reserve(packets *
+                       (config_.minPayload + config_.maxPayload) / 2 *
+                       9 / 8);
+    net::Packet pkt;
+    for (std::uint64_t i = 0; i < packets && !source.atEnd(); ++i) {
+        source.nextInto(pkt);
+        Entry &e = packets_.emplace_back();
+        e.seq = pkt.seq;
+        e.ip = pkt.ip;
+        e.srcPort = pkt.srcPort;
+        e.dstPort = pkt.dstPort;
+        e.length = static_cast<std::uint32_t>(pkt.payload.size());
+        e.offset = arena_.size();
+        e.arrival = source.lastArrivalCycles();
+        maxLength_ = std::max(maxLength_, e.length);
+        arena_.insert(arena_.end(), pkt.payload.begin(), pkt.payload.end());
+    }
+}
+
+void
+TraceRecording::copyInto(std::size_t i, net::Packet &pkt) const
+{
+    const Entry &e = packets_[i];
+    pkt.seq = e.seq;
+    pkt.ip = e.ip;
+    pkt.srcPort = e.srcPort;
+    pkt.dstPort = e.dstPort;
+    // Size a recycled buffer for the longest payload at once, not by
+    // regrowing it each time a packet outgrows it.
+    pkt.payload.reserve(maxLength_);
+    const auto *bytes = arena_.data() + e.offset;
+    pkt.payload.assign(bytes, bytes + e.length);
+}
+
+void
+ReplaySource::nextInto(net::Packet &pkt)
+{
+    CLUMSY_ASSERT(next_ < rec_->size(), "replay past the recording");
+    rec_->copyInto(next_, pkt);
+    arrival_ = rec_->arrivalCycles(next_);
+    ++next_;
+}
+
 void
 checkArrivalSpan(const std::string &option, std::int64_t gapCycles,
                  std::uint64_t packets)

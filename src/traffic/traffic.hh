@@ -25,6 +25,11 @@
  *    packet-body stream RNG, so the model stays deterministic per
  *    seed at any packet count: golden and faulty runs, and runs at
  *    different --jobs/--chip-jobs, replay identical sequences.
+ *
+ * A TraceRecording draws a stream once and keeps it, and a
+ * ReplaySource replays the recording as a PacketSource: the chip's
+ * golden run records its trace, and every faulty trial replays it
+ * instead of redrawing every payload byte.
  */
 
 #ifndef CLUMSY_TRAFFIC_TRAFFIC_HH
@@ -254,6 +259,96 @@ class ChurnSource final : public PacketSource
  */
 std::unique_ptr<PacketSource> makeSource(const net::TraceConfig &config,
                                          std::int64_t nominalGapCycles);
+
+/**
+ * A packet stream drawn once and kept, immutable after construction,
+ * so any number of ReplaySources on any threads may read one
+ * recording. Every payload lives in one byte arena; each packet keeps
+ * its header, ports, sequence number, arrival time and its payload's
+ * place in the arena. Memory grows with the packet count: a
+ * recording is for runs that keep per-packet state anyway (the chip
+ * golden's completion index and frame log), not for streaming runs.
+ */
+class TraceRecording
+{
+  public:
+    /** Draw @p packets packets and their arrivals from @p source. */
+    TraceRecording(PacketSource &source, std::uint64_t packets);
+
+    /** Number of packets recorded. */
+    std::size_t size() const { return packets_.size(); }
+
+    /** The configuration of the source the recording was drawn from. */
+    const net::TraceConfig &config() const { return config_; }
+
+    /** Payload bytes held in the arena. */
+    std::size_t payloadBytes() const { return arena_.size(); }
+
+    /**
+     * Write packet @p i into @p pkt, overwriting every field and
+     * reusing its payload storage.
+     */
+    void copyInto(std::size_t i, net::Packet &pkt) const;
+
+    /** Arrival time, in base cycles, of packet @p i. */
+    std::int64_t arrivalCycles(std::size_t i) const
+    {
+        return packets_[i].arrival;
+    }
+
+  private:
+    /** One recorded packet; its payload is arena_[offset, +length). */
+    struct Entry
+    {
+        std::uint64_t seq = 0;
+        net::Ipv4Header ip;
+        std::uint16_t srcPort = 0;
+        std::uint16_t dstPort = 0;
+        std::uint32_t length = 0;
+        std::size_t offset = 0;
+        std::int64_t arrival = 0;
+    };
+
+    net::TraceConfig config_;
+    std::vector<Entry> packets_;
+    std::vector<std::uint8_t> arena_;
+    std::uint32_t maxLength_ = 0; ///< longest payload recorded
+};
+
+/**
+ * A recorded stream as a PacketSource: packet for packet and arrival
+ * for arrival the stream the recording was drawn from, used up once
+ * the recording is (atEnd()). Copies share the recording.
+ */
+class ReplaySource final : public PacketSource
+{
+  public:
+    explicit ReplaySource(std::shared_ptr<const TraceRecording> recording)
+        : rec_(std::move(recording))
+    {
+    }
+
+    void nextInto(net::Packet &pkt) override;
+
+    std::int64_t lastArrivalCycles() const override { return arrival_; }
+
+    const net::TraceConfig &config() const override
+    {
+        return rec_->config();
+    }
+
+    bool atEnd() override { return next_ >= rec_->size(); }
+
+    std::unique_ptr<PacketSource> clone() const override
+    {
+        return std::make_unique<ReplaySource>(*this);
+    }
+
+  private:
+    std::shared_ptr<const TraceRecording> rec_;
+    std::size_t next_ = 0;
+    std::int64_t arrival_ = 0;
+};
 
 /**
  * fatal()s, naming @p option, unless @p packets arrivals @p gapCycles

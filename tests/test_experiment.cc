@@ -15,6 +15,7 @@
 
 #include "apps/app.hh"
 #include "core/experiment.hh"
+#include "traffic/traffic.hh"
 
 using namespace clumsy;
 using namespace clumsy::core;
@@ -100,6 +101,40 @@ mutate(Frame f, std::mt19937_64 &rng)
         break;
     }
     return f;
+}
+
+/**
+ * The marks of one run (golden, or faulty trial @p trial) as the
+ * harness makes them, recorded in @p mode: the same processor, fault
+ * planes and trace as runGolden() / runFaultyTrial(), stopping at the
+ * first fatal.
+ */
+ValueRecorder
+recordRun(const AppFactory &factory, const ExperimentConfig &config,
+          bool golden, unsigned trial, ValueRecorder::Mode mode)
+{
+    ValueRecorder rec(mode);
+    auto app = factory();
+    ClumsyProcessor proc(makeRunProcessorConfig(config, golden, trial));
+    proc.setInjectionEnabled(!golden &&
+                             config.plane != FaultPlane::DataOnly);
+    app->initialize(proc);
+    const auto src =
+        traffic::makeSource(resolveTraceConfig(config, *app), 0);
+    proc.setInjectionEnabled(!golden &&
+                             config.plane != FaultPlane::ControlOnly);
+    net::Packet pkt;
+    for (std::uint64_t i = 0;
+         i < config.numPackets && !proc.fatalOccurred(); ++i) {
+        src->nextInto(pkt);
+        proc.beginPacket();
+        rec.beginPacket();
+        app->processPacket(proc, pkt, rec);
+        if (proc.fatalOccurred())
+            break;
+        proc.endPacket();
+    }
+    return rec;
 }
 
 } // namespace
@@ -193,6 +228,98 @@ TEST(ValueRecorder, CompareMatchesPerKeyGroupingReference)
     for (std::size_t i = 0; i < 50; ++i)
         EXPECT_EQ(mine.comparePacket(i, theirs),
                   referenceCompare(myFrames[i], theirFrames[i]));
+}
+
+/**
+ * A Full-mode recorder keeps (key id, value) marks and folds them into
+ * the digest only when asked; the fold must give the digest a
+ * Digest-mode recorder accumulates as it records. Checked on a golden
+ * run and a faulty trial of every app, and on seeded random frames
+ * whose keys arrive through the std::string overload, through c_str()
+ * of strings that later move, and through one buffer whose text
+ * changes under a fixed pointer.
+ */
+TEST(ValueRecorder, FullDigestMatchesDigestMode)
+{
+    std::vector<std::string> names = apps::allAppNames();
+    for (const std::string &ext : apps::extensionAppNames())
+        names.push_back(ext);
+    ASSERT_EQ(names.size(), 10u);
+    unsigned diverged = 0;
+    for (const std::string &app : names) {
+        const AppFactory factory = apps::appFactory(app);
+        ExperimentConfig cfg;
+        cfg.numPackets = 120;
+        cfg.cr = 0.25;
+        cfg.scheme = mem::RecoveryScheme::NoDetection;
+        cfg.faultScale = 30.0;
+        const GoldenRecord golden = runGolden(factory, cfg);
+        const ValueRecorder full =
+            recordRun(factory, cfg, true, 0, ValueRecorder::Mode::Full);
+        const ValueRecorder digest =
+            recordRun(factory, cfg, true, 0, ValueRecorder::Mode::Digest);
+        EXPECT_EQ(full.digest(), digest.digest()) << app;
+        EXPECT_EQ(golden.recorder.digest(), digest.digest()) << app;
+        EXPECT_EQ(digest.packetCount(), cfg.numPackets) << app;
+
+        const ValueRecorder trialFull =
+            recordRun(factory, cfg, false, 1, ValueRecorder::Mode::Full);
+        const ValueRecorder trialDigest =
+            recordRun(factory, cfg, false, 1, ValueRecorder::Mode::Digest);
+        EXPECT_EQ(trialFull.packetCount(), trialDigest.packetCount())
+            << app;
+        EXPECT_EQ(trialFull.digest(), trialDigest.digest()) << app;
+        diverged += trialDigest.digest() != digest.digest();
+    }
+    EXPECT_GT(diverged, 5u); // the trials' faults reach the marks
+
+    std::mt19937_64 rng(20261020);
+    ValueRecorder full, byString;
+    ValueRecorder digest(ValueRecorder::Mode::Digest);
+    std::vector<std::string> owned; // grows: earlier c_str()s move
+    std::string buffer;             // one pointer, changing text
+    std::vector<Frame> frames;
+    for (unsigned i = 0; i < 2000; ++i) {
+        Frame f = randomFrame(rng);
+        // Keys past the small-string buffer too.
+        if (rng() % 4 == 0)
+            f.emplace_back("a_key_longer_than_fifteen_chars", rng() % 4);
+        full.beginPacket();
+        byString.beginPacket();
+        digest.beginPacket();
+        for (const auto &[key, value] : f) {
+            switch (rng() % 3) {
+              case 0:
+                full.record(key, value);
+                break;
+              case 1:
+                owned.push_back(key);
+                full.record(owned.back().c_str(), value);
+                break;
+              case 2:
+                buffer = key;
+                full.record(buffer.c_str(), value);
+                break;
+            }
+            byString.record(key, value);
+            digest.record(key.c_str(), value);
+        }
+        frames.push_back(std::move(f));
+    }
+    EXPECT_EQ(full.digest(), digest.digest());
+    EXPECT_EQ(byString.digest(), digest.digest());
+    for (std::size_t i = 0; i < frames.size(); ++i)
+        ASSERT_TRUE(full.comparePacket(i, byString).empty()) << i;
+
+    // A moved frame boundary moves the digest.
+    ValueRecorder shifted;
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+        if (i != 7)
+            shifted.beginPacket();
+        for (const auto &[key, value] : frames[i])
+            shifted.record(key, value);
+    }
+    EXPECT_NE(shifted.digest(), full.digest());
 }
 
 TEST(Experiment, ZeroFaultScaleYieldsNoErrors)

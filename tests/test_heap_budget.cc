@@ -130,10 +130,14 @@ namespace
  * Allocation budgets per simulated packet, each a little above what
  * the path measures (x86-64, libstdc++, N vs 4N): the core loop
  * redraws one packet in place (~0.02: amortized growth of the
- * recorder log), a chip draws each packet into the storage of one it
- * has processed and queues it in reused ring slots (0.07 here;
- * 0.02-0.07 for N from 200 to 1500), and a card does the same through
- * its stream's FIFO rings while lpm applies FIB updates (0.06 here;
+ * recorder log), a chip copies each packet out of its golden's trace
+ * recording into the storage of one it has processed and queues it
+ * in reused ring slots (golden + trial 0.067 here, 0.024-0.067 for N
+ * from 200 to 1500; runChipExperiment's golden + 2 trials 0.076 here,
+ * 0.031-0.076: the recording grows one payload arena and one packet
+ * array, no vector per packet), and a card draws its packets into
+ * reused storage through its stream's FIFO rings while lpm applies
+ * FIB updates (0.06 here;
  * 0.06-0.12 for N from 200 to 1500). Compared N vs 2N, per-run costs
  * that do not scale exactly with N moved the card's reading from -0.06
  * to +0.10. The chip and card budgets leave 0.08 above the largest
@@ -225,9 +229,10 @@ TEST(HeapBudget, CoreGoldenAndTrialPerPacket)
     expectWithinBudget(perPkt, kCoreBudget);
 }
 
-TEST(HeapBudget, SharedL2ChipTrialPerPacket)
+/** The 4-PE shared-L2 chip of the chip budget cases. */
+npu::NpuConfig
+sharedL2Chip()
 {
-    const core::AppFactory factory = apps::appFactory("nat");
     npu::NpuConfig npu;
     npu.peCount = 4;
     npu.dispatch = npu::DispatchPolicy::FlowHash;
@@ -235,6 +240,13 @@ TEST(HeapBudget, SharedL2ChipTrialPerPacket)
     npu.dvs = npu::DvsMode::Queue;
     npu.l2 = npu::L2Mode::Shared;
     npu.chipJobs = 1;
+    return npu;
+}
+
+TEST(HeapBudget, SharedL2ChipTrialPerPacket)
+{
+    const core::AppFactory factory = apps::appFactory("nat");
+    const npu::NpuConfig npu = sharedL2Chip();
     const double perPkt = marginalPerPacket(200, 2, [&](std::uint64_t n) {
         core::ExperimentConfig cfg = faultyConfig();
         cfg.numPackets = n;
@@ -243,6 +255,23 @@ TEST(HeapBudget, SharedL2ChipTrialPerPacket)
             npu::runChipTrial(factory, cfg, npu, 0, golden);
         ASSERT_EQ(golden.merged.packetsProcessed, n);
         ASSERT_FALSE(trial.merged.fatal);
+    });
+    expectWithinBudget(perPkt, kChipBudget);
+}
+
+TEST(HeapBudget, SharedL2ChipExperimentPerPacket)
+{
+    // The golden draws the trace into its recording, and both trials
+    // replay it.
+    const core::AppFactory factory = apps::appFactory("nat");
+    const npu::NpuConfig npu = sharedL2Chip();
+    const double perPkt = marginalPerPacket(200, 3, [&](std::uint64_t n) {
+        core::ExperimentConfig cfg = faultyConfig();
+        cfg.numPackets = n;
+        cfg.trials = 2;
+        const npu::ChipExperimentResult r =
+            npu::runChipExperiment(factory, cfg, npu);
+        ASSERT_EQ(r.core.golden.packetsProcessed, n);
     });
     expectWithinBudget(perPkt, kChipBudget);
 }

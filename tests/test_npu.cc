@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "apps/app.hh"
+#include "common/pool.hh"
 #include "core/experiment.hh"
 #include "ctrl/ctrl.hh"
 #include "net/trace_gen.hh"
@@ -23,6 +24,7 @@
 #include "npu/dispatcher.hh"
 #include "npu/shared_l2.hh"
 #include "sweep/sink.hh"
+#include "traffic/traffic.hh"
 
 using namespace clumsy;
 using namespace clumsy::npu;
@@ -918,4 +920,106 @@ TEST(ChipParallel, FaultMapUnderChurnChipJobsByteIdentical)
                   sweep::chipMetricsJson(b.faultyChip))
             << "app " << app;
     }
+}
+
+// --- trace replay ------------------------------------------------------
+
+/**
+ * A golden chip run records its trace and every trial replays it. A
+ * replaying trial must equal the same trial drawing its own trace
+ * from a fresh source, over every dispatch policy, a bounded and an
+ * unbounded ingress, drop and backpressure, static and churning
+ * traffic, and trials run one at a time or concurrently on four
+ * workers (all reading one recording). runChipExperiment, which
+ * shares the golden's draw with its trials, must match an aggregate
+ * built from the freshly drawn trials.
+ */
+TEST(ChipReplay, ReplayedTrialsMatchFreshlyDrawnTrials)
+{
+    const core::AppFactory factory = apps::appFactory("nat");
+    unsigned withErrors = 0, withDrops = 0;
+    for (const DispatchPolicy dispatch :
+         {DispatchPolicy::RoundRobin, DispatchPolicy::FlowHash,
+          DispatchPolicy::ShortestQueue})
+        for (const unsigned ingressCap : {0u, 8u})
+            for (const bool drop : {false, true})
+                for (const std::uint64_t churn : {0u, 512u})
+                    for (const unsigned jobs : {1u, 4u}) {
+        const std::string what =
+            to_string(dispatch) + " ingress " +
+            std::to_string(ingressCap) + (drop ? " drop" : " bp") +
+            " churn " + std::to_string(churn) + " jobs " +
+            std::to_string(jobs);
+        core::ExperimentConfig cfg = smallConfig();
+        cfg.numPackets = 160;
+        cfg.trials = 3;
+        cfg.faultScale = 40.0;
+        cfg.churnLifetime = churn;
+        NpuConfig npu;
+        npu.peCount = 4;
+        npu.dispatch = dispatch;
+        npu.queueCapacity = 4;
+        npu.dropWhenFull = drop;
+        npu.ingressCapacity = ingressCap;
+        npu.l2 = L2Mode::Shared;
+        npu.mshrs = 2;
+        npu.dvs = DvsMode::Queue;
+        npu.chipJobs = jobs;
+
+        const ChipRun golden = runChipGolden(factory, cfg, npu);
+        ASSERT_TRUE(golden.trace) << what;
+        ASSERT_EQ(golden.trace->size(), cfg.numPackets) << what;
+        ChipRun unrecorded = golden;
+        unrecorded.trace.reset();
+
+        NpuConfig trialNpu = npu;
+        trialNpu.chipJobs = 1;
+        std::vector<ChipRun> replayed(cfg.trials), drawn(cfg.trials);
+        const WorkStealingPool pool(jobs);
+        pool.run(2 * cfg.trials, [&](std::size_t j) {
+            const auto t = static_cast<unsigned>(j / 2);
+            if (j % 2 == 0)
+                replayed[t] = runChipTrial(factory, cfg, trialNpu, t, golden);
+            else
+                drawn[t] =
+                    runChipTrial(factory, cfg, trialNpu, t, unrecorded);
+        });
+
+        std::vector<core::RunMetrics> trials;
+        std::vector<ChipMetrics> chips;
+        for (unsigned t = 0; t < cfg.trials; ++t) {
+            const core::GoldenRecord ref{golden.merged, {}};
+            EXPECT_EQ(sweep::experimentResultJson(core::aggregateTrials(
+                          "nat", ref, {replayed[t].merged})),
+                      sweep::experimentResultJson(core::aggregateTrials(
+                          "nat", ref, {drawn[t].merged})))
+                << what << " trial " << t;
+            EXPECT_EQ(sweep::chipMetricsJson(replayed[t].chip),
+                      sweep::chipMetricsJson(drawn[t].chip))
+                << what << " trial " << t;
+            withErrors += drawn[t].merged.packetsWithError > 0;
+            withDrops += drawn[t].chip.dropsQueueFull +
+                             drawn[t].chip.ingressDrops >
+                         0;
+            trials.push_back(drawn[t].merged);
+            chips.push_back(drawn[t].chip);
+        }
+
+        const ChipExperimentResult exp =
+            runChipExperiment(factory, cfg, npu);
+        EXPECT_EQ(sweep::experimentResultJson(exp.core),
+                  sweep::experimentResultJson(core::aggregateTrials(
+                      "nat", core::GoldenRecord{golden.merged, {}},
+                      trials)))
+            << what;
+        EXPECT_EQ(sweep::chipMetricsJson(exp.goldenChip),
+                  sweep::chipMetricsJson(golden.chip))
+            << what;
+        EXPECT_EQ(sweep::chipMetricsJson(exp.faultyChip),
+                  sweep::chipMetricsJson(averageChipMetrics(chips)))
+            << what;
+    }
+    // The matrix exercises the compare path and the drop paths.
+    EXPECT_GT(withErrors, 0u);
+    EXPECT_GT(withDrops, 0u);
 }

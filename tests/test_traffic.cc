@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests of the streaming traffic subsystem (src/traffic/): the
- * PacketSource contract, churn determinism, the statistical shape of
- * the churn model (Zipf rank-frequency, Pareto burst tail, geometric
- * lifetimes), the O(1)-memory digest recorder, the streaming chip
+ * PacketSource contract, trace recording and replay, churn
+ * determinism, the statistical shape of the churn model (Zipf
+ * rank-frequency, Pareto burst tail, geometric lifetimes), the O(1)-memory digest recorder, the streaming chip
  * harness, and the flows=/churn= sweep axes.
  */
 
@@ -55,6 +55,60 @@ logLogSlope(const std::vector<double> &x, const std::vector<double> &y)
         sxy += lx * ly;
     }
     return (n * sxy - sx * sy) / (n * sxx - sx * sx);
+}
+
+/** One drawn packet and its arrival time. */
+struct Drawn
+{
+    net::Packet pkt;
+    std::int64_t arrival;
+};
+
+/** The next @p n packets of @p src, each drawn into a fresh packet. */
+std::vector<Drawn>
+drawN(traffic::PacketSource &src, int n)
+{
+    std::vector<Drawn> out;
+    for (int i = 0; i < n; ++i) {
+        net::Packet pkt = src.next();
+        out.push_back({std::move(pkt), src.lastArrivalCycles()});
+    }
+    return out;
+}
+
+void
+expectSame(const std::vector<Drawn> &a, const std::vector<Drawn> &b,
+           const char *what)
+{
+    ASSERT_EQ(a.size(), b.size()) << what;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].pkt.seq, b[i].pkt.seq) << what << " #" << i;
+        ASSERT_EQ(a[i].pkt.ip.toBytes(), b[i].pkt.ip.toBytes())
+            << what << " #" << i;
+        ASSERT_EQ(a[i].pkt.srcPort, b[i].pkt.srcPort) << what;
+        ASSERT_EQ(a[i].pkt.dstPort, b[i].pkt.dstPort) << what;
+        ASSERT_EQ(a[i].pkt.payload, b[i].pkt.payload) << what;
+        ASSERT_EQ(a[i].arrival, b[i].arrival) << what << " #" << i;
+    }
+}
+
+/**
+ * Trace shapes every source test covers: the static model (plain and
+ * HTTP payloads) and a churn model with a ramp and long OFF gaps.
+ */
+std::vector<std::pair<const char *, net::TraceConfig>>
+sourceCases()
+{
+    net::TraceConfig http;
+    http.httpPayloads = true;
+    net::TraceConfig churn = churnyConfig(32, 24.0);
+    churn.churn.rampPackets = 600;
+    churn.churn.rampStartFactor = 5.0;
+    churn.churn.minBurst = 2;
+    churn.churn.offGapFactor = 9.0;
+    return {{"static", net::TraceConfig{}},
+            {"static http", http},
+            {"churn", churn}};
 }
 
 } // namespace
@@ -126,44 +180,7 @@ TEST(PacketSource, InPlaceDrawsMatchByValueStream)
  */
 TEST(PacketSource, CloneContinuesTheStream)
 {
-    struct Drawn
-    {
-        net::Packet pkt;
-        std::int64_t arrival;
-    };
-    auto drawN = [](traffic::PacketSource &src, int n) {
-        std::vector<Drawn> out;
-        for (int i = 0; i < n; ++i) {
-            net::Packet pkt = src.next();
-            out.push_back({std::move(pkt), src.lastArrivalCycles()});
-        }
-        return out;
-    };
-    auto expectSame = [](const std::vector<Drawn> &a,
-                         const std::vector<Drawn> &b, const char *what) {
-        ASSERT_EQ(a.size(), b.size()) << what;
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            ASSERT_EQ(a[i].pkt.seq, b[i].pkt.seq) << what << " #" << i;
-            ASSERT_EQ(a[i].pkt.ip.toBytes(), b[i].pkt.ip.toBytes())
-                << what << " #" << i;
-            ASSERT_EQ(a[i].pkt.srcPort, b[i].pkt.srcPort) << what;
-            ASSERT_EQ(a[i].pkt.dstPort, b[i].pkt.dstPort) << what;
-            ASSERT_EQ(a[i].pkt.payload, b[i].pkt.payload) << what;
-            ASSERT_EQ(a[i].arrival, b[i].arrival) << what << " #" << i;
-        }
-    };
-
-    net::TraceConfig http;
-    http.httpPayloads = true;
-    net::TraceConfig churn = churnyConfig(32, 24.0);
-    churn.churn.rampPackets = 600;
-    churn.churn.rampStartFactor = 5.0;
-    churn.churn.minBurst = 2;
-    churn.churn.offGapFactor = 9.0;
-    const std::vector<std::pair<const char *, net::TraceConfig>> cases = {
-        {"static", net::TraceConfig{}}, {"static http", http},
-        {"churn", churn}};
-    for (const auto &[what, tc] : cases) {
+    for (const auto &[what, tc] : sourceCases()) {
         const std::unique_ptr<traffic::PacketSource> src =
             traffic::makeSource(tc, 7);
         drawN(*src, 137);
@@ -177,6 +194,55 @@ TEST(PacketSource, CloneContinuesTheStream)
         const std::unique_ptr<traffic::PacketSource> still = src->clone();
         drawN(*ahead, 50);
         expectSame(drawN(*src, 1), drawN(*still, 1), what);
+    }
+}
+
+TEST(PacketSource, ReplayMatchesTheRecordedSource)
+{
+    for (const auto &[what, tc] : sourceCases()) {
+        const std::unique_ptr<traffic::PacketSource> src =
+            traffic::makeSource(tc, 7);
+        // The model the configuration picks is the one recorded.
+        if (tc.churn.enabled)
+            ASSERT_NE(dynamic_cast<traffic::ChurnSource *>(src.get()),
+                      nullptr);
+        else
+            ASSERT_NE(dynamic_cast<traffic::StaticSource *>(src.get()),
+                      nullptr);
+        const std::unique_ptr<traffic::PacketSource> fresh = src->clone();
+        const auto rec =
+            std::make_shared<const traffic::TraceRecording>(*src, 1000);
+        ASSERT_EQ(rec->size(), 1000u) << what;
+        const std::vector<Drawn> want = drawN(*fresh, 1000);
+
+        traffic::ReplaySource replay(rec);
+        EXPECT_EQ(replay.config().seed, tc.seed) << what;
+        expectSame(drawN(replay, 1000), want, what);
+        EXPECT_TRUE(replay.atEnd()) << what;
+
+        // A clone continues the replay where it stands, on its own.
+        traffic::ReplaySource part(rec);
+        drawN(part, 137);
+        const std::unique_ptr<traffic::PacketSource> copy = part.clone();
+        EXPECT_EQ(copy->lastArrivalCycles(), want[136].arrival) << what;
+        const std::vector<Drawn> tail(want.begin() + 137, want.end());
+        expectSame(drawN(part, 863), tail, what);
+        EXPECT_FALSE(copy->atEnd()) << what;
+        expectSame(drawN(*copy, 863), tail, what);
+
+        // In-place draws overwrite every field of a reused packet.
+        traffic::ReplaySource inPlace(rec);
+        net::Packet pkt;
+        pkt.payload.assign(4096, 0xee);
+        for (const Drawn &d : want) {
+            inPlace.nextInto(pkt);
+            ASSERT_EQ(pkt.seq, d.pkt.seq) << what;
+            ASSERT_EQ(pkt.ip.toBytes(), d.pkt.ip.toBytes()) << what;
+            ASSERT_EQ(pkt.srcPort, d.pkt.srcPort) << what;
+            ASSERT_EQ(pkt.dstPort, d.pkt.dstPort) << what;
+            ASSERT_EQ(pkt.payload, d.pkt.payload) << what;
+            ASSERT_EQ(inPlace.lastArrivalCycles(), d.arrival) << what;
+        }
     }
 }
 
