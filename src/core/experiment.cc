@@ -126,7 +126,8 @@ ValueRecorder::digest() const
 {
     if (mode_ == Mode::Digest)
         return digest_;
-    // The bytes Digest mode folds as it records, in the same order.
+    // The bytes Digest mode folds as it records, in the same order,
+    // from the offset basis (Full mode never advances digest_).
     std::uint64_t h = digest_;
     for (std::size_t f = 0; f < frameStart_.size(); ++f) {
         h = fnvBytes(h, &kFrameMark, sizeof kFrameMark);
