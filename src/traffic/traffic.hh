@@ -281,9 +281,6 @@ class TraceRecording
     /** The configuration of the source the recording was drawn from. */
     const net::TraceConfig &config() const { return config_; }
 
-    /** Payload bytes held in the arena. */
-    std::size_t payloadBytes() const { return arena_.size(); }
-
     /**
      * Write packet @p i into @p pkt, overwriting every field and
      * reusing its payload storage.
